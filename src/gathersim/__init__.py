@@ -12,7 +12,7 @@ from .geometry import (
     convex_hull,
     smallest_enclosing_circle,
 )
-from .model import Configuration, DetectionMode, Frame, normalize, observe
+from .model import Configuration, Frame, normalize, observe
 from .protocol import Action, compute_action
 from .simulator import Robot, RunOutcome, SchedulerSpec, run, step
 from .analysis import attach_lemma_monitors, even_livelock_demo, run_sweep
@@ -23,7 +23,6 @@ __all__ = [
     "Action",
     "Circle",
     "Configuration",
-    "DetectionMode",
     "Frame",
     "Point",
     "Robot",

@@ -1,11 +1,12 @@
 """Verification machinery around the simulator.
 
-Three kinds of tools live here:
+Four kinds of tools live here:
 
 * brute-force oracles (exhaustive smallest-circle search, sector and hull
   cross-checks) used to validate the fast geometry,
 * runtime monitors that watch every step of a run for a violated invariant,
-* harnesses: randomized sweeps and the even-count livelock witness.
+* harnesses: randomized sweeps and the even-count livelock witness,
+* the self-check suites behind ``gathersim check``, built from the above.
 
 Monitors record and continue.  A violation is evidence, and aborting the run
 would destroy the rest of the trace that explains it.
@@ -26,6 +27,7 @@ from .geometry import (
     Circle,
     DegenerateHull,
     Point,
+    Polygon,
     Tolerance,
     convex_hull,
     dist,
@@ -571,3 +573,107 @@ def even_livelock_demo(n_even: int, steps: int) -> RunOutcome:
             monitors=monitors,
         )
     return outcome
+
+
+# ---------------------------------------------------------------------------
+# Self-check suites: (name, passed, detail) triples
+
+
+def _probe_for(points: list[Point], hull: Polygon, rng: random.Random) -> Point:
+    """A probe on or inside the hull: vertex, edge midpoint, or interior mix."""
+    verts = hull.vertices
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.choice(verts)
+    if kind == 1:
+        i = rng.randrange(len(verts))
+        a, b = verts[i], verts[(i + 1) % len(verts)]
+        return Point((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
+    weights = [rng.random() + 0.05 for _ in points]
+    total = sum(weights)
+    x = sum(w * p.x for w, p in zip(weights, points)) / total
+    y = sum(w * p.y for w, p in zip(weights, points)) / total
+    return Point(x, y)
+
+
+def check_geometry_suite(
+    tol: Tolerance = _DEFAULT_TOL, sets: int = 1000, seed: str = "check:geometry"
+) -> list[tuple[str, bool, str]]:
+    """Fast smallest enclosing circle against the brute-force oracle."""
+    rng = random.Random(seed)
+    worst = 0.0
+    support_ok = True
+    support_note = ""
+    for _ in range(sets):
+        pts = random_point_set(rng, rng.randint(3, 12), tol)
+        fast = smallest_enclosing_circle(pts)
+        slow = brute_force_sec(pts)
+        worst = max(worst, dist(fast.center, slow.center), abs(fast.radius - slow.radius))
+        on_rim = [p for p in pts if on_circle(p, fast, tol)]
+        if len(on_rim) < 2:
+            support_ok = False
+            support_note = f"{len(on_rim)} support points on {pts}"
+        elif len(on_rim) == 2 and abs(dist(on_rim[0], on_rim[1]) - 2.0 * fast.radius) > 1e-8:
+            support_ok = False
+            support_note = f"two non-diametral support points on {pts}"
+    return [
+        (
+            "sec_oracle_agreement",
+            worst <= 1e-9,
+            f"max center/radius deviation {worst:.3e} over {sets} sets",
+        ),
+        (
+            "sec_boundary_support",
+            support_ok,
+            support_note or f"two-diametral-or-three support held on all {sets} sets",
+        ),
+    ]
+
+
+def check_properties_suite(
+    tol: Tolerance = _DEFAULT_TOL, sets: int = 500, seed: str = "check:properties"
+) -> list[tuple[str, bool, str]]:
+    """The sector, hull and shrink properties on random point sets."""
+    rng = random.Random(seed)
+    concave_bad = 0
+    equivalence_bad = 0
+    on_hull_bad = 0
+    shrink_bad = 0
+    for _ in range(sets):
+        pts = random_point_set(rng, rng.randint(3, 10), tol)
+        if check_concave_sectors_occupied(pts, tol).violation:
+            concave_bad += 1
+        hull = convex_hull(pts, tol)
+        if isinstance(hull, Polygon):
+            probe = _probe_for(pts, hull, rng)
+            if not check_hull_sector_equivalence(pts, probe, tol):
+                equivalence_bad += 1
+        if not check_sec_points_on_hull(pts, tol):
+            on_hull_bad += 1
+        lam = rng.choice((0.1, 0.5, 1.0))
+        if not check_radius_decrease(pts, lam, tol):
+            shrink_bad += 1
+    return [
+        ("concave_sectors_occupied", concave_bad == 0, f"{concave_bad} violations in {sets} sets"),
+        ("hull_sector_equivalence", equivalence_bad == 0, f"{equivalence_bad} violations in {sets} sets"),
+        ("circle_points_on_hull", on_hull_bad == 0, f"{on_hull_bad} violations in {sets} sets"),
+        ("radius_decreases", shrink_bad == 0, f"{shrink_bad} failures in {sets} shrink instances"),
+    ]
+
+
+def check_lemmas_suite(tol: Tolerance = _DEFAULT_TOL, seed: int = 7) -> list[tuple[str, bool, str]]:
+    """Small monitored sweeps; every run must gather with silent monitors."""
+    results = []
+    for n in (3, 5):
+        for strategy in ("synchronous", "random_subset"):
+            summary, _ = run_sweep(n, 20, seed, strategy, tol)
+            ok = summary.gathered == summary.runs and not any(summary.violations.values())
+            results.append(
+                (
+                    f"monitored_sweep_n{n}_{strategy}",
+                    ok,
+                    f"{summary.gathered}/{summary.runs} gathered, "
+                    f"{sum(summary.violations.values())} monitor violations",
+                )
+            )
+    return results

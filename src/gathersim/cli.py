@@ -1,11 +1,11 @@
-"""Command-line front end.
+"""Command-line front end: config parsing and four thin subcommands.
 
-Four subcommands: run one configured simulation, sweep randomized batches,
-check the oracle/property/monitor suites, and demo-even for the symmetric
-witness that even robot counts never gather.  Configurations are JSON; a
-rejected config always names the offending field.  The GATHERSIM_EPS
-environment variable overrides the default tolerance; an eps given in a
-config file still wins.
+run executes one configured simulation, sweep runs randomized batches,
+check prints the verdicts of the suites in gathersim.analysis, and demo-even
+shows the symmetric witness that even robot counts never gather.
+Configurations are JSON; a rejected config always names the offending
+field.  The GATHERSIM_EPS environment variable overrides the default
+tolerance; an eps given in a config file still wins.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import os
-import random
 import sys
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
@@ -22,25 +21,14 @@ from typing import Any, Optional, Sequence
 from .analysis import (
     MONITOR_RULES,
     attach_lemma_monitors,
-    brute_force_sec,
-    check_concave_sectors_occupied,
-    check_hull_sector_equivalence,
-    check_radius_decrease,
-    check_sec_points_on_hull,
+    check_geometry_suite,
+    check_lemmas_suite,
+    check_properties_suite,
     even_livelock_demo,
-    random_point_set,
     run_sweep,
 )
-from .geometry import (
-    Point,
-    Polygon,
-    Tolerance,
-    convex_hull,
-    dist,
-    on_circle,
-    smallest_enclosing_circle,
-)
-from .model import DetectionMode, Frame
+from .geometry import Point, Tolerance
+from .model import Frame
 from .simulator import (
     GATHERED,
     SCRIPTED,
@@ -77,7 +65,6 @@ def default_eps() -> float:
 class RunConfig:
     robots: list[Robot]
     scheduler: SchedulerSpec
-    detection: DetectionMode = DetectionMode.STRONG
     eps: float = 1e-9
     max_steps: Optional[int] = None
     monitors: Optional[dict[str, bool]] = None
@@ -115,6 +102,13 @@ def _as_int(value: Any, where: str) -> int:
     return value
 
 
+def _as_index(value: Any, where: str, n: int) -> int:
+    index = _as_int(value, where)
+    if not (0 <= index < n):
+        raise ConfigError(f"{where}: robot index {index} is outside [0, {n})")
+    return index
+
+
 def _as_bool(value: Any, where: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{where}: expected true/false, got {type(value).__name__}")
@@ -145,7 +139,7 @@ def _parse_robot(raw: Any, index: int) -> Robot:
     return Robot(index, Point(x, y), sigma, frame)
 
 
-def _parse_scheduler(raw: Any) -> SchedulerSpec:
+def _parse_scheduler(raw: Any, n: int) -> SchedulerSpec:
     data = _as_mapping(raw, "scheduler")
     strategy = data.get("strategy", "synchronous")
     if strategy not in STRATEGIES:
@@ -167,7 +161,9 @@ def _parse_scheduler(raw: Any) -> SchedulerSpec:
         for si, entry in enumerate(script):
             if not isinstance(entry, list) or not entry:
                 raise ConfigError(f"scheduler.script[{si}]: expected a non-empty list")
-            parsed.append(tuple(_as_int(v, f"scheduler.script[{si}][{j}]") for j, v in enumerate(entry)))
+            parsed.append(
+                tuple(_as_index(v, f"scheduler.script[{si}][{j}]", n) for j, v in enumerate(entry))
+            )
         script = tuple(parsed)
     try:
         return SchedulerSpec(strategy, seed, bound, script)
@@ -181,12 +177,12 @@ def parse_config(data: Any) -> RunConfig:
     if not isinstance(robots_raw, list) or not robots_raw:
         raise ConfigError("robots: expected a non-empty list")
     robots = [_parse_robot(r, i) for i, r in enumerate(robots_raw)]
-    scheduler = _parse_scheduler(top.get("scheduler", {}))
-    detection_raw = top.get("detection", "strong")
-    try:
-        detection = DetectionMode(detection_raw)
-    except ValueError as exc:
-        raise ConfigError(f"detection: unknown mode {detection_raw!r}") from exc
+    scheduler = _parse_scheduler(top.get("scheduler", {}), len(robots))
+    # The rule needs exact counts; the key stays so that a config asking for
+    # anything weaker is refused instead of silently run under strong.
+    detection = top.get("detection", "strong")
+    if detection != "strong":
+        raise ConfigError(f"detection: only 'strong' is supported, got {detection!r}")
     eps = top.get("eps")
     eps = default_eps() if eps is None else _as_number(eps, "eps")
     if eps < 0.0:
@@ -213,7 +209,7 @@ def parse_config(data: Any) -> RunConfig:
         raise ConfigError("trace_path: expected a string path")
     refresh = _as_bool(top.get("refresh_frames", False), "refresh_frames")
     return RunConfig(
-        robots, scheduler, detection, eps, max_steps, monitors, trace_path, refresh
+        robots, scheduler, eps, max_steps, monitors, trace_path, refresh
     )
 
 
@@ -256,7 +252,6 @@ def dump_config(config: RunConfig) -> dict:
     return {
         "robots": robots,
         "scheduler": scheduler,
-        "detection": config.detection.value,
         "eps": config.eps,
         "max_steps": config.max_steps,
         "monitors": None if config.monitors is None else dict(config.monitors),
@@ -279,7 +274,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     outcome, trace = run(
         config.robots,
         config.scheduler,
-        config.detection,
         tol,
         config.max_steps,
         monitors,
@@ -337,110 +331,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if clean else 1
 
 
-def _probe_for(points: list[Point], hull: Polygon, rng: random.Random) -> Point:
-    """A probe on or inside the hull: vertex, edge midpoint, or interior mix."""
-    verts = hull.vertices
-    kind = rng.randrange(3)
-    if kind == 0:
-        return rng.choice(verts)
-    if kind == 1:
-        i = rng.randrange(len(verts))
-        a, b = verts[i], verts[(i + 1) % len(verts)]
-        return Point((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
-    weights = [rng.random() + 0.05 for _ in points]
-    total = sum(weights)
-    x = sum(w * p.x for w, p in zip(weights, points)) / total
-    y = sum(w * p.y for w, p in zip(weights, points)) / total
-    return Point(x, y)
-
-
-def check_geometry_suite(sets: int = 1000, seed: str = "check:geometry") -> list[tuple[str, bool, str]]:
-    rng = random.Random(seed)
-    tol = Tolerance(default_eps())
-    worst = 0.0
-    support_ok = True
-    support_note = ""
-    for _ in range(sets):
-        pts = random_point_set(rng, rng.randint(3, 12), tol)
-        fast = smallest_enclosing_circle(pts)
-        slow = brute_force_sec(pts)
-        worst = max(worst, dist(fast.center, slow.center), abs(fast.radius - slow.radius))
-        on_rim = [p for p in pts if on_circle(p, fast, tol)]
-        if len(on_rim) < 2:
-            support_ok = False
-            support_note = f"{len(on_rim)} support points on {pts}"
-        elif len(on_rim) == 2 and abs(dist(on_rim[0], on_rim[1]) - 2.0 * fast.radius) > 1e-8:
-            support_ok = False
-            support_note = f"two non-diametral support points on {pts}"
-    return [
-        (
-            "sec_oracle_agreement",
-            worst <= 1e-9,
-            f"max center/radius deviation {worst:.3e} over {sets} sets",
-        ),
-        (
-            "sec_boundary_support",
-            support_ok,
-            support_note or f"two-diametral-or-three support held on all {sets} sets",
-        ),
-    ]
-
-
-def check_properties_suite(sets: int = 500, seed: str = "check:properties") -> list[tuple[str, bool, str]]:
-    rng = random.Random(seed)
-    tol = Tolerance(default_eps())
-    concave_bad = 0
-    equivalence_bad = 0
-    on_hull_bad = 0
-    shrink_bad = 0
-    for _ in range(sets):
-        pts = random_point_set(rng, rng.randint(3, 10), tol)
-        if check_concave_sectors_occupied(pts, tol).violation:
-            concave_bad += 1
-        hull = convex_hull(pts, tol)
-        if isinstance(hull, Polygon):
-            probe = _probe_for(pts, hull, rng)
-            if not check_hull_sector_equivalence(pts, probe, tol):
-                equivalence_bad += 1
-        if not check_sec_points_on_hull(pts, tol):
-            on_hull_bad += 1
-        lam = rng.choice((0.1, 0.5, 1.0))
-        if not check_radius_decrease(pts, lam, tol):
-            shrink_bad += 1
-    return [
-        ("concave_sectors_occupied", concave_bad == 0, f"{concave_bad} violations in {sets} sets"),
-        ("hull_sector_equivalence", equivalence_bad == 0, f"{equivalence_bad} violations in {sets} sets"),
-        ("circle_points_on_hull", on_hull_bad == 0, f"{on_hull_bad} violations in {sets} sets"),
-        ("radius_decreases", shrink_bad == 0, f"{shrink_bad} failures in {sets} shrink instances"),
-    ]
-
-
-def check_lemmas_suite(seed: int = 7) -> list[tuple[str, bool, str]]:
-    tol = Tolerance(default_eps())
-    results = []
-    for n in (3, 5):
-        for strategy in ("synchronous", "random_subset"):
-            summary, _ = run_sweep(n, 20, seed, strategy, tol)
-            ok = summary.gathered == summary.runs and not any(summary.violations.values())
-            results.append(
-                (
-                    f"monitored_sweep_n{n}_{strategy}",
-                    ok,
-                    f"{summary.gathered}/{summary.runs} gathered, "
-                    f"{sum(summary.violations.values())} monitor violations",
-                )
-            )
-    return results
-
-
 def cmd_check(args: argparse.Namespace) -> int:
+    tol = Tolerance(default_eps())
     checks: list[tuple[str, bool, str]] = []
     if args.suite in ("geometry", "all"):
-        checks.extend(check_geometry_suite())
+        checks.extend(check_geometry_suite(tol))
     if args.suite in ("properties", "all"):
-        checks.extend(check_properties_suite())
+        checks.extend(check_properties_suite(tol))
     if args.suite in ("lemmas", "all"):
-        checks.extend(check_lemmas_suite())
+        checks.extend(check_lemmas_suite(tol))
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     return 0 if all(ok for _, ok, _ in checks) else 1

@@ -388,38 +388,3 @@ def hull_boundary_contains(hull: Hull, q: Point, tol: Tolerance = _DEFAULT_TOL) 
         point_on_segment(q, verts[i], verts[(i + 1) % len(verts)], tol)
         for i in range(len(verts))
     )
-
-
-def is_adjacent_on_sec(
-    p: Point,
-    pp: Point,
-    points: Iterable[Point],
-    sec: Circle,
-    tol: Tolerance = _DEFAULT_TOL,
-) -> bool:
-    """Whether p and pp are angular neighbours on the circle.
-
-    Both must sit on ``sec``; they are adjacent when one of the two sectors
-    they cut at the center holds no further input point that is also on the
-    circle.  Points on the bounding half-lines never count as separators.
-    """
-    if points_coincide(p, pp, tol):
-        return False
-    if sec.radius <= tol.eps:
-        return False
-    if not (on_circle(p, sec, tol) and on_circle(pp, sec, tol)):
-        return False
-    pair = make_sector_pair(p, pp, sec.center, tol)
-    if pair is None:
-        # Collinear without the center between them; cannot happen for two
-        # distinct points on a proper circle, but be safe.
-        return False
-    pts = list(points)
-    for which in (1, 2):
-        blocked = any(
-            on_circle(q, sec, tol) and sector_contains(pair, which, q, tol)
-            for q in pts
-        )
-        if not blocked:
-            return True
-    return False

@@ -1,9 +1,9 @@
-"""Configurations, multiplicity detection, and local coordinate frames.
+"""Configurations and local coordinate frames.
 
-A configuration is the multiset of occupied points; a view is what one robot
-sees of it after its own similarity transform and detection mode are applied.
-Robots never share an origin, unit or handedness, so every observation goes
-through a Frame.
+A configuration is the multiset of occupied points; a robot's view is the
+same configuration after its own similarity transform, with exact counts
+(strong multiplicity detection).  Robots never share an origin, unit or
+handedness, so every observation goes through a Frame.
 """
 
 from __future__ import annotations
@@ -11,25 +11,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Union
+from typing import Iterable
 
 from .geometry import Point, Tolerance, dist
 
 _DEFAULT_TOL = Tolerance()
-
-
-class DetectionMode(str, Enum):
-    STRONG = "strong"  # exact multiplicity per point
-    WEAK = "weak"      # one vs. many
-    NONE = "none"      # occupied, nothing else
-
-
-# Weak-mode multiplicity labels.
-ONE = "one"
-MANY = "many"
-
-Multiplicity = Union[int, str, None]
 
 
 @dataclass
@@ -59,14 +45,6 @@ class Configuration:
 
     def is_gathered(self) -> bool:
         return len(self.occupied) == 1
-
-
-@dataclass
-class View:
-    """One robot's observation: local coordinates, degraded multiplicities."""
-
-    mode: DetectionMode
-    occupied: dict[Point, Multiplicity]
 
 
 @dataclass(frozen=True)
@@ -128,53 +106,15 @@ def ego_frame(frame: Frame, pos: Point) -> Frame:
     return Frame(frame.rotation, frame.scale, (-lx, -ly), frame.reflected)
 
 
-def observe(config: Configuration, frame: Frame, mode: DetectionMode) -> View:
-    """Project a configuration into a robot's local view.
-
-    Strong mode keeps exact counts, weak collapses them to one/many, and
-    none drops multiplicity entirely.  The weak and none views are exact
-    functions of the strong one; nothing else is lost or invented.
-    """
-    seen: dict[Point, Multiplicity] = {}
-    for p, count in config.occupied.items():
-        q = to_local(frame, p)
-        if mode is DetectionMode.STRONG:
-            seen[q] = count
-        elif mode is DetectionMode.WEAK:
-            seen[q] = MANY if count > 1 else ONE
-        else:
-            seen[q] = None
-    return View(mode, seen)
-
-
-def degrade(view: View, mode: DetectionMode) -> View:
-    """Reduce a view to a weaker detection mode without re-observing."""
-    order = [DetectionMode.NONE, DetectionMode.WEAK, DetectionMode.STRONG]
-    if order.index(mode) > order.index(view.mode):
-        raise ValueError(f"cannot upgrade a {view.mode.value} view to {mode.value}")
-    seen: dict[Point, Multiplicity] = {}
-    for p, m in view.occupied.items():
-        if mode is view.mode:
-            seen[p] = m
-        elif mode is DetectionMode.NONE:
-            seen[p] = None
-        else:
-            # strong -> weak is the only remaining case
-            seen[p] = MANY if isinstance(m, int) and m > 1 else ONE
-    return View(mode, seen)
+def observe(config: Configuration, frame: Frame) -> Configuration:
+    """Project a configuration into a robot's local coordinates, counts kept."""
+    return Configuration({to_local(frame, p): count for p, count in config.occupied.items()})
 
 
 def max_points(occupied: dict[Point, int]) -> list[Point]:
-    """Points of maximal multiplicity, in lexicographic order.
-
-    Requires exact integer counts; a weak or none view has thrown that
-    information away and cannot answer.
-    """
+    """Points of maximal multiplicity, in lexicographic order."""
     if not occupied:
         raise ValueError("max_points needs a non-empty occupancy map")
-    for count in occupied.values():
-        if not isinstance(count, int):
-            raise ValueError("max_points needs exact multiplicities (strong detection)")
     top = max(occupied.values())
     return sorted(p for p, count in occupied.items() if count == top)
 

@@ -33,7 +33,7 @@ from .geometry import (
     points_coincide,
     smallest_enclosing_circle,
 )
-from .model import DetectionMode, View, max_points
+from .model import Configuration, max_points
 
 _DEFAULT_TOL = Tolerance()
 
@@ -138,25 +138,16 @@ def _standing_on(own: Point, candidates: Sequence[Point], tol: Tolerance) -> boo
 
 
 def compute_action(
-    view: View,
+    view: Configuration,
     own_position: Point,
-    mode: DetectionMode,
     tol: Tolerance = _DEFAULT_TOL,
 ) -> Action:
     """Run the decision rule on one robot's view.
 
-    ``own_position`` and the view share the same (local) coordinates.  Only
-    strong detection is accepted: the rule keys on exact multiplicities and
-    silently guessing under a weaker mode would wreck its guarantees.
+    ``own_position`` and the view share the same (local) coordinates.  The
+    view carries exact multiplicities: the rule keys on them.
     """
-    if mode is not DetectionMode.STRONG:
-        raise ValueError("the decision rule requires strong multiplicity detection")
-    if view.mode is not DetectionMode.STRONG:
-        raise ValueError("view was not taken under strong detection")
-    if not view.occupied:
-        raise ValueError("empty view")
-    occupied = view.occupied
-    info = classify_branch(occupied, tol)
+    info = classify_branch(view.occupied, tol)
 
     if info.label == BRANCH_UNIQUE_MAX:
         target = info.maxima[0]

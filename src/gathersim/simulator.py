@@ -24,9 +24,9 @@ from typing import Callable, Optional, Sequence
 from .geometry import Circle, Point, Tolerance, dist, on_circle, points_coincide, smallest_enclosing_circle
 from .model import (
     Configuration,
-    DetectionMode,
     Frame,
     ego_frame,
+    max_points,
     normalize,
     observe,
     random_frame,
@@ -231,7 +231,6 @@ def _snap_to_occupied(target: Point, config: Configuration, tol: Tolerance) -> P
 def step(
     state: SimState,
     active: Sequence[int],
-    mode: DetectionMode = DetectionMode.STRONG,
     tol: Tolerance = _DEFAULT_TOL,
 ) -> tuple[SimState, list[TraceEvent]]:
     """Execute one semi-synchronous step for the given activation set.
@@ -256,8 +255,8 @@ def step(
             new_positions.append(robot.pos)
             continue
         frame = ego_frame(robot.frame, robot.pos)
-        view = observe(config, frame, mode)
-        action = compute_action(view, Point(0.0, 0.0), mode, tol)
+        view = observe(config, frame)
+        action = compute_action(view, Point(0.0, 0.0), tol)
         if action.kind == STAY:
             events.append(TraceEvent(state.t, robot.ident, True, action.branch, STAY, None, robot.pos))
             new_positions.append(robot.pos)
@@ -313,7 +312,7 @@ class StepTransition:
 
     @cached_property
     def maxima_after(self) -> tuple[Point, ...]:
-        return classify_branch(self.after_config.occupied, self.tol).maxima
+        return tuple(max_points(self.after_config.occupied))
 
     @cached_property
     def sec_before(self) -> Circle:
@@ -324,10 +323,6 @@ class StepTransition:
     @cached_property
     def sec_after(self) -> Circle:
         return smallest_enclosing_circle(self.after_config.points())
-
-
-# A monitor is any object with .name and .check(transition) -> list of reports.
-MonitorLike = object
 
 
 @dataclass
@@ -341,10 +336,9 @@ class RunOutcome:
 def run(
     robots: Sequence[Robot],
     scheduler: SchedulerSpec,
-    mode: DetectionMode = DetectionMode.STRONG,
     tol: Tolerance = _DEFAULT_TOL,
     max_steps: Optional[int] = None,
-    monitors: Sequence[MonitorLike] = (),
+    monitors: Sequence = (),
     stop_on_gather: bool = True,
     record_trace: bool = True,
     refresh_frames: bool = False,
@@ -355,8 +349,10 @@ def run(
     Stops as soon as the configuration collapses to one point (unless
     ``stop_on_gather`` is off, which is how stability-after-gathering gets
     exercised) or after max_steps steps, defaulting to 10000 per robot.
-    Monitor findings are collected, never raised; a violated invariant is
-    data, and stopping the run would hide what happens next.
+    A monitor is any object with ``.name`` and ``.check(transition)``, which
+    returns a list of reports.  Findings are collected, never raised; a
+    violated invariant is data, and stopping the run would hide what happens
+    next.
 
     ``refresh_frames`` redraws every robot's frame each step from the
     scheduler seed, an adversarial stress mode; the rule is supposed to be
@@ -385,7 +381,7 @@ def run(
             state.robots = [replace(r, frame=random_frame(rng)) for r in state.robots]
         active = next_active(scheduler, state, tol)
         before_state, before_config = state, config
-        state, events = step(state, active, mode, tol)
+        state, events = step(state, active, tol)
         config = normalize(state.positions(), tol)
         if record_trace:
             trace.extend(events)

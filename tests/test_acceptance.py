@@ -12,10 +12,11 @@ import pytest
 
 from gathersim.analysis import (
     attach_lemma_monitors,
+    check_geometry_suite,
+    check_properties_suite,
     even_livelock_demo,
     run_sweep,
 )
-from gathersim.cli import check_geometry_suite, check_properties_suite
 from gathersim.geometry import Point, Tolerance
 from gathersim.model import random_frame
 from gathersim.simulator import (
@@ -125,7 +126,7 @@ def test_criterion_3_lemma_monitors_silent(sweeps):
 
 
 def test_criterion_4_circle_oracle_agreement():
-    checks = check_geometry_suite(sets=1000)
+    checks = check_geometry_suite(TOL, sets=1000)
     failed = [detail for _, ok, detail in checks if not ok]
     agreement_detail = checks[0][2]
     _verdict(
@@ -136,7 +137,7 @@ def test_criterion_4_circle_oracle_agreement():
 
 
 def test_criterion_5_geometry_property_checks():
-    checks = check_properties_suite(sets=500)
+    checks = check_properties_suite(TOL, sets=500)
     failed = [f"{name}: {detail}" for name, ok, detail in checks if not ok]
     _verdict(
         5,

@@ -19,7 +19,7 @@ from gathersim.cli import (
     parse_config,
 )
 from gathersim.geometry import Point
-from gathersim.model import DetectionMode, Frame
+from gathersim.model import Frame
 from gathersim.simulator import Robot, SchedulerSpec
 
 
@@ -70,6 +70,12 @@ def _line_config(**extra):
         (lambda c: c.update(monitors={"closure": "on"}), "monitors.closure"),
         (lambda c: c.update(trace_path=7), "trace_path"),
         (lambda c: c.update(refresh_frames="always"), "refresh_frames"),
+        pytest.param(lambda c: c.update(detection="weak"), "detection", id="detection-weak"),
+        pytest.param(lambda c: c.update(detection="none"), "detection", id="detection-none"),
+        (
+            lambda c: c.update(scheduler={"strategy": "scripted", "script": [[5]]}),
+            "scheduler.script[0][0]",
+        ),
     ],
 )
 def test_parse_errors_name_the_field(mangle, needle):
@@ -93,7 +99,6 @@ def test_parse_defaults(monkeypatch):
     monkeypatch.delenv("GATHERSIM_EPS", raising=False)
     config = parse_config({"robots": [{"x": 0.0, "y": 0.0, "sigma": 1.0}]})
     assert config.scheduler == SchedulerSpec("synchronous", 0, None)
-    assert config.detection is DetectionMode.STRONG
     assert config.eps == 1e-9
     assert config.max_steps is None
     assert config.monitors is None
@@ -107,7 +112,6 @@ def test_config_round_trip():
             Robot(1, Point(2.0, 3.0), 1.1),
         ],
         scheduler=SchedulerSpec("random_subset", 99, 6),
-        detection=DetectionMode.STRONG,
         eps=1e-8,
         max_steps=500,
         monitors={"closure": True, "radius_progress": False},
@@ -185,6 +189,15 @@ def test_run_bad_config_exits_two(tmp_path, capsys):
     assert main(["run", "--config", path]) == 2
     err = capsys.readouterr().err
     assert "robots[0].sigma" in err
+
+
+def test_run_weak_detection_is_a_config_error(tmp_path, capsys):
+    path = _write(tmp_path, _gathered_config(detection="weak"))
+    assert main(["run", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: detection")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_run_step_limit_exits_one(tmp_path, capsys):

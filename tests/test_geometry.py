@@ -25,7 +25,6 @@ from gathersim.geometry import (
     convex_hull,
     dist,
     hull_boundary_contains,
-    is_adjacent_on_sec,
     make_sector_pair,
     on_circle,
     point_between_collinear,
@@ -316,34 +315,6 @@ def test_hull_contains_all_points_and_is_convex(pts):
             a, b = verts[i], verts[(i + 1) % m]
             cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
             assert cross >= -1e-6 * max(1.0, dist(a, b)) * max(1.0, dist(a, p))
-
-
-# -- adjacency on the enclosing circle ---------------------------------------
-
-
-def test_adjacent_square_edge_corners():
-    pts = [Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -1)]
-    sec = smallest_enclosing_circle(pts)
-    assert is_adjacent_on_sec(Point(1, 0), Point(0, 1), pts, sec, TOL)
-
-
-def test_diagonal_square_corners_not_adjacent():
-    pts = [Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -1)]
-    sec = smallest_enclosing_circle(pts)
-    assert not is_adjacent_on_sec(Point(1, 0), Point(-1, 0), pts, sec, TOL)
-
-
-def test_not_on_circle_never_adjacent():
-    pts = [Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -1), Point(0.1, 0.1)]
-    sec = smallest_enclosing_circle(pts)
-    assert not is_adjacent_on_sec(Point(0.1, 0.1), Point(1, 0), pts, sec, TOL)
-
-
-def test_adjacent_ignores_interior_points():
-    # Interior points sit in some sector but are not on the arc.
-    pts = [Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -1), Point(0.2, 0.3)]
-    sec = smallest_enclosing_circle(pts)
-    assert is_adjacent_on_sec(Point(0, 1), Point(-1, 0), pts, sec, TOL)
 
 
 # -- circle predicates -------------------------------------------------------

@@ -15,12 +15,8 @@ from hypothesis import strategies as st
 from gathersim.geometry import Point, Tolerance, dist
 from gathersim.model import (
     IDENTITY_FRAME,
-    MANY,
-    ONE,
     Configuration,
-    DetectionMode,
     Frame,
-    degrade,
     ego_frame,
     max_points,
     normalize,
@@ -93,8 +89,6 @@ def test_max_points_all_equal():
 def test_max_points_requires_counts():
     with pytest.raises(ValueError):
         max_points({})
-    with pytest.raises(ValueError):
-        max_points({Point(0, 0): MANY, Point(1, 0): ONE})
 
 
 # -- frames -------------------------------------------------------------------
@@ -164,32 +158,16 @@ def test_random_frame_ranges():
 
 
 def test_observe_identity_strong():
-    view = observe(Configuration({Point(0, 0): 3}), IDENTITY_FRAME, DetectionMode.STRONG)
-    assert view.mode is DetectionMode.STRONG
+    view = observe(Configuration({Point(0, 0): 3}), IDENTITY_FRAME)
+    assert isinstance(view, Configuration)
     assert view.occupied == {Point(0, 0): 3}
 
 
 def test_observe_quarter_turn():
-    view = observe(
-        Configuration({Point(1, 0): 2}), Frame(rotation=math.pi / 2), DetectionMode.STRONG
-    )
+    view = observe(Configuration({Point(1, 0): 2}), Frame(rotation=math.pi / 2))
     ((q, count),) = view.occupied.items()
     assert count == 2
     assert dist(q, Point(0, 1)) <= 1e-9
-
-
-def test_observe_weak_collapses_counts():
-    view = observe(
-        Configuration({Point(0, 0): 5, Point(1, 0): 1}), IDENTITY_FRAME, DetectionMode.WEAK
-    )
-    assert view.occupied == {Point(0, 0): MANY, Point(1, 0): ONE}
-
-
-def test_observe_none_keeps_presence_only():
-    view = observe(
-        Configuration({Point(0, 0): 5, Point(1, 0): 1}), IDENTITY_FRAME, DetectionMode.NONE
-    )
-    assert view.occupied == {Point(0, 0): None, Point(1, 0): None}
 
 
 @settings(max_examples=150)
@@ -212,7 +190,7 @@ def test_view_equivariance(raw_occupied, seed):
     assume(_keys_separated(raw_occupied))
     cfg = Configuration(raw_occupied)
     frame = random_frame(random.Random(seed))
-    view = observe(cfg, frame, DetectionMode.STRONG)
+    view = observe(cfg, frame)
     assert sum(view.occupied.values()) == cfg.robot_count
     recovered = {to_global(frame, q): count for q, count in view.occupied.items()}
     assert len(recovered) == len(cfg.occupied)
@@ -236,48 +214,13 @@ def test_max_points_frame_invariant(raw_occupied, seed):
     assume(_keys_separated(raw_occupied))
     cfg = Configuration(raw_occupied)
     frame = random_frame(random.Random(seed))
-    view = observe(cfg, frame, DetectionMode.STRONG)
+    view = observe(cfg, frame)
     local_max = max_points(view.occupied)
     global_max = max_points(cfg.occupied)
     back = [to_global(frame, q) for q in local_max]
     assert len(back) == len(global_max)
     for g in back:
         assert any(dist(g, p) <= 1e-8 * max(1.0, abs(p.x), abs(p.y)) for p in global_max)
-
-
-# -- degradation --------------------------------------------------------------
-
-
-def test_degrade_strong_to_weak():
-    view = observe(
-        Configuration({Point(0, 0): 5, Point(1, 0): 1}), IDENTITY_FRAME, DetectionMode.STRONG
-    )
-    weak = degrade(view, DetectionMode.WEAK)
-    assert weak.occupied == {Point(0, 0): MANY, Point(1, 0): ONE}
-    none = degrade(weak, DetectionMode.NONE)
-    assert none.occupied == {Point(0, 0): None, Point(1, 0): None}
-
-
-def test_degrade_matches_direct_observation():
-    cfg = Configuration({Point(0, 0): 2, Point(3, 1): 1, Point(-1, 2): 3})
-    frame = Frame(rotation=0.7, scale=1.3, translation=(0.2, -0.4), reflected=True)
-    strong = observe(cfg, frame, DetectionMode.STRONG)
-    for mode in (DetectionMode.WEAK, DetectionMode.NONE):
-        assert degrade(strong, mode).occupied == observe(cfg, frame, mode).occupied
-
-
-def test_degrade_refuses_upgrade():
-    view = observe(Configuration({Point(0, 0): 2}), IDENTITY_FRAME, DetectionMode.WEAK)
-    with pytest.raises(ValueError):
-        degrade(view, DetectionMode.STRONG)
-    none = degrade(view, DetectionMode.NONE)
-    with pytest.raises(ValueError):
-        degrade(none, DetectionMode.WEAK)
-
-
-def test_degrade_same_mode_is_identity():
-    view = observe(Configuration({Point(0, 0): 2}), IDENTITY_FRAME, DetectionMode.WEAK)
-    assert degrade(view, DetectionMode.WEAK).occupied == view.occupied
 
 
 # -- normalize ----------------------------------------------------------------

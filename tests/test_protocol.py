@@ -16,8 +16,6 @@ from gathersim.geometry import Point, Tolerance, dist, smallest_enclosing_circle
 from gathersim.model import (
     IDENTITY_FRAME,
     Configuration,
-    DetectionMode,
-    View,
     ego_frame,
     observe,
     random_frame,
@@ -48,7 +46,7 @@ PENTAGON = [
 
 
 def _strong_view(occupied):
-    return View(DetectionMode.STRONG, dict(occupied))
+    return Configuration(dict(occupied))
 
 
 # -- action construction ------------------------------------------------------
@@ -71,19 +69,19 @@ def test_action_validation():
 
 def test_unique_max_others_walk_carefully():
     view = _strong_view({Point(0, 0): 3, Point(4, 0): 1, Point(2, 3): 1})
-    act = compute_action(view, Point(4, 0), DetectionMode.STRONG, TOL)
+    act = compute_action(view, Point(4, 0), TOL)
     assert act == Action(MOVE_CAREFUL, Point(0, 0), BRANCH_UNIQUE_MAX)
 
 
 def test_unique_max_occupant_stays():
     view = _strong_view({Point(0, 0): 3, Point(4, 0): 1, Point(2, 3): 1})
-    act = compute_action(view, Point(0, 0), DetectionMode.STRONG, TOL)
+    act = compute_action(view, Point(0, 0), TOL)
     assert act == Action(STAY, branch=BRANCH_UNIQUE_MAX)
 
 
 def test_gathered_point_is_fixed():
     view = _strong_view({Point(2, -1): 7})
-    act = compute_action(view, Point(2, -1), DetectionMode.STRONG, TOL)
+    act = compute_action(view, Point(2, -1), TOL)
     assert act.kind == STAY
 
 
@@ -92,14 +90,14 @@ def test_gathered_point_is_fixed():
 
 def test_two_max_goes_to_closer():
     view = _strong_view({Point(0, 0): 2, Point(6, 0): 2, Point(1, 0): 1})
-    act = compute_action(view, Point(1, 0), DetectionMode.STRONG, TOL)
+    act = compute_action(view, Point(1, 0), TOL)
     assert act == Action(MOVE_CAREFUL, Point(0, 0), BRANCH_TWO_MAX)
 
 
 def test_two_max_occupants_stay():
     view = _strong_view({Point(0, 0): 2, Point(6, 0): 2, Point(1, 0): 1})
     for own in (Point(0, 0), Point(6, 0)):
-        assert compute_action(view, own, DetectionMode.STRONG, TOL) == Action(
+        assert compute_action(view, own, TOL) == Action(
             STAY, branch=BRANCH_TWO_MAX
         )
 
@@ -120,7 +118,7 @@ def test_two_max_tie_targets_lex_first_maximum():
     # Robot halfway between the maxima: classify_branch orders them, the
     # tie-break lands on the lexicographically first.
     view = _strong_view({Point(2, 0): 2, Point(-2, 0): 2, Point(0, 0): 1})
-    act = compute_action(view, Point(0, 0), DetectionMode.STRONG, TOL)
+    act = compute_action(view, Point(0, 0), TOL)
     assert act == Action(MOVE_CAREFUL, Point(-2, 0), BRANCH_TWO_MAX)
 
 
@@ -131,7 +129,7 @@ def test_empty_interior_everyone_moves_to_center():
     view = _strong_view({p: 1 for p in PENTAGON})
     sec = smallest_enclosing_circle(PENTAGON)
     for own in PENTAGON:
-        act = compute_action(view, own, DetectionMode.STRONG, TOL)
+        act = compute_action(view, own, TOL)
         assert act.kind == MOVE_DIRECT
         assert act.branch == BRANCH_ALL_TO_CENTER
         assert act.target == sec.center
@@ -141,24 +139,24 @@ def test_empty_interior_everyone_moves_to_center():
 def test_interior_at_center_boundary_maxima_move():
     view = _strong_view({p: 1 for p in SQUARE} | {Point(0, 0): 1})
     for corner in SQUARE:
-        act = compute_action(view, corner, DetectionMode.STRONG, TOL)
+        act = compute_action(view, corner, TOL)
         assert act.kind == MOVE_DIRECT
         assert act.branch == BRANCH_BOUNDARY_TO_CENTER
         assert dist(act.target, Point(0, 0)) <= 1e-9
     # the robot already at the center has nowhere to go
-    act = compute_action(view, Point(0, 0), DetectionMode.STRONG, TOL)
+    act = compute_action(view, Point(0, 0), TOL)
     assert act == Action(STAY, branch=BRANCH_BOUNDARY_TO_CENTER)
 
 
 def test_interior_off_center_only_inside_moves():
     inside = Point(0.3, 0.2)
     view = _strong_view({p: 1 for p in SQUARE} | {inside: 1})
-    act = compute_action(view, inside, DetectionMode.STRONG, TOL)
+    act = compute_action(view, inside, TOL)
     assert act.kind == MOVE_DIRECT
     assert act.branch == BRANCH_INSIDE_TO_CENTER
     assert dist(act.target, Point(0, 0)) <= 1e-9
     for corner in SQUARE:
-        assert compute_action(view, corner, DetectionMode.STRONG, TOL) == Action(
+        assert compute_action(view, corner, TOL) == Action(
             STAY, branch=BRANCH_INSIDE_TO_CENTER
         )
 
@@ -171,8 +169,8 @@ def test_boundary_to_center_skips_non_maximal_boundary():
     )
     info = classify_branch(view.occupied, TOL)
     assert info.label == BRANCH_BOUNDARY_TO_CENTER
-    assert compute_action(view, Point(0, -1), DetectionMode.STRONG, TOL).kind == STAY
-    assert compute_action(view, Point(1, 0), DetectionMode.STRONG, TOL).kind == MOVE_DIRECT
+    assert compute_action(view, Point(0, -1), TOL).kind == STAY
+    assert compute_action(view, Point(1, 0), TOL).kind == MOVE_DIRECT
 
 
 def test_classify_branch_geometry_fields():
@@ -208,24 +206,6 @@ def test_path_accepts_occupancy_map():
     assert not path_is_clear(occupied, Point(4, 0), Point(0, 0), TOL)
 
 
-# -- preconditions ------------------------------------------------------------
-
-
-def test_rejects_non_strong_modes():
-    cfg = Configuration({Point(0, 0): 2, Point(1, 0): 1})
-    weak_view = observe(cfg, IDENTITY_FRAME, DetectionMode.WEAK)
-    with pytest.raises(ValueError):
-        compute_action(weak_view, Point(1, 0), DetectionMode.WEAK, TOL)
-    strong_view = observe(cfg, IDENTITY_FRAME, DetectionMode.STRONG)
-    with pytest.raises(ValueError):
-        compute_action(strong_view, Point(1, 0), DetectionMode.NONE, TOL)
-
-
-def test_rejects_empty_view():
-    with pytest.raises(ValueError):
-        compute_action(View(DetectionMode.STRONG, {}), Point(0, 0), DetectionMode.STRONG, TOL)
-
-
 # -- determinism, totality, equivariance --------------------------------------
 
 
@@ -245,7 +225,7 @@ def test_every_view_maps_to_exactly_one_branch(raw_occupied, pick):
     """Lattice views cannot fall through the rule or hit two branches at once."""
     view = _strong_view(raw_occupied)
     own = sorted(raw_occupied)[pick % len(raw_occupied)]
-    act = compute_action(view, own, DetectionMode.STRONG, TOL)
+    act = compute_action(view, own, TOL)
     assert act.kind in (STAY, MOVE_CAREFUL, MOVE_DIRECT)
     assert act.branch in (
         BRANCH_UNIQUE_MAX,
@@ -256,7 +236,7 @@ def test_every_view_maps_to_exactly_one_branch(raw_occupied, pick):
     )
     assert (act.target is None) == (act.kind == STAY)
     # purity: same inputs, same answer
-    assert compute_action(view, own, DetectionMode.STRONG, TOL) == act
+    assert compute_action(view, own, TOL) == act
 
 
 EQUIVARIANCE_CONFIGS = [
@@ -280,15 +260,11 @@ def test_similarity_equivariance(occupied):
     cfg = Configuration(occupied)
     rng = random.Random(20240817)
     for own in occupied:
-        global_act = compute_action(
-            observe(cfg, IDENTITY_FRAME, DetectionMode.STRONG), own, DetectionMode.STRONG, TOL
-        )
+        global_act = compute_action(observe(cfg, IDENTITY_FRAME), own, TOL)
         for _ in range(8):
             frame = ego_frame(random_frame(rng), own)
-            local_view = observe(cfg, frame, DetectionMode.STRONG)
-            local_act = compute_action(
-                local_view, Point(0.0, 0.0), DetectionMode.STRONG, TOL
-            )
+            local_view = observe(cfg, frame)
+            local_act = compute_action(local_view, Point(0.0, 0.0), TOL)
             assert local_act.kind == global_act.kind
             assert local_act.branch == global_act.branch
             if global_act.target is not None:

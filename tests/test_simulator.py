@@ -12,7 +12,7 @@ import warnings
 import pytest
 
 from gathersim.geometry import Point, Tolerance, dist
-from gathersim.model import DetectionMode, Frame, normalize
+from gathersim.model import Frame
 from gathersim.protocol import (
     BRANCH_BOUNDARY_TO_CENTER,
     BRANCH_UNIQUE_MAX,
@@ -170,14 +170,14 @@ def test_motion_follows_unit_vector():
 def test_step_requires_valid_active_set():
     state = initial_state(_line([(0, 0), (1, 0)]))
     with pytest.raises(ValueError):
-        step(state, [], DetectionMode.STRONG, TOL)
+        step(state, [], TOL)
     with pytest.raises(ValueError):
-        step(state, [5], DetectionMode.STRONG, TOL)
+        step(state, [5], TOL)
 
 
 def test_step_gathered_fixed_point():
     state = initial_state([Robot(i, Point(2, 3), 1) for i in range(5)])
-    after, events = step(state, range(5), DetectionMode.STRONG, TOL)
+    after, events = step(state, range(5), TOL)
     assert after.t == 1
     assert [r.pos for r in after.robots] == [Point(2, 3)] * 5
     assert all(e.action == STAY for e in events)
@@ -188,7 +188,7 @@ def test_step_three_collinear_hand_trace():
     # at (2,0), the middle robot is interior and already central, so the two
     # rim robots head inward and the cap stops them after one unit.
     state = initial_state(_line([(0, 0), (2, 0), (4, 0)]))
-    after, events = step(state, [0, 1, 2], DetectionMode.STRONG, TOL)
+    after, events = step(state, [0, 1, 2], TOL)
     assert [r.pos for r in after.robots] == [Point(1, 0), Point(2, 0), Point(3, 0)]
     assert [e.action for e in events] == [MOVE_DIRECT, STAY, MOVE_DIRECT]
     assert all(e.branch == BRANCH_BOUNDARY_TO_CENTER for e in events)
@@ -204,7 +204,7 @@ def test_step_blocked_careful_move_keeps_branch():
             Robot(3, Point(4, 0), 1),
         ]
     )
-    after, events = step(state, [0, 1, 2, 3], DetectionMode.STRONG, TOL)
+    after, events = step(state, [0, 1, 2, 3], TOL)
     blocked = events[3]
     assert blocked.activated
     assert blocked.action == STAY
@@ -219,7 +219,7 @@ def test_step_blocked_careful_move_keeps_branch():
 
 def test_step_inactive_robots_untouched():
     state = initial_state(_line([(0, 0), (2, 0), (4, 0)]))
-    after, events = step(state, [0], DetectionMode.STRONG, TOL)
+    after, events = step(state, [0], TOL)
     assert after.robots[1].pos == Point(2, 0)
     assert after.robots[2].pos == Point(4, 0)
     assert not events[1].activated
@@ -231,8 +231,8 @@ def test_step_snapshot_single_activation_matches_full():
     # A lone activated robot must decide exactly as it would have in the
     # synchronous step, because both read the same frozen snapshot.
     mk = lambda: initial_state(_line([(0, 0), (2, 0), (4, 0)]))
-    solo_after, solo_events = step(mk(), [0], DetectionMode.STRONG, TOL)
-    full_after, full_events = step(mk(), [0, 1, 2], DetectionMode.STRONG, TOL)
+    solo_after, solo_events = step(mk(), [0], TOL)
+    full_after, full_events = step(mk(), [0, 1, 2], TOL)
     assert solo_events[0] == full_events[0]
     assert solo_after.robots[0].pos == full_after.robots[0].pos
 
