@@ -27,6 +27,7 @@ from .geometry import (
     Circle,
     DegenerateHull,
     Point,
+    PointGrid,
     Polygon,
     Tolerance,
     convex_hull,
@@ -378,22 +379,27 @@ def _radius_rule(tr: StepTransition) -> Optional[str]:
 
 
 def _careful_separation_rule(tr: StepTransition) -> Optional[str]:
-    if len(tr.maxima_before) > 2:
-        return None
     maxima = tr.maxima_before
+    if len(maxima) > 2:
+        return None
     bots_b = tr.before.robots
-    bots_a = tr.after.robots
-    for i in range(len(bots_b)):
-        for j in range(i + 1, len(bots_b)):
-            if points_coincide(bots_b[i].pos, bots_b[j].pos, tr.tol):
-                continue
-            if not points_coincide(bots_a[i].pos, bots_a[j].pos, tr.tol):
-                continue
-            if any(points_coincide(bots_a[i].pos, m, tr.tol) for m in maxima):
-                continue
+    after = [bot.pos for bot in tr.after.robots]
+    # Two robots that both stayed put coincide after the step exactly when
+    # they did before it, so every offending pair holds a robot that moved.
+    moved = [i for i, p in enumerate(after) if p != bots_b[i].pos]
+    if not moved:
+        return None
+    grid = PointGrid(after + list(maxima), tr.tol.eps)
+    for j, p in enumerate(after):
+        grid.add(p, j)
+    on_max = {j for m in maxima for j in grid.within(m)}
+    merged = {(min(i, j), max(i, j)) for i in moved for j in grid.within(after[i]) if j != i}
+    # Lexicographically first (i, j): the pair a scan of all pairs reports.
+    for i, j in sorted(merged):
+        if i not in on_max and not points_coincide(bots_b[i].pos, bots_b[j].pos, tr.tol):
             return (
                 f"robots {bots_b[i].ident} and {bots_b[j].ident} merged at "
-                f"{bots_a[i].pos}, which is not a maximum point"
+                f"{after[i]}, which is not a maximum point"
             )
     return None
 

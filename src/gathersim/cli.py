@@ -87,6 +87,13 @@ def _as_mapping(value: Any, where: str) -> dict:
     return value
 
 
+def _reject_unknown(data: dict, known: Sequence[str], prefix: str) -> None:
+    """A misspelt key would otherwise be dropped and its default run silently."""
+    for key in data:
+        if key not in known:
+            raise ConfigError(f"{prefix}{key}: unknown field; expected one of {', '.join(known)}")
+
+
 def _as_number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {type(value).__name__}")
@@ -117,6 +124,7 @@ def _as_bool(value: Any, where: str) -> bool:
 
 def _parse_frame(raw: Any, where: str) -> Frame:
     data = _as_mapping(raw, where)
+    _reject_unknown(data, ("rotation", "scale", "tx", "ty", "reflected"), f"{where}.")
     rotation = _as_number(data.get("rotation", 0.0), f"{where}.rotation")
     scale = _as_number(data.get("scale", 1.0), f"{where}.scale")
     if scale <= 0.0:
@@ -130,6 +138,7 @@ def _parse_frame(raw: Any, where: str) -> Frame:
 def _parse_robot(raw: Any, index: int) -> Robot:
     where = f"robots[{index}]"
     data = _as_mapping(raw, where)
+    _reject_unknown(data, ("x", "y", "sigma", "frame"), f"{where}.")
     x = _as_number(_require(data, "x", where), f"{where}.x")
     y = _as_number(_require(data, "y", where), f"{where}.y")
     sigma = _as_number(_require(data, "sigma", where), f"{where}.sigma")
@@ -147,6 +156,9 @@ def _parse_scheduler(raw: Any, n: int) -> SchedulerSpec:
             f"scheduler.strategy: unknown strategy {strategy!r}; "
             f"expected one of {', '.join(STRATEGIES)}"
         )
+    _reject_unknown(data, ("strategy", "seed", "fairness_bound", "script"), "scheduler.")
+    if strategy != SCRIPTED and data.get("script") is not None:
+        raise ConfigError(f"scheduler.script: only the {SCRIPTED} strategy reads a script")
     seed = _as_int(data.get("seed", 0), "scheduler.seed")
     bound = data.get("fairness_bound")
     if bound is not None:
@@ -173,6 +185,12 @@ def _parse_scheduler(raw: Any, n: int) -> SchedulerSpec:
 
 def parse_config(data: Any) -> RunConfig:
     top = _as_mapping(data, "config")
+    _reject_unknown(
+        top,
+        ("robots", "scheduler", "detection", "eps", "max_steps", "monitors", "trace_path",
+         "refresh_frames"),
+        "",
+    )
     robots_raw = _require(top, "robots", "config")
     if not isinstance(robots_raw, list) or not robots_raw:
         raise ConfigError("robots: expected a non-empty list")

@@ -5,13 +5,21 @@ policy decision worth calling out is the tolerance model: a single absolute
 epsilon (see Tolerance) governs coincidence, on-segment and on-circle tests,
 while collinearity normalizes the cross product by the two leg lengths so the
 verdict does not depend on the overall scale of the input.
+
+PointGrid is the eps-neighbour index behind normalize and the separation
+monitor.  It is exact: for any eps >= 0 (zero and subnormal included) and any
+finite coordinates, ``within(q)`` returns precisely the indices of the stored
+points p with ``dist(q, p) <= eps``, the predicate points_coincide applies.
+The grid only prunes; every candidate is settled by that same comparison.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import struct
+import sys
 import zlib
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
@@ -85,6 +93,51 @@ def dist(a: Point, b: Point) -> float:
 
 def points_coincide(a: Point, b: Point, tol: Tolerance = _DEFAULT_TOL) -> bool:
     return dist(a, b) <= tol.eps
+
+
+class PointGrid:
+    """Exact eps-neighbour index over points whose magnitudes ``extent`` bounds.
+
+    Points are bucketed into square cells of width w, a power of two above
+    both 2*eps and 2**-50 times the largest coordinate magnitude in
+    ``extent``.  Division by a power of two is exact short of underflow, and
+    two points within eps differ by less than w/2 per coordinate, so they
+    land in the same or adjacent cells; the second bound keeps x / w finite
+    for every coordinate up to the largest float.  A query scans the 3x3
+    cells around its own and keeps the points within eps of it.  Every point
+    added or queried must be finite and no larger in magnitude than the
+    largest coordinate of ``extent``.
+    """
+
+    def __init__(self, extent: Iterable[Point], eps: float) -> None:
+        # A NaN can hide from max(); it raises in math.floor once added or queried.
+        largest = max(map(abs, itertools.chain.from_iterable(extent)), default=0.0)
+        if not largest <= sys.float_info.max:
+            raise ValueError("PointGrid needs finite coordinates")
+        _, exponent = math.frexp(max(eps, largest * 2.0**-51))
+        # Multiplying rather than ldexp-ing the doubled width lets an eps near
+        # the largest float give w = inf: one cell, still exact.
+        self._width = math.ldexp(1.0, exponent) * 2.0
+        self._eps = eps
+        self._cells: dict[tuple[int, int], list[tuple[Point, int]]] = {}
+
+    def _cell(self, p: Point) -> tuple[int, int]:
+        return math.floor(p.x / self._width), math.floor(p.y / self._width)
+
+    def add(self, p: Point, index: int) -> None:
+        self._cells.setdefault(self._cell(p), []).append((p, index))
+
+    def within(self, q: Point) -> list[int]:
+        """Indices of the stored points p with dist(q, p) <= eps, in no set order."""
+        cx, cy = self._cell(q)
+        cells, eps = self._cells, self._eps
+        found = []
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for p, index in cells.get((cx + dx, cy + dy), ()):
+                    if dist(q, p) <= eps:
+                        found.append(index)
+        return found
 
 
 def _cross(o: Point, a: Point, b: Point) -> float:

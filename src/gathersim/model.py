@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .geometry import Point, Tolerance, dist
+from .geometry import Point, PointGrid, Tolerance
 
 _DEFAULT_TOL = Tolerance()
 
@@ -69,16 +69,19 @@ class Frame:
 IDENTITY_FRAME = Frame()
 
 
-def _linear_part(frame: Frame, x: float, y: float) -> tuple[float, float]:
+def _cos_sin(frame: Frame) -> tuple[float, float]:
+    return math.cos(frame.rotation), math.sin(frame.rotation)
+
+
+def _linear_part(frame: Frame, c: float, s: float, x: float, y: float) -> tuple[float, float]:
+    """scale * R * M applied to (x, y), given c, s = _cos_sin(frame)."""
     if frame.reflected:
         y = -y
-    c = math.cos(frame.rotation)
-    s = math.sin(frame.rotation)
     return frame.scale * (c * x - s * y), frame.scale * (s * x + c * y)
 
 
 def to_local(frame: Frame, p: Point) -> Point:
-    lx, ly = _linear_part(frame, p.x, p.y)
+    lx, ly = _linear_part(frame, *_cos_sin(frame), p.x, p.y)
     return Point(lx + frame.translation[0], ly + frame.translation[1])
 
 
@@ -86,8 +89,7 @@ def to_global(frame: Frame, p: Point) -> Point:
     """Inverse of to_local; to_global(f, to_local(f, p)) == p up to rounding."""
     x = (p.x - frame.translation[0]) / frame.scale
     y = (p.y - frame.translation[1]) / frame.scale
-    c = math.cos(frame.rotation)
-    s = math.sin(frame.rotation)
+    c, s = _cos_sin(frame)
     gx = c * x + s * y
     gy = -s * x + c * y
     if frame.reflected:
@@ -102,13 +104,23 @@ def ego_frame(frame: Frame, pos: Point) -> Frame:
     what lets a robot recognise "my own position" in its view without any
     tolerance games.
     """
-    lx, ly = _linear_part(frame, pos.x, pos.y)
+    lx, ly = _linear_part(frame, *_cos_sin(frame), pos.x, pos.y)
     return Frame(frame.rotation, frame.scale, (-lx, -ly), frame.reflected)
 
 
 def observe(config: Configuration, frame: Frame) -> Configuration:
-    """Project a configuration into a robot's local coordinates, counts kept."""
-    return Configuration({to_local(frame, p): count for p, count in config.occupied.items()})
+    """Project a configuration into a robot's local coordinates, counts kept.
+
+    Each point maps exactly as to_local maps it; the rotation's cosine and
+    sine are computed once for the whole view.
+    """
+    c, s = _cos_sin(frame)
+    tx, ty = frame.translation
+    local: dict[Point, int] = {}
+    for p, count in config.occupied.items():
+        lx, ly = _linear_part(frame, c, s, p.x, p.y)
+        local[Point(lx + tx, ly + ty)] = count
+    return Configuration(local)
 
 
 def max_points(occupied: dict[Point, int]) -> list[Point]:
@@ -132,17 +144,28 @@ def random_frame(rng: random.Random) -> Frame:
 def normalize(raw_positions: Iterable[Point], tol: Tolerance = _DEFAULT_TOL) -> Configuration:
     """Cluster raw robot positions into a configuration.
 
-    Positions within eps of an already-seen representative join that point;
-    the representative is always the first position encountered, so the
-    result is deterministic in the input order.
+    Positions within eps of an already-seen representative join the earliest
+    such representative; the representative is always the first position
+    encountered, so the result is deterministic in the input order.
+    A non-finite coordinate raises ValueError.
     """
+    # Points pass through as they are: building a Point costs more than the
+    # rest of the loop does per position.
+    points = [raw if type(raw) is Point else Point(raw[0], raw[1]) for raw in raw_positions]
+    grid = PointGrid(points, tol.eps)
     occupied: dict[Point, int] = {}
-    for raw in raw_positions:
-        p = Point(raw[0], raw[1])
-        for rep in occupied:
-            if dist(p, rep) <= tol.eps:
-                occupied[rep] += 1
-                break
+    reps: list[Point] = []
+    for p in points:
+        # Representatives are pairwise more than eps apart, so one equal to p
+        # is the only one within eps of it.
+        if p in occupied:
+            occupied[p] += 1
+            continue
+        near = grid.within(p)
+        if near:
+            occupied[reps[min(near)]] += 1
         else:
+            grid.add(p, len(reps))
+            reps.append(p)
             occupied[p] = 1
     return Configuration(occupied)

@@ -232,6 +232,7 @@ def step(
     state: SimState,
     active: Sequence[int],
     tol: Tolerance = _DEFAULT_TOL,
+    config: Optional[Configuration] = None,
 ) -> tuple[SimState, list[TraceEvent]]:
     """Execute one semi-synchronous step for the given activation set.
 
@@ -239,6 +240,8 @@ def step(
     positions update only at the end.  The careful-move veto also runs on
     the snapshot: the protocol asked under local coordinates, but blocking
     is a fact about the shared world, so it is re-checked globally.
+    ``config`` is the snapshot ``normalize(state.positions(), tol)``; it is
+    computed here when the caller does not already hold it.
     """
     if not active:
         raise ValueError("activation set must be non-empty")
@@ -246,7 +249,8 @@ def step(
     for i in active_set:
         if not (0 <= i < len(state.robots)):
             raise ValueError(f"activation set names unknown robot index {i}")
-    config = normalize(state.positions(), tol)
+    if config is None:
+        config = normalize(state.positions(), tol)
     events: list[TraceEvent] = []
     new_positions: list[Point] = []
     for i, robot in enumerate(state.robots):
@@ -381,7 +385,7 @@ def run(
             state.robots = [replace(r, frame=random_frame(rng)) for r in state.robots]
         active = next_active(scheduler, state, tol)
         before_state, before_config = state, config
-        state, events = step(state, active, tol)
+        state, events = step(state, active, tol, config)
         config = normalize(state.positions(), tol)
         if record_trace:
             trace.extend(events)

@@ -332,6 +332,17 @@ def test_careful_separation_monitor_catches_merge_off_maximum():
     assert "merged" in reports[0].description
 
 
+def test_careful_separation_monitor_reports_the_first_pair():
+    # Robots 2+5 and 3+4 merge off the unique maximum at (0, 0); (2, 5) comes
+    # first in (i, j) order although (3, 4) has the smaller j.
+    before = [(0, 0), (0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]
+    after = [(0, 0), (0, 0), (1, 0), (2, 0), (2, 0), (1, 0)]
+    reports = _check("careful_separation", _transition(before, after))
+    assert [r.description for r in reports] == [
+        "robots 2 and 5 merged at Point(x=1, y=0), which is not a maximum point"
+    ]
+
+
 def test_careful_separation_monitor_allows_merge_at_maximum():
     before = [(0, 0), (0, 0), (4, 0), (6, 0)]
     after = [(0, 0), (0, 0), (0, 0), (0, 0)]

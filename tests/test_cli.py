@@ -76,6 +76,21 @@ def _line_config(**extra):
             lambda c: c.update(scheduler={"strategy": "scripted", "script": [[5]]}),
             "scheduler.script[0][0]",
         ),
+        pytest.param(lambda c: c.update(max_step=1), "max_step:", id="unknown-top"),
+        pytest.param(lambda c: c["robots"][0].update(sigmaa=5), "robots[0].sigmaa", id="unknown-robot"),
+        pytest.param(
+            lambda c: c["robots"][0].update(frame={"sclae": 2.0}),
+            "robots[0].frame.sclae",
+            id="unknown-frame",
+        ),
+        pytest.param(
+            lambda c: c["scheduler"].update(fairnes_bound=2),
+            "scheduler.fairnes_bound",
+            id="unknown-scheduler",
+        ),
+        pytest.param(
+            lambda c: c["scheduler"].update(script=[[0]]), "scheduler.script", id="script-unscripted"
+        ),
     ],
 )
 def test_parse_errors_name_the_field(mangle, needle):

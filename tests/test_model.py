@@ -172,6 +172,17 @@ def test_observe_quarter_turn():
 
 @settings(max_examples=150)
 @given(
+    _frames(),
+    st.lists(st.tuples(_coords(), _coords()).map(lambda t: Point(*t)), min_size=1, max_size=12, unique=True),
+)
+def test_observe_maps_every_point_exactly_as_to_local(frame, pts):
+    config = Configuration({p: k + 1 for k, p in enumerate(pts)})
+    expected = {to_local(frame, p): count for p, count in config.occupied.items()}
+    assert list(observe(config, frame).occupied.items()) == list(expected.items())
+
+
+@settings(max_examples=150)
+@given(
     st.dictionaries(
         st.tuples(_coords(), _coords()).map(lambda t: Point(*t)),
         st.integers(min_value=1, max_value=5),
