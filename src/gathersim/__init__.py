@@ -14,7 +14,7 @@ from .geometry import (
 )
 from .model import Configuration, Frame, normalize, observe
 from .protocol import Action, compute_action
-from .simulator import Robot, RunOutcome, SchedulerSpec, run, step
+from .simulator import Robot, RunOutcome, SchedulerSpec, Snapshot, run, step
 from .analysis import attach_lemma_monitors, even_livelock_demo, run_sweep
 
 __version__ = "0.1.0"
@@ -28,6 +28,7 @@ __all__ = [
     "Robot",
     "RunOutcome",
     "SchedulerSpec",
+    "Snapshot",
     "Tolerance",
     "attach_lemma_monitors",
     "compute_action",

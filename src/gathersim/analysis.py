@@ -19,7 +19,7 @@ import random
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .geometry import (
     CONCAVE,
@@ -40,14 +40,15 @@ from .geometry import (
     smallest_enclosing_circle,
     strictly_inside_circle,
 )
-from .model import Configuration, Frame, normalize, random_frame
+from .model import Frame, random_frame
 from .protocol import BRANCH_BOUNDARY_TO_CENTER
 from .simulator import (
     GATHERED,
     Robot,
+    Rule,
     RunOutcome,
     SchedulerSpec,
-    StepTransition,
+    Snapshot,
     run,
 )
 
@@ -57,39 +58,6 @@ _ORACLE_LIMIT = 15
 # Absolute slack for the oracle's enclosure test; far below the 1e-9 the
 # oracle is later compared at, far above circumcenter rounding.
 _ORACLE_SLACK = 1e-12
-
-
-@dataclass
-class MonitorReport:
-    """One finding: which monitor, where, and what it saw.
-
-    Pass reports (violation False) carry no snapshot; only actual violations
-    keep the offending configuration around.
-    """
-
-    monitor: str
-    step: Optional[int]
-    description: str
-    snapshot: Optional[Configuration] = None
-    violation: bool = True
-
-
-@dataclass(frozen=True)
-class Monitor:
-    """Named per-transition rule; check() returns violations only."""
-
-    name: str
-    rule: Callable[[StepTransition], Optional[str]]
-
-    def check(self, transition: StepTransition) -> list[MonitorReport]:
-        message = self.rule(transition)
-        if message is None:
-            return []
-        return [
-            MonitorReport(
-                self.name, transition.before.t, message, transition.after_config
-            )
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -187,43 +155,33 @@ def check_radius_decrease(
 
 def check_concave_sectors_occupied(
     points: Sequence[Point], tol: Tolerance = _DEFAULT_TOL
-) -> MonitorReport:
+) -> Optional[str]:
     """Every concave sector at the enclosing-circle center must be occupied.
 
     For each pair of input points that cuts a valid sector pair at the
     center, an empty concave (wider than half-turn) sector would mean the
     circle could have been smaller, so finding one indicts the geometry.
-    Reports the first offender, or a pass.
+    Describes the first offender, or returns None.
     """
-    name = "concave_sector_occupancy"
     pts = list(points)
     if len(pts) < 2:
         raise ValueError("need at least two points")
     sec = smallest_enclosing_circle(pts)
     if sec.radius <= tol.eps:
-        return MonitorReport(name, None, "degenerate circle, nothing to check", violation=False)
+        return None
     center = sec.center
-    pairs_checked = 0
     for p, pp in combinations(pts, 2):
         if points_coincide(p, center, tol) or points_coincide(pp, center, tol):
             continue
         pair = make_sector_pair(p, pp, center, tol)
         if pair is None:
             continue
-        pairs_checked += 1
         for which, kind in ((1, pair.kind1), (2, pair.kind2)):
             if kind != CONCAVE:
                 continue
             if not any(sector_contains(pair, which, q, tol) for q in pts):
-                return MonitorReport(
-                    name,
-                    None,
-                    f"empty concave sector at center {center} for pair {p}, {pp}",
-                    normalize(pts, tol),
-                )
-    return MonitorReport(
-        name, None, f"all concave sectors occupied over {pairs_checked} pairs", violation=False
-    )
+                return f"empty concave sector at center {center} for pair {p}, {pp}"
+    return None
 
 
 def check_hull_sector_equivalence(
@@ -282,44 +240,45 @@ def check_sec_points_on_hull(
 # Runtime monitors
 
 
-def _closure_rule(tr: StepTransition) -> Optional[str]:
-    if not tr.before_config.is_gathered():
+def _closure_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
+    if not before.config.is_gathered():
         return None
-    if not tr.after_config.is_gathered():
-        return f"gathering point split into {len(tr.after_config.occupied)} points"
-    before_p = next(iter(tr.before_config.occupied))
-    after_p = next(iter(tr.after_config.occupied))
-    if not points_coincide(before_p, after_p, tr.tol):
+    if not after.config.is_gathered():
+        return f"gathering point split into {len(after.config.occupied)} points"
+    before_p = next(iter(before.config.occupied))
+    after_p = next(iter(after.config.occupied))
+    if not points_coincide(before_p, after_p, before.tol):
         return f"gathering point drifted from {before_p} to {after_p}"
     return None
 
 
-def _unique_max_rule(tr: StepTransition) -> Optional[str]:
-    if len(tr.maxima_before) != 1:
+def _unique_max_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
+    maxima = before.branch.maxima
+    if len(maxima) != 1:
         return None
-    after = tr.maxima_after
-    if len(after) != 1:
-        return f"unique maximum gave way to {len(after)} maxima"
-    if not points_coincide(tr.maxima_before[0], after[0], tr.tol):
-        return f"unique maximum moved from {tr.maxima_before[0]} to {after[0]}"
+    maxima_after = after.branch.maxima
+    if len(maxima_after) != 1:
+        return f"unique maximum gave way to {len(maxima_after)} maxima"
+    if not points_coincide(maxima[0], maxima_after[0], before.tol):
+        return f"unique maximum moved from {maxima[0]} to {maxima_after[0]}"
     return None
 
 
-def _two_max_rule(tr: StepTransition) -> Optional[str]:
-    if len(tr.maxima_before) != 2:
+def _two_max_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
+    if len(before.branch.maxima) != 2:
         return None
-    if len(tr.maxima_after) > 2:
-        return f"two maxima escalated to {len(tr.maxima_after)}"
+    if len(after.branch.maxima) > 2:
+        return f"two maxima escalated to {len(after.branch.maxima)}"
     return None
 
 
-def _inside_rule(tr: StepTransition) -> Optional[str]:
-    if len(tr.maxima_before) < 3 or len(tr.maxima_after) < 3:
+def _inside_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
+    if len(before.branch.maxima) < 3 or len(after.branch.maxima) < 3:
         return None
-    for before_bot, after_bot in zip(tr.before.robots, tr.after.robots):
-        if not strictly_inside_circle(before_bot.pos, tr.sec_before, tr.tol):
+    for before_bot, after_bot in zip(before.state.robots, after.state.robots):
+        if not strictly_inside_circle(before_bot.pos, before.sec, before.tol):
             continue
-        if not strictly_inside_circle(after_bot.pos, tr.sec_after, tr.tol):
+        if not strictly_inside_circle(after_bot.pos, after.sec, before.tol):
             return (
                 f"robot {before_bot.ident} was strictly inside the circle "
                 f"and ended on or outside the new one"
@@ -327,19 +286,21 @@ def _inside_rule(tr: StepTransition) -> Optional[str]:
     return None
 
 
-def _center_containment_rule(tr: StepTransition) -> Optional[str]:
-    info = tr.branch_before
+def _center_containment_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
+    info = before.branch
     if info.label != BRANCH_BOUNDARY_TO_CENTER:
         return None
     assert info.sec is not None
     center = info.sec.center
+    tol = before.tol
+    bots_b, bots_a = before.state.robots, after.state.robots
     # Hypothesis 1: some robot standing on the circle actually moved.
     moved_from_boundary = False
     boundary_set = set(info.boundary)
-    for before_bot, after_bot in zip(tr.before.robots, tr.after.robots):
-        if points_coincide(before_bot.pos, after_bot.pos, tr.tol):
+    for before_bot, after_bot in zip(bots_b, bots_a):
+        if points_coincide(before_bot.pos, after_bot.pos, tol):
             continue
-        if any(points_coincide(before_bot.pos, b, tr.tol) for b in boundary_set):
+        if any(points_coincide(before_bot.pos, b, tol) for b in boundary_set):
             moved_from_boundary = True
             break
     if not moved_from_boundary:
@@ -347,64 +308,59 @@ def _center_containment_rule(tr: StepTransition) -> Optional[str]:
     # Hypothesis 2: every boundary point keeps at least one robot that did
     # not arrive at the center this step.
     for b in info.boundary:
-        holders = [
-            i
-            for i, bot in enumerate(tr.before.robots)
-            if points_coincide(bot.pos, b, tr.tol)
-        ]
-        if holders and all(
-            points_coincide(tr.after.robots[i].pos, center, tr.tol) for i in holders
-        ):
+        holders = [i for i, bot in enumerate(bots_b) if points_coincide(bot.pos, b, tol)]
+        if holders and all(points_coincide(bots_a[i].pos, center, tol) for i in holders):
             return None
-    if not strictly_inside_circle(center, tr.sec_after, tr.tol):
+    if not strictly_inside_circle(center, after.sec, tol):
         return "old center is not strictly inside the new enclosing circle"
     return None
 
 
-def _radius_rule(tr: StepTransition) -> Optional[str]:
-    if len(tr.maxima_before) < 3:
+def _radius_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
+    if len(before.branch.maxima) < 3:
         return None
-    before_r = tr.sec_before.radius
-    after_r = tr.sec_after.radius
-    if after_r > before_r + tr.tol.eps:
+    before_r = before.sec.radius
+    after_r = after.sec.radius
+    if after_r > before_r + before.tol.eps:
         return f"enclosing radius grew from {before_r} to {after_r}"
     # When every robot has left the old circle's rim, the new circle must be
     # strictly smaller; everything now sits measurably deeper than the rim.
     vacated = all(
-        not on_circle(bot.pos, tr.sec_before, tr.tol) for bot in tr.after.robots
+        not on_circle(bot.pos, before.sec, before.tol) for bot in after.state.robots
     )
     if vacated and not (after_r < before_r):
         return f"rim fully vacated but radius held at {after_r}"
     return None
 
 
-def _careful_separation_rule(tr: StepTransition) -> Optional[str]:
-    maxima = tr.maxima_before
+def _careful_separation_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
+    maxima = before.branch.maxima
     if len(maxima) > 2:
         return None
-    bots_b = tr.before.robots
-    after = [bot.pos for bot in tr.after.robots]
+    tol = before.tol
+    bots_b = before.state.robots
+    after_pos = [bot.pos for bot in after.state.robots]
     # Two robots that both stayed put coincide after the step exactly when
     # they did before it, so every offending pair holds a robot that moved.
-    moved = [i for i, p in enumerate(after) if p != bots_b[i].pos]
+    moved = [i for i, p in enumerate(after_pos) if p != bots_b[i].pos]
     if not moved:
         return None
-    grid = PointGrid(after + list(maxima), tr.tol.eps)
-    for j, p in enumerate(after):
+    grid = PointGrid(after_pos + list(maxima), tol.eps)
+    for j, p in enumerate(after_pos):
         grid.add(p, j)
     on_max = {j for m in maxima for j in grid.within(m)}
-    merged = {(min(i, j), max(i, j)) for i in moved for j in grid.within(after[i]) if j != i}
+    merged = {(min(i, j), max(i, j)) for i in moved for j in grid.within(after_pos[i]) if j != i}
     # Lexicographically first (i, j): the pair a scan of all pairs reports.
     for i, j in sorted(merged):
-        if i not in on_max and not points_coincide(bots_b[i].pos, bots_b[j].pos, tr.tol):
+        if i not in on_max and not points_coincide(bots_b[i].pos, bots_b[j].pos, tol):
             return (
                 f"robots {bots_b[i].ident} and {bots_b[j].ident} merged at "
-                f"{after[i]}, which is not a maximum point"
+                f"{after_pos[i]}, which is not a maximum point"
             )
     return None
 
 
-MONITOR_RULES: dict[str, Callable[[StepTransition], Optional[str]]] = {
+MONITOR_RULES: dict[str, Rule] = {
     "closure": _closure_rule,
     "unique_max_persistence": _unique_max_rule,
     "two_max_no_escalation": _two_max_rule,
@@ -417,8 +373,9 @@ MONITOR_RULES: dict[str, Callable[[StepTransition], Optional[str]]] = {
 
 def attach_lemma_monitors(
     toggles: Optional[Mapping[str, bool]] = None,
-) -> list[Monitor]:
-    """The full monitor battery, optionally filtered by a toggle map.
+) -> dict[str, Rule]:
+    """The full monitor battery as ``{name: rule}``, optionally filtered by a
+    toggle map.
 
     Unknown toggle names are rejected rather than ignored; a silently
     dropped monitor is exactly the failure mode monitors exist to prevent.
@@ -427,11 +384,11 @@ def attach_lemma_monitors(
         unknown = set(toggles) - set(MONITOR_RULES)
         if unknown:
             raise ValueError(f"unknown monitor names: {sorted(unknown)}")
-    return [
-        Monitor(name, rule)
+    return {
+        name: rule
         for name, rule in MONITOR_RULES.items()
         if toggles is None or toggles.get(name, True)
-    ]
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -563,13 +520,13 @@ def even_livelock_demo(n_even: int, steps: int) -> RunOutcome:
     for i in range(half, n_even):
         robots.append(Robot(i, right, sigma=1.0, frame=Frame(rotation=math.pi)))
 
-    def two_points_rule(tr: StepTransition) -> Optional[str]:
-        k = len(tr.after_config.occupied)
+    def two_points_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
+        k = len(after.config.occupied)
         if k != 2:
             return f"witness held {k} occupied points instead of two"
         return None
 
-    monitors = attach_lemma_monitors() + [Monitor("two_point_persistence", two_points_rule)]
+    monitors = {**attach_lemma_monitors(), "two_point_persistence": two_points_rule}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         outcome, _ = run(
@@ -647,7 +604,7 @@ def check_properties_suite(
     shrink_bad = 0
     for _ in range(sets):
         pts = random_point_set(rng, rng.randint(3, 10), tol)
-        if check_concave_sectors_occupied(pts, tol).violation:
+        if check_concave_sectors_occupied(pts, tol) is not None:
             concave_bad += 1
         hull = convex_hull(pts, tol)
         if isinstance(hull, Polygon):

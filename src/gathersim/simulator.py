@@ -19,14 +19,13 @@ import random
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .geometry import Circle, Point, Tolerance, dist, on_circle, points_coincide, smallest_enclosing_circle
 from .model import (
     Configuration,
     Frame,
     ego_frame,
-    max_points,
     normalize,
     observe,
     random_frame,
@@ -122,19 +121,43 @@ class SchedulerSpec:
                     raise ValueError("every scripted activation set must be non-empty")
 
 
+class Snapshot:
+    """One configuration: the world state and its geometry, each computed once.
+
+    ``run`` builds one snapshot per configuration, and the snapshot after a
+    step is the one before the next, so the scheduler, ``step`` and every
+    monitor share one normalization, one branch classification and one
+    enclosing circle.
+    """
+
+    def __init__(self, state: SimState, tol: Tolerance) -> None:
+        self.state = state
+        self.tol = tol
+        self.config = normalize(state.positions(), tol)
+
+    @cached_property
+    def branch(self) -> BranchInfo:
+        return classify_branch(self.config.occupied, self.tol)
+
+    @cached_property
+    def sec(self) -> Circle:
+        if self.branch.sec is not None:
+            return self.branch.sec
+        return smallest_enclosing_circle(self.config.points())
+
+
 def _fairness_bound(spec: SchedulerSpec, n: int) -> int:
     return spec.fairness_bound if spec.fairness_bound is not None else 3 * n
 
 
-def next_active(
-    spec: SchedulerSpec, state: SimState, tol: Tolerance = _DEFAULT_TOL
-) -> list[int]:
-    """Indices of the robots woken at state.t, sorted ascending.
+def next_active(spec: SchedulerSpec, snap: Snapshot) -> list[int]:
+    """Indices of the robots woken at snap.state.t, sorted ascending.
 
     Always non-empty.  The random strategy draws from a stream derived only
     from (seed, t), so replaying a state gives the same set without any
     shared RNG object to keep in sync.
     """
+    state = snap.state
     n = len(state.robots)
     t = state.t
     if spec.strategy == SYNCHRONOUS:
@@ -149,8 +172,7 @@ def next_active(
     elif spec.strategy == BOUNDARY_ONLY:
         # Adversary that starves the interior: only robots currently on the
         # enclosing circle wake up (fairness forcing aside).
-        sec = smallest_enclosing_circle(normalize(state.positions(), tol).points())
-        chosen = {i for i, r in enumerate(state.robots) if on_circle(r.pos, sec, tol)}
+        chosen = {i for i, r in enumerate(state.robots) if on_circle(r.pos, snap.sec, snap.tol)}
     else:
         assert spec.script is not None
         step_ids = spec.script[t % len(spec.script)]
@@ -174,6 +196,15 @@ def apply_motion(robot: Robot, target: Point) -> Point:
     d = dist(robot.pos, target)
     if d <= robot.sigma:
         return target
+    if math.isinf(d):
+        # The difference overflowed; its half is finite and points the same
+        # way.  Dividing by its larger component keeps the norm finite too.
+        hx = target.x / 2.0 - robot.pos.x / 2.0
+        hy = target.y / 2.0 - robot.pos.y / 2.0
+        m = max(abs(hx), abs(hy))
+        ux, uy = hx / m, hy / m
+        f = robot.sigma / math.hypot(ux, uy)
+        return Point(robot.pos.x + f * ux, robot.pos.y + f * uy)
     f = robot.sigma / d
     return Point(robot.pos.x + f * (target.x - robot.pos.x),
                  robot.pos.y + f * (target.y - robot.pos.y))
@@ -228,29 +259,21 @@ def _snap_to_occupied(target: Point, config: Configuration, tol: Tolerance) -> P
     return target
 
 
-def step(
-    state: SimState,
-    active: Sequence[int],
-    tol: Tolerance = _DEFAULT_TOL,
-    config: Optional[Configuration] = None,
-) -> tuple[SimState, list[TraceEvent]]:
+def step(snap: Snapshot, active: Sequence[int]) -> tuple[SimState, list[TraceEvent]]:
     """Execute one semi-synchronous step for the given activation set.
 
     All observations and the clear-path gate read the entry snapshot;
     positions update only at the end.  The careful-move veto also runs on
     the snapshot: the protocol asked under local coordinates, but blocking
     is a fact about the shared world, so it is re-checked globally.
-    ``config`` is the snapshot ``normalize(state.positions(), tol)``; it is
-    computed here when the caller does not already hold it.
     """
+    state, config, tol = snap.state, snap.config, snap.tol
     if not active:
         raise ValueError("activation set must be non-empty")
     active_set = set(active)
     for i in active_set:
         if not (0 <= i < len(state.robots)):
             raise ValueError(f"activation set names unknown robot index {i}")
-    if config is None:
-        config = normalize(state.positions(), tol)
     events: list[TraceEvent] = []
     new_positions: list[Point] = []
     for i, robot in enumerate(state.robots):
@@ -282,51 +305,20 @@ def step(
     return SimState(state.t + 1, robots, last_active), events
 
 
-class StepTransition:
-    """Before/after pair for one executed step, handed to runtime monitors.
+# A monitor rule reads the snapshots around one step and returns a message
+# describing a violation, or None.
+Rule = Callable[[Snapshot, Snapshot], Optional[str]]
 
-    The derived geometry (configurations are passed in, circles and branch
-    classification are computed here) is cached so several monitors can share
-    one computation.
-    """
 
-    def __init__(
-        self,
-        before: SimState,
-        after: SimState,
-        before_config: Configuration,
-        after_config: Configuration,
-        events: list[TraceEvent],
-        tol: Tolerance,
-    ) -> None:
-        self.before = before
-        self.after = after
-        self.before_config = before_config
-        self.after_config = after_config
-        self.events = events
-        self.tol = tol
+@dataclass
+class MonitorReport:
+    """One finding: which monitor, at which step, what it saw, and the
+    configuration the step ended in."""
 
-    @cached_property
-    def branch_before(self) -> BranchInfo:
-        return classify_branch(self.before_config.occupied, self.tol)
-
-    @cached_property
-    def maxima_before(self) -> tuple[Point, ...]:
-        return self.branch_before.maxima
-
-    @cached_property
-    def maxima_after(self) -> tuple[Point, ...]:
-        return tuple(max_points(self.after_config.occupied))
-
-    @cached_property
-    def sec_before(self) -> Circle:
-        if self.branch_before.sec is not None:
-            return self.branch_before.sec
-        return smallest_enclosing_circle(self.before_config.points())
-
-    @cached_property
-    def sec_after(self) -> Circle:
-        return smallest_enclosing_circle(self.after_config.points())
+    monitor: str
+    step: int
+    description: str
+    snapshot: Configuration
 
 
 @dataclass
@@ -334,7 +326,7 @@ class RunOutcome:
     status: str
     final_t: int
     final_config: Configuration
-    monitor_violations: list = field(default_factory=list)
+    monitor_violations: list[MonitorReport] = field(default_factory=list)
 
 
 def run(
@@ -342,28 +334,27 @@ def run(
     scheduler: SchedulerSpec,
     tol: Tolerance = _DEFAULT_TOL,
     max_steps: Optional[int] = None,
-    monitors: Sequence = (),
+    monitors: Optional[Mapping[str, Rule]] = None,
     stop_on_gather: bool = True,
     record_trace: bool = True,
     refresh_frames: bool = False,
-    on_step: Optional[Callable[[StepTransition], None]] = None,
 ) -> tuple[RunOutcome, list[TraceEvent]]:
     """Drive a full run: schedule, step, monitor, repeat.
 
     Stops as soon as the configuration collapses to one point (unless
     ``stop_on_gather`` is off, which is how stability-after-gathering gets
     exercised) or after max_steps steps, defaulting to 10000 per robot.
-    A monitor is any object with ``.name`` and ``.check(transition)``, which
-    returns a list of reports.  Findings are collected, never raised; a
-    violated invariant is data, and stopping the run would hide what happens
-    next.
+    ``monitors`` maps a name to a rule ``rule(before, after)`` over the
+    snapshots around each step; a message it returns becomes a
+    ``MonitorReport``.  Findings are collected, never raised; a violated
+    invariant is data, and stopping the run would hide what happens next.
 
     ``refresh_frames`` redraws every robot's frame each step from the
     scheduler seed, an adversarial stress mode; the rule is supposed to be
     indifferent to frames, and this flag lets runs prove it.
     """
-    state = initial_state(robots)
-    n = len(state.robots)
+    snap = Snapshot(initial_state(robots), tol)
+    n = len(snap.state.robots)
     if n % 2 == 0:
         warnings.warn(
             f"{n} robots: gathering is not guaranteed for even counts",
@@ -375,25 +366,20 @@ def run(
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     trace: list[TraceEvent] = []
-    violations: list = []
-    config = normalize(state.positions(), tol)
+    violations: list[MonitorReport] = []
     for _ in range(max_steps):
-        if stop_on_gather and config.is_gathered():
+        if stop_on_gather and snap.config.is_gathered():
             break
         if refresh_frames:
-            rng = random.Random(f"{scheduler.seed}:frames:{state.t}")
-            state.robots = [replace(r, frame=random_frame(rng)) for r in state.robots]
-        active = next_active(scheduler, state, tol)
-        before_state, before_config = state, config
-        state, events = step(state, active, tol, config)
-        config = normalize(state.positions(), tol)
+            rng = random.Random(f"{scheduler.seed}:frames:{snap.state.t}")
+            snap.state.robots = [replace(r, frame=random_frame(rng)) for r in snap.state.robots]
+        state, events = step(snap, next_active(scheduler, snap))
+        before, snap = snap, Snapshot(state, tol)
         if record_trace:
             trace.extend(events)
-        if monitors or on_step is not None:
-            transition = StepTransition(before_state, state, before_config, config, events, tol)
-            for monitor in monitors:
-                violations.extend(monitor.check(transition))
-            if on_step is not None:
-                on_step(transition)
-    status = GATHERED if config.is_gathered() else STEP_LIMIT_REACHED
-    return RunOutcome(status, state.t, config, violations), trace
+        for name, rule in (monitors or {}).items():
+            message = rule(before, snap)
+            if message is not None:
+                violations.append(MonitorReport(name, before.state.t, message, snap.config))
+    status = GATHERED if snap.config.is_gathered() else STEP_LIMIT_REACHED
+    return RunOutcome(status, snap.state.t, snap.config, violations), trace

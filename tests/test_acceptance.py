@@ -88,10 +88,12 @@ def test_criterion_2_gathered_runs_stay_gathered():
             spec,
             tol=TOL,
             max_steps=1000,
-            monitors=attach_lemma_monitors(),
+            monitors={
+                **attach_lemma_monitors(),
+                "record": lambda before, after: steps_gathered.append(after.config.is_gathered()),
+            },
             stop_on_gather=False,
             record_trace=False,
-            on_step=lambda tr: steps_gathered.append(tr.after_config.is_gathered()),
         )
         violations += len(outcome.monitor_violations)
         if outcome.status != GATHERED or len(steps_gathered) != 1000 or not all(steps_gathered):

@@ -13,7 +13,6 @@ import pytest
 
 from gathersim.analysis import (
     MONITOR_RULES,
-    MonitorReport,
     attach_lemma_monitors,
     brute_force_sec,
     check_concave_sectors_occupied,
@@ -26,12 +25,11 @@ from gathersim.analysis import (
     run_sweep,
 )
 from gathersim.geometry import Point, Tolerance, dist, smallest_enclosing_circle
-from gathersim.model import normalize
 from gathersim.simulator import (
     GATHERED,
     Robot,
     SimState,
-    StepTransition,
+    Snapshot,
 )
 
 TOL = Tolerance()
@@ -40,24 +38,17 @@ SQUARE = [Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -1)]
 
 
 def _transition(before_pts, after_pts):
-    """Hand-built step transition; positions given as coordinate pairs."""
+    """Hand-built (before, after) snapshots; positions given as coordinate pairs."""
     n = len(before_pts)
     assert len(after_pts) == n
     before = SimState(0, [Robot(i, Point(*p), 5.0) for i, p in enumerate(before_pts)], [-1] * n)
     after = SimState(1, [Robot(i, Point(*p), 5.0) for i, p in enumerate(after_pts)], [0] * n)
-    return StepTransition(
-        before,
-        after,
-        normalize(before.positions(), TOL),
-        normalize(after.positions(), TOL),
-        [],
-        TOL,
-    )
+    return Snapshot(before, TOL), Snapshot(after, TOL)
 
 
 def _check(name, transition):
-    monitor = next(m for m in attach_lemma_monitors() if m.name == name)
-    return monitor.check(transition)
+    """The named monitor's message for the transition, or None."""
+    return attach_lemma_monitors()[name](*transition)
 
 
 # -- brute-force circle oracle ------------------------------------------------
@@ -147,10 +138,7 @@ def test_radius_decrease_random_sets():
 def test_concave_sectors_random_sets_pass():
     rng = random.Random(55)
     for _ in range(60):
-        report = check_concave_sectors_occupied(random_point_set(rng, 5, TOL), TOL)
-        assert not report.violation
-        assert report.snapshot is None
-        assert report.monitor == "concave_sector_occupancy"
+        assert check_concave_sectors_occupied(random_point_set(rng, 5, TOL), TOL) is None
 
 
 def test_concave_sectors_obtuse_triangle():
@@ -159,17 +147,15 @@ def test_concave_sectors_obtuse_triangle():
     pts = [Point(0, 0), Point(4, 0), Point(1, 1)]
     sec = smallest_enclosing_circle(pts)
     assert dist(sec.center, Point(2, 0)) <= 1e-12
-    assert not check_concave_sectors_occupied(pts, TOL).violation
+    assert check_concave_sectors_occupied(pts, TOL) is None
 
 
 def test_concave_sectors_collinear_pair_vacuous():
-    report = check_concave_sectors_occupied([Point(0, 0), Point(2, 0)], TOL)
-    assert not report.violation
+    assert check_concave_sectors_occupied([Point(0, 0), Point(2, 0)], TOL) is None
 
 
 def test_concave_sectors_degenerate_and_small_inputs():
-    report = check_concave_sectors_occupied([Point(0, 0), Point(0, 5e-10)], TOL)
-    assert not report.violation
+    assert check_concave_sectors_occupied([Point(0, 0), Point(0, 5e-10)], TOL) is None
     with pytest.raises(ValueError):
         check_concave_sectors_occupied([Point(0, 0)], TOL)
 
@@ -217,65 +203,58 @@ def test_sec_points_on_hull_random():
 
 def test_closure_monitor_catches_split():
     tr = _transition([(0, 0)] * 3, [(0, 0), (0, 0), (1, 0)])
-    reports = _check("closure", tr)
-    assert len(reports) == 1
-    assert reports[0].violation
-    assert reports[0].step == 0
-    assert reports[0].snapshot is not None
-    assert "split" in reports[0].description
+    assert _check("closure", tr) == "gathering point split into 2 points"
 
 
 def test_closure_monitor_catches_drift():
     tr = _transition([(0, 0)] * 3, [(5, 5)] * 3)
-    assert "drifted" in _check("closure", tr)[0].description
+    assert "drifted" in _check("closure", tr)
 
 
 def test_closure_monitor_silent_when_stable():
     tr = _transition([(0, 0)] * 3, [(0, 0)] * 3)
-    assert _check("closure", tr) == []
+    assert _check("closure", tr) is None
 
 
 def test_unique_max_monitor_catches_move():
     tr = _transition([(0, 0), (0, 0), (1, 0)], [(0, 0), (1, 0), (1, 0)])
-    assert "moved" in _check("unique_max_persistence", tr)[0].description
+    assert "moved" in _check("unique_max_persistence", tr)
 
 
 def test_unique_max_monitor_catches_escalation():
     tr = _transition([(0, 0), (0, 0), (1, 0)], [(0, 0), (1, 0), (2, 0)])
-    assert "gave way" in _check("unique_max_persistence", tr)[0].description
+    assert "gave way" in _check("unique_max_persistence", tr)
 
 
 def test_unique_max_monitor_silent_on_growth():
     tr = _transition([(0, 0), (0, 0), (1, 0)], [(0, 0), (0, 0), (0, 0)])
-    assert _check("unique_max_persistence", tr) == []
+    assert _check("unique_max_persistence", tr) is None
 
 
 def test_two_max_monitor_catches_escalation():
     before = [(0, 0), (0, 0), (1, 0), (1, 0), (2, 0)]
     after = [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]
-    assert "escalated" in _check("two_max_no_escalation", tr := _transition(before, after))[0].description
-    assert tr.maxima_after != tr.maxima_before
+    assert "escalated" in _check("two_max_no_escalation", tr := _transition(before, after))
+    assert tr[1].branch.maxima != tr[0].branch.maxima
 
 
 def test_two_max_monitor_allows_resolution_to_one():
     before = [(0, 0), (0, 0), (1, 0), (1, 0), (2, 0)]
     after = [(0, 0), (0, 0), (0, 0), (1, 0), (2, 0)]
-    assert _check("two_max_no_escalation", _transition(before, after)) == []
+    assert _check("two_max_no_escalation", _transition(before, after)) is None
 
 
 def test_inside_monitor_catches_escape_to_rim():
     rim = (math.cos(0.5), math.sin(0.5))
     before = [(1, 0), (0, 1), (-1, 0), (0, -1), (0.2, 0.1)]
     after = [(1, 0), (0, 1), (-1, 0), (0, -1), rim]
-    reports = _check("inside_stays_inside", _transition(before, after))
-    assert len(reports) == 1
-    assert "strictly inside" in reports[0].description
+    assert "strictly inside" in _check("inside_stays_inside", _transition(before, after))
 
 
 def test_inside_monitor_silent_for_interior_motion():
     before = [(1, 0), (0, 1), (-1, 0), (0, -1), (0.2, 0.1)]
     after = [(1, 0), (0, 1), (-1, 0), (0, -1), (0.1, 0.05)]
-    assert _check("inside_stays_inside", _transition(before, after)) == []
+    assert _check("inside_stays_inside", _transition(before, after)) is None
 
 
 def test_center_containment_monitor_fires_when_center_reaches_rim():
@@ -283,15 +262,13 @@ def test_center_containment_monitor_fires_when_center_reaches_rim():
     # center; the old center lands exactly on the new circle's rim.
     before = [(1, 0), (0, 1), (-1, 0), (0, -1), (0, 0)]
     after = [(2, 0), (2, 0), (2, 0), (2, 0), (0, 0)]
-    reports = _check("center_containment", _transition(before, after))
-    assert len(reports) == 1
-    assert "not strictly inside" in reports[0].description
+    assert "not strictly inside" in _check("center_containment", _transition(before, after))
 
 
 def test_center_containment_monitor_silent_on_contraction():
     before = [(1, 0), (0, 1), (-1, 0), (0, -1), (0, 0)]
     after = [(0.5, 0), (0, 0.5), (-0.5, 0), (0, -0.5), (0, 0)]
-    assert _check("center_containment", _transition(before, after)) == []
+    assert _check("center_containment", _transition(before, after)) is None
 
 
 def test_center_containment_monitor_skips_when_a_point_fully_arrives():
@@ -299,13 +276,13 @@ def test_center_containment_monitor_skips_when_a_point_fully_arrives():
     # hypothesis fails and the monitor must not judge this step.
     before = [(1, 0), (0, 1), (-1, 0), (0, -1), (0, 0)]
     after = [(0, 0), (0, 1), (-1, 0), (0, -1), (0, 0)]
-    assert _check("center_containment", _transition(before, after)) == []
+    assert _check("center_containment", _transition(before, after)) is None
 
 
 def test_radius_monitor_catches_growth():
     before = [(1, 0), (0, 1), (-1, 0), (0, -1)]
     after = [(3, 0), (0, 1), (-1, 0), (0, -1)]
-    assert "grew" in _check("radius_progress", _transition(before, after))[0].description
+    assert "grew" in _check("radius_progress", _transition(before, after))
 
 
 def test_radius_monitor_catches_vacated_rim_without_shrink():
@@ -313,23 +290,19 @@ def test_radius_monitor_catches_vacated_rim_without_shrink():
     # shifted: the radius did not drop, which the shrink lemma forbids.
     before = [(1, 0), (0, 1), (-1, 0), (0, -1)]
     after = [(1.3, 0), (-0.7, 0), (0.3, 1), (0.3, -1)]
-    reports = _check("radius_progress", _transition(before, after))
-    assert len(reports) == 1
-    assert "vacated" in reports[0].description
+    assert "vacated" in _check("radius_progress", _transition(before, after))
 
 
 def test_radius_monitor_silent_on_contraction():
     before = [(1, 0), (0, 1), (-1, 0), (0, -1)]
     after = [(0.5, 0), (0, 0.5), (-0.5, 0), (0, -0.5)]
-    assert _check("radius_progress", _transition(before, after)) == []
+    assert _check("radius_progress", _transition(before, after)) is None
 
 
 def test_careful_separation_monitor_catches_merge_off_maximum():
     before = [(0, 0), (0, 0), (4, 0), (6, 0)]
     after = [(0, 0), (0, 0), (5, 0), (5, 0)]
-    reports = _check("careful_separation", _transition(before, after))
-    assert len(reports) == 1
-    assert "merged" in reports[0].description
+    assert "merged" in _check("careful_separation", _transition(before, after))
 
 
 def test_careful_separation_monitor_reports_the_first_pair():
@@ -337,32 +310,25 @@ def test_careful_separation_monitor_reports_the_first_pair():
     # first in (i, j) order although (3, 4) has the smaller j.
     before = [(0, 0), (0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]
     after = [(0, 0), (0, 0), (1, 0), (2, 0), (2, 0), (1, 0)]
-    reports = _check("careful_separation", _transition(before, after))
-    assert [r.description for r in reports] == [
+    assert _check("careful_separation", _transition(before, after)) == (
         "robots 2 and 5 merged at Point(x=1, y=0), which is not a maximum point"
-    ]
+    )
 
 
 def test_careful_separation_monitor_allows_merge_at_maximum():
     before = [(0, 0), (0, 0), (4, 0), (6, 0)]
     after = [(0, 0), (0, 0), (0, 0), (0, 0)]
-    assert _check("careful_separation", _transition(before, after)) == []
+    assert _check("careful_separation", _transition(before, after)) is None
 
 
 def test_attach_lemma_monitors_battery_and_toggles():
-    names = [m.name for m in attach_lemma_monitors()]
-    assert names == list(MONITOR_RULES)
-    assert len(names) == 7
+    battery = attach_lemma_monitors()
+    assert battery == MONITOR_RULES and battery is not MONITOR_RULES
+    assert len(battery) == 7
     trimmed = attach_lemma_monitors({"closure": False})
-    assert [m.name for m in trimmed] == [n for n in names if n != "closure"]
+    assert list(trimmed) == [n for n in battery if n != "closure"]
     with pytest.raises(ValueError):
         attach_lemma_monitors({"psychic": True})
-
-
-def test_monitor_report_defaults():
-    report = MonitorReport("x", None, "ok", violation=False)
-    assert report.snapshot is None
-    assert not report.violation
 
 
 # -- randomized harnesses -----------------------------------------------------

@@ -56,13 +56,14 @@ def _reference_careful_separation(tr):
 
 
 def _transition(before, after, maxima, tol):
-    """The parts of a StepTransition the separation rule reads."""
-    return SimpleNamespace(
-        maxima_before=tuple(maxima),
-        before=SimpleNamespace(robots=[Robot(i, p, 1.0) for i, p in enumerate(before)]),
-        after=SimpleNamespace(robots=[Robot(i, p, 1.0) for i, p in enumerate(after)]),
-        tol=tol,
-    )
+    """The parts of the (before, after) snapshots the separation rule reads,
+    and the same step as the reference reads it."""
+    state_b = SimpleNamespace(robots=[Robot(i, p, 1.0) for i, p in enumerate(before)])
+    state_a = SimpleNamespace(robots=[Robot(i, p, 1.0) for i, p in enumerate(after)])
+    snap_b = SimpleNamespace(state=state_b, branch=SimpleNamespace(maxima=tuple(maxima)), tol=tol)
+    snap_a = SimpleNamespace(state=state_a, tol=tol)
+    tr = SimpleNamespace(maxima_before=tuple(maxima), before=state_b, after=state_a, tol=tol)
+    return (snap_b, snap_a), tr
 
 
 def _exact(occupied):
@@ -120,13 +121,13 @@ def test_careful_separation_matches_quadratic_reference(data):
     pool = data.draw(_positions(eps), label="pool")
     n = data.draw(st.integers(2, 12), label="n")
     spot = st.sampled_from(pool)
-    tr = _transition(
+    snaps, tr = _transition(
         [data.draw(spot) for _ in range(n)],
         [data.draw(spot) for _ in range(n)],
         data.draw(st.lists(spot, max_size=3), label="maxima"),
         Tolerance(eps),
     )
-    assert MONITOR_RULES["careful_separation"](tr) == _reference_careful_separation(tr)
+    assert MONITOR_RULES["careful_separation"](*snaps) == _reference_careful_separation(tr)
 
 
 def test_careful_separation_tests_only_the_first_robot_against_the_maxima():
@@ -138,8 +139,8 @@ def test_careful_separation_tests_only_the_first_robot_against_the_maxima():
         ([far, near], "robots 0 and 1 merged at Point(x=0.0015, y=0.0), which is not a maximum point"),
         ([near, far], None),
     ]:
-        tr = _transition(before, after, [Point(0.0, 0.0)], Tolerance(1e-3))
-        assert MONITOR_RULES["careful_separation"](tr) == _reference_careful_separation(tr) == expected
+        snaps, tr = _transition(before, after, [Point(0.0, 0.0)], Tolerance(1e-3))
+        assert MONITOR_RULES["careful_separation"](*snaps) == _reference_careful_separation(tr) == expected
 
 
 @settings(max_examples=200, deadline=None)

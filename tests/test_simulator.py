@@ -11,6 +11,8 @@ import warnings
 
 import pytest
 
+import gathersim.simulator as simulator
+from gathersim.analysis import attach_lemma_monitors
 from gathersim.geometry import Point, Tolerance, dist
 from gathersim.model import Frame
 from gathersim.protocol import (
@@ -27,10 +29,12 @@ from gathersim.simulator import (
     ROUND_ROBIN,
     SCRIPTED,
     STEP_LIMIT_REACHED,
+    STRATEGIES,
     SYNCHRONOUS,
+    MonitorReport,
     Robot,
     SchedulerSpec,
-    SimState,
+    Snapshot,
     apply_motion,
     initial_state,
     next_active,
@@ -79,56 +83,62 @@ def test_initial_state_copies_robots():
 
 def test_synchronous_wakes_everyone():
     state = initial_state(_line([(i, 0) for i in range(5)]))
-    assert next_active(SchedulerSpec(SYNCHRONOUS), state, TOL) == [0, 1, 2, 3, 4]
+    snap = Snapshot(state, TOL)
+    assert next_active(SchedulerSpec(SYNCHRONOUS), snap) == [0, 1, 2, 3, 4]
 
 
 def test_round_robin_cycles_by_step():
     state = initial_state(_line([(0, 0), (1, 0), (2, 0)]))
+    snap = Snapshot(state, TOL)
     state.t = 4
-    assert next_active(SchedulerSpec(ROUND_ROBIN), state, TOL) == [1]
+    assert next_active(SchedulerSpec(ROUND_ROBIN), snap) == [1]
 
 
 def test_random_subset_forces_starved_robot():
     # With seed 0 the raw draw at t=10 is {3}; robot 2 has been idle for the
     # whole fairness window, so the post-filter must add it.
     state = initial_state(_line([(i, 0) for i in range(4)]))
+    snap = Snapshot(state, TOL)
     state.t = 10
     state.last_active = [9, 9, 7, 9]
     spec = SchedulerSpec(RANDOM_SUBSET, seed=0, fairness_bound=3)
-    assert next_active(spec, state, TOL) == [2, 3]
+    assert next_active(spec, snap) == [2, 3]
 
 
 def test_random_subset_never_empty_and_replayable():
     state = initial_state(_line([(0, 0), (1, 0), (2, 0)]))
+    snap = Snapshot(state, TOL)
     spec = SchedulerSpec(RANDOM_SUBSET, seed=11)
     for t in range(200):
         state.t = t
-        active = next_active(spec, state, TOL)
+        active = next_active(spec, snap)
         assert active
         assert active == sorted(set(active))
         assert all(0 <= i < 3 for i in active)
-        assert next_active(spec, state, TOL) == active
+        assert next_active(spec, snap) == active
 
 
 def test_boundary_only_starves_interior():
     state = initial_state(
         _line([(1, 0), (0, 1), (-1, 0), (0, -1), (0.3, 0.2)])
     )
-    active = next_active(SchedulerSpec(BOUNDARY_ONLY), state, TOL)
+    snap = Snapshot(state, TOL)
+    active = next_active(SchedulerSpec(BOUNDARY_ONLY), snap)
     assert active == [0, 1, 2, 3]
 
 
 def test_scripted_cycles_and_validates():
     state = initial_state(_line([(0, 0), (1, 0), (2, 0)]))
+    snap = Snapshot(state, TOL)
     spec = SchedulerSpec(SCRIPTED, script=((0,), (1, 2)))
-    assert next_active(spec, state, TOL) == [0]
+    assert next_active(spec, snap) == [0]
     state.t = 1
-    assert next_active(spec, state, TOL) == [1, 2]
+    assert next_active(spec, snap) == [1, 2]
     state.t = 2
-    assert next_active(spec, state, TOL) == [0]
+    assert next_active(spec, snap) == [0]
     bad = SchedulerSpec(SCRIPTED, script=((7,),))
     with pytest.raises(ValueError):
-        next_active(bad, state, TOL)
+        next_active(bad, snap)
 
 
 def test_scheduler_spec_validation():
@@ -164,20 +174,43 @@ def test_motion_follows_unit_vector():
     assert dist(got, Point(0.6, 0.8)) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "start, target",
+    [
+        (Point(1e308, 0.0), Point(-1e308, 0.0)),
+        (Point(1e308, 1e308), Point(-1e308, -1e308)),
+        (Point(1.7e308, 1.7e308), Point(-1.7e308, -1.7e308)),
+    ],
+)
+@pytest.mark.parametrize("sigma", [1.0, 1e307])
+def test_motion_survives_an_overflowing_distance(start, target, sigma):
+    # dist(start, target) is inf; the robot still takes a finite capped step
+    # toward the target.
+    assert math.isinf(dist(start, target))
+    got = apply_motion(Robot(0, start, sigma), target)
+    assert math.isfinite(got.x) and math.isfinite(got.y)
+    assert dist(start, got) <= sigma * (1.0 + 1e-15)
+    if sigma > 1.0:
+        # A step this long shows at 1e308: it covers sigma toward the target.
+        assert dist(start, got) >= 0.99 * sigma
+        assert got.x < start.x
+        assert got.y == start.y if start.y == target.y else got.y < start.y
+
+
 # -- single steps -------------------------------------------------------------
 
 
 def test_step_requires_valid_active_set():
     state = initial_state(_line([(0, 0), (1, 0)]))
     with pytest.raises(ValueError):
-        step(state, [], TOL)
+        step(Snapshot(state, TOL), [])
     with pytest.raises(ValueError):
-        step(state, [5], TOL)
+        step(Snapshot(state, TOL), [5])
 
 
 def test_step_gathered_fixed_point():
     state = initial_state([Robot(i, Point(2, 3), 1) for i in range(5)])
-    after, events = step(state, range(5), TOL)
+    after, events = step(Snapshot(state, TOL), range(5))
     assert after.t == 1
     assert [r.pos for r in after.robots] == [Point(2, 3)] * 5
     assert all(e.action == STAY for e in events)
@@ -188,7 +221,7 @@ def test_step_three_collinear_hand_trace():
     # at (2,0), the middle robot is interior and already central, so the two
     # rim robots head inward and the cap stops them after one unit.
     state = initial_state(_line([(0, 0), (2, 0), (4, 0)]))
-    after, events = step(state, [0, 1, 2], TOL)
+    after, events = step(Snapshot(state, TOL), [0, 1, 2])
     assert [r.pos for r in after.robots] == [Point(1, 0), Point(2, 0), Point(3, 0)]
     assert [e.action for e in events] == [MOVE_DIRECT, STAY, MOVE_DIRECT]
     assert all(e.branch == BRANCH_BOUNDARY_TO_CENTER for e in events)
@@ -204,7 +237,7 @@ def test_step_blocked_careful_move_keeps_branch():
             Robot(3, Point(4, 0), 1),
         ]
     )
-    after, events = step(state, [0, 1, 2, 3], TOL)
+    after, events = step(Snapshot(state, TOL), [0, 1, 2, 3])
     blocked = events[3]
     assert blocked.activated
     assert blocked.action == STAY
@@ -219,7 +252,7 @@ def test_step_blocked_careful_move_keeps_branch():
 
 def test_step_inactive_robots_untouched():
     state = initial_state(_line([(0, 0), (2, 0), (4, 0)]))
-    after, events = step(state, [0], TOL)
+    after, events = step(Snapshot(state, TOL), [0])
     assert after.robots[1].pos == Point(2, 0)
     assert after.robots[2].pos == Point(4, 0)
     assert not events[1].activated
@@ -231,8 +264,8 @@ def test_step_snapshot_single_activation_matches_full():
     # A lone activated robot must decide exactly as it would have in the
     # synchronous step, because both read the same frozen snapshot.
     mk = lambda: initial_state(_line([(0, 0), (2, 0), (4, 0)]))
-    solo_after, solo_events = step(mk(), [0], TOL)
-    full_after, full_events = step(mk(), [0, 1, 2], TOL)
+    solo_after, solo_events = step(Snapshot(mk(), TOL), [0])
+    full_after, full_events = step(Snapshot(mk(), TOL), [0, 1, 2])
     assert solo_events[0] == full_events[0]
     assert solo_after.robots[0].pos == full_after.robots[0].pos
 
@@ -386,10 +419,60 @@ def test_robot_count_conserved_every_step():
         bots,
         SchedulerSpec(RANDOM_SUBSET, seed=2),
         tol=TOL,
-        on_step=lambda tr: counts.append(tr.after_config.robot_count),
+        monitors={"count": lambda before, after: counts.append(after.config.robot_count)},
     )
     assert outcome.status == GATHERED
     assert counts and all(c == 5 for c in counts)
+
+
+def test_run_reports_each_rule_message_with_step_and_configuration():
+    def on_gathering(before, after):
+        return f"gathered from t={before.state.t}" if after.config.is_gathered() else None
+
+    outcome, _ = run(
+        _line([(0, 0), (2, 0), (4, 0)]),
+        SchedulerSpec(SYNCHRONOUS),
+        tol=TOL,
+        monitors={"quiet": lambda before, after: None, "gathering": on_gathering},
+    )
+    assert outcome.final_t == 2
+    assert outcome.monitor_violations == [
+        MonitorReport("gathering", 1, "gathered from t=1", outcome.final_config)
+    ]
+
+
+def test_after_snapshot_of_a_step_is_the_before_snapshot_of_the_next():
+    pairs = []
+    outcome, _ = run(
+        _line([(0, 0), (2, 0), (4, 0), (0, 3), (3, 3)], sigma=0.6),
+        SchedulerSpec(BOUNDARY_ONLY),
+        tol=TOL,
+        monitors={"pairs": lambda before, after: pairs.append((before, after))},
+    )
+    assert len(pairs) == outcome.final_t > 1
+    assert [b.state.t for b, _ in pairs] == list(range(outcome.final_t))
+    assert all(prev_after is before for (_, prev_after), (before, _) in zip(pairs, pairs[1:]))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_each_configuration_is_normalized_once(strategy, monkeypatch):
+    calls = []
+    real_normalize = simulator.normalize
+
+    def counting_normalize(*args, **kwargs):
+        calls.append(args)
+        return real_normalize(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "normalize", counting_normalize)
+    script = ((0,), (1, 2), (3, 4)) if strategy == SCRIPTED else None
+    outcome, _ = run(
+        _line([(0, 0), (2, 0), (4, 0), (0, 3), (3, 3)], sigma=0.6),
+        SchedulerSpec(strategy, seed=3, script=script),
+        tol=TOL,
+        monitors=attach_lemma_monitors(),
+    )
+    assert outcome.status == GATHERED and outcome.final_t > 1
+    assert len(calls) == outcome.final_t + 1
 
 
 def test_scripted_run_follows_script_until_forced():
