@@ -467,14 +467,7 @@ def run_sweep(
         robots = random_robots(init_rng, n, tol)
         sched_seed = random.Random(f"{seed}:sched:{index}").getrandbits(63)
         spec = SchedulerSpec(strategy, sched_seed, fairness_bound)
-        outcome, _ = run(
-            robots,
-            spec,
-            tol=tol,
-            max_steps=max_steps,
-            monitors=monitors,
-            record_trace=False,
-        )
+        outcome, _ = run(robots, spec, tol=tol, max_steps=max_steps, monitors=monitors)
         per_run: dict[str, int] = {}
         for report in outcome.monitor_violations:
             per_run[report.monitor] = per_run.get(report.monitor, 0) + 1

@@ -11,6 +11,7 @@ tolerance; an eps given in a config file still wins.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -36,7 +37,6 @@ from .simulator import (
     Robot,
     SchedulerSpec,
     run,
-    trace_line,
 )
 
 ENV_EPS = "GATHERSIM_EPS"
@@ -68,7 +68,6 @@ class RunConfig:
     eps: float = 1e-9
     max_steps: Optional[int] = None
     monitors: Optional[dict[str, bool]] = None
-    trace_path: Optional[str] = None
     refresh_frames: bool = False
 
 
@@ -187,8 +186,7 @@ def parse_config(data: Any) -> RunConfig:
     top = _as_mapping(data, "config")
     _reject_unknown(
         top,
-        ("robots", "scheduler", "detection", "eps", "max_steps", "monitors", "trace_path",
-         "refresh_frames"),
+        ("robots", "scheduler", "detection", "eps", "max_steps", "monitors", "refresh_frames"),
         "",
     )
     robots_raw = _require(top, "robots", "config")
@@ -222,13 +220,8 @@ def parse_config(data: Any) -> RunConfig:
                 )
             parsed_toggles[name] = _as_bool(enabled, f"monitors.{name}")
         monitors = parsed_toggles
-    trace_path = top.get("trace_path")
-    if trace_path is not None and not isinstance(trace_path, str):
-        raise ConfigError("trace_path: expected a string path")
     refresh = _as_bool(top.get("refresh_frames", False), "refresh_frames")
-    return RunConfig(
-        robots, scheduler, eps, max_steps, monitors, trace_path, refresh
-    )
+    return RunConfig(robots, scheduler, eps, max_steps, monitors, refresh)
 
 
 def load_config(path: str) -> RunConfig:
@@ -273,7 +266,6 @@ def dump_config(config: RunConfig) -> dict:
         "eps": config.eps,
         "max_steps": config.max_steps,
         "monitors": None if config.monitors is None else dict(config.monitors),
-        "trace_path": config.trace_path,
         "refresh_frames": config.refresh_frames,
     }
 
@@ -287,25 +279,29 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    tol = Tolerance(config.eps)
-    monitors = attach_lemma_monitors(config.monitors)
-    outcome, trace = run(
-        config.robots,
-        config.scheduler,
-        tol,
-        config.max_steps,
-        monitors,
-        refresh_frames=config.refresh_frames,
-    )
-    trace_path = args.trace or config.trace_path
-    if trace_path:
-        try:
-            with open(trace_path, "w", encoding="utf-8") as handle:
-                for event in trace:
-                    handle.write(trace_line(event) + "\n")
-        except OSError as err:
-            print(f"cannot write trace to {trace_path}: {err}", file=sys.stderr)
-            return 1
+    # Opened first, so an unwritable path fails before the run, not after.
+    try:
+        handle = open(args.trace, "w", encoding="utf-8") if args.trace else None
+    except OSError as err:
+        print(f"cannot write trace to {args.trace}: {err}", file=sys.stderr)
+        return 1
+    with handle or contextlib.nullcontext():
+        outcome, trace = run(
+            config.robots,
+            config.scheduler,
+            Tolerance(config.eps),
+            config.max_steps,
+            attach_lemma_monitors(config.monitors),
+            record_trace=handle is not None,
+            refresh_frames=config.refresh_frames,
+        )
+        if handle is not None:
+            try:
+                handle.writelines(line + "\n" for line in trace)
+                handle.flush()
+            except OSError as err:
+                print(f"cannot write trace to {args.trace}: {err}", file=sys.stderr)
+                return 1
     record = {
         "status": outcome.status,
         "final_t": outcome.final_t,
@@ -405,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute one simulation from a JSON config")
     p_run.add_argument("--config", required=True, help="path to the run config")
-    p_run.add_argument("--trace", help="write the JSONL trace here (overrides config)")
+    p_run.add_argument("--trace", help="write the JSONL trace here")
     p_run.set_defaults(handler=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run randomized batches with all monitors")

@@ -34,6 +34,7 @@ from .model import (
 from .protocol import (
     MOVE_CAREFUL,
     STAY,
+    Action,
     BranchInfo,
     classify_branch,
     compute_action,
@@ -55,9 +56,12 @@ GATHERED = "gathered"
 STEP_LIMIT_REACHED = "step_limit_reached"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Robot:
-    """One robot: identity, true position, motion cap, and its private frame."""
+    """One robot: identity, true position, motion cap, and its private frame.
+
+    Frozen, because consecutive states share the robots that did not move.
+    """
 
     ident: int
     pos: Point
@@ -84,7 +88,7 @@ class SimState:
 
 
 def initial_state(robots: Sequence[Robot]) -> SimState:
-    bots = [replace(r) for r in robots]
+    bots = list(robots)
     if not bots:
         raise ValueError("need at least one robot")
     idents = {r.ident for r in bots}
@@ -210,37 +214,25 @@ def apply_motion(robot: Robot, target: Point) -> Point:
                  robot.pos.y + f * (target.y - robot.pos.y))
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One robot's record for one step.
+def trace_line(t: int, robot: Robot, action: Optional[Action]) -> str:
+    """One robot's record of step t as a canonical JSON line (fixed key order).
 
-    Asleep robots get activated=False and null branch/action/target.  A
-    careful move vetoed by the clear-path rule is recorded as action "stay"
-    with no target; the branch still tells you what was attempted.
+    ``robot`` is the robot after the step and ``action`` what it did, or
+    None if it slept.  A careful move vetoed by the clear-path rule is a
+    "stay" with no target; the branch still tells you what was attempted.
     """
-
-    t: int
-    robot_id: int
-    activated: bool
-    branch: Optional[str]
-    action: Optional[str]
-    target: Optional[Point]
-    new_pos: Point
-
-
-def trace_line(event: TraceEvent) -> str:
-    """Serialize one event as a canonical JSON line (fixed key order)."""
+    target = None if action is None else action.target
     return json.dumps(
         {
-            "t": event.t,
-            "robot_id": event.robot_id,
-            "activated": event.activated,
-            "branch": event.branch,
-            "action": event.action,
-            "target_x": None if event.target is None else event.target.x,
-            "target_y": None if event.target is None else event.target.y,
-            "new_x": event.new_pos.x,
-            "new_y": event.new_pos.y,
+            "t": t,
+            "robot_id": robot.ident,
+            "activated": action is not None,
+            "branch": None if action is None else action.branch,
+            "action": None if action is None else action.kind,
+            "target_x": None if target is None else target.x,
+            "target_y": None if target is None else target.y,
+            "new_x": robot.pos.x,
+            "new_y": robot.pos.y,
         },
         separators=(",", ":"),
     )
@@ -259,50 +251,39 @@ def _snap_to_occupied(target: Point, config: Configuration, tol: Tolerance) -> P
     return target
 
 
-def step(snap: Snapshot, active: Sequence[int]) -> tuple[SimState, list[TraceEvent]]:
+def step(snap: Snapshot, active: Sequence[int]) -> tuple[SimState, dict[int, Action]]:
     """Execute one semi-synchronous step for the given activation set.
 
-    All observations and the clear-path gate read the entry snapshot;
-    positions update only at the end.  The careful-move veto also runs on
-    the snapshot: the protocol asked under local coordinates, but blocking
-    is a fact about the shared world, so it is re-checked globally.
+    Returns the next state and, for each woken robot, the action it took in
+    global coordinates; a robot that did not move is the same object in both
+    states.  All observations and the clear-path gate read the entry
+    snapshot; positions update only at the end.  The careful-move veto also
+    runs on the snapshot: the protocol asked under local coordinates, but
+    blocking is a fact about the shared world, so it is re-checked globally.
     """
     state, config, tol = snap.state, snap.config, snap.tol
     if not active:
         raise ValueError("activation set must be non-empty")
-    active_set = set(active)
-    for i in active_set:
-        if not (0 <= i < len(state.robots)):
+    robots = list(state.robots)
+    last_active = list(state.last_active)
+    actions: dict[int, Action] = {}
+    for i in sorted(set(active)):
+        if not (0 <= i < len(robots)):
             raise ValueError(f"activation set names unknown robot index {i}")
-    events: list[TraceEvent] = []
-    new_positions: list[Point] = []
-    for i, robot in enumerate(state.robots):
-        if i not in active_set:
-            events.append(TraceEvent(state.t, robot.ident, False, None, None, None, robot.pos))
-            new_positions.append(robot.pos)
-            continue
+        robot = robots[i]
+        last_active[i] = state.t
         frame = ego_frame(robot.frame, robot.pos)
-        view = observe(config, frame)
-        action = compute_action(view, Point(0.0, 0.0), tol)
-        if action.kind == STAY:
-            events.append(TraceEvent(state.t, robot.ident, True, action.branch, STAY, None, robot.pos))
-            new_positions.append(robot.pos)
-            continue
-        assert action.target is not None
-        target = _snap_to_occupied(to_global(frame, action.target), config, tol)
-        if action.kind == MOVE_CAREFUL and not path_is_clear(config.occupied, robot.pos, target, tol):
-            events.append(TraceEvent(state.t, robot.ident, True, action.branch, STAY, None, robot.pos))
-            new_positions.append(robot.pos)
-            continue
-        landed = apply_motion(robot, target)
-        events.append(TraceEvent(state.t, robot.ident, True, action.branch, action.kind, target, landed))
-        new_positions.append(landed)
-    robots = [replace(r, pos=p) for r, p in zip(state.robots, new_positions)]
-    last_active = [
-        state.t if i in active_set else prev
-        for i, prev in enumerate(state.last_active)
-    ]
-    return SimState(state.t + 1, robots, last_active), events
+        action = compute_action(observe(config, frame), Point(0.0, 0.0), tol)
+        if action.kind != STAY:
+            assert action.target is not None
+            target = _snap_to_occupied(to_global(frame, action.target), config, tol)
+            if action.kind == MOVE_CAREFUL and not path_is_clear(config.occupied, robot.pos, target, tol):
+                action = Action(STAY, branch=action.branch)
+            else:
+                action = Action(action.kind, target, action.branch)
+                robots[i] = replace(robot, pos=apply_motion(robot, target))
+        actions[i] = action
+    return SimState(state.t + 1, robots, last_active), actions
 
 
 # A monitor rule reads the snapshots around one step and returns a message
@@ -336,9 +317,9 @@ def run(
     max_steps: Optional[int] = None,
     monitors: Optional[Mapping[str, Rule]] = None,
     stop_on_gather: bool = True,
-    record_trace: bool = True,
+    record_trace: bool = False,
     refresh_frames: bool = False,
-) -> tuple[RunOutcome, list[TraceEvent]]:
+) -> tuple[RunOutcome, list[str]]:
     """Drive a full run: schedule, step, monitor, repeat.
 
     Stops as soon as the configuration collapses to one point (unless
@@ -348,6 +329,8 @@ def run(
     snapshots around each step; a message it returns becomes a
     ``MonitorReport``.  Findings are collected, never raised; a violated
     invariant is data, and stopping the run would hide what happens next.
+    With ``record_trace`` the second item returned is the trace, one
+    ``trace_line`` per robot per step; without it the list is empty.
 
     ``refresh_frames`` redraws every robot's frame each step from the
     scheduler seed, an adversarial stress mode; the rule is supposed to be
@@ -365,7 +348,7 @@ def run(
         max_steps = 10000 * n
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    trace: list[TraceEvent] = []
+    trace: list[str] = []
     violations: list[MonitorReport] = []
     for _ in range(max_steps):
         if stop_on_gather and snap.config.is_gathered():
@@ -373,10 +356,11 @@ def run(
         if refresh_frames:
             rng = random.Random(f"{scheduler.seed}:frames:{snap.state.t}")
             snap.state.robots = [replace(r, frame=random_frame(rng)) for r in snap.state.robots]
-        state, events = step(snap, next_active(scheduler, snap))
+        state, actions = step(snap, next_active(scheduler, snap))
         before, snap = snap, Snapshot(state, tol)
         if record_trace:
-            trace.extend(events)
+            t = before.state.t
+            trace.extend(trace_line(t, r, actions.get(i)) for i, r in enumerate(state.robots))
         for name, rule in (monitors or {}).items():
             message = rule(before, snap)
             if message is not None:

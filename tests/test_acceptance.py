@@ -25,7 +25,6 @@ from gathersim.simulator import (
     Robot,
     SchedulerSpec,
     run,
-    trace_line,
 )
 
 TOL = Tolerance()
@@ -93,7 +92,6 @@ def test_criterion_2_gathered_runs_stay_gathered():
                 "record": lambda before, after: steps_gathered.append(after.config.is_gathered()),
             },
             stop_on_gather=False,
-            record_trace=False,
         )
         violations += len(outcome.monitor_violations)
         if outcome.status != GATHERED or len(steps_gathered) != 1000 or not all(steps_gathered):
@@ -181,9 +179,10 @@ def test_criterion_7_reruns_are_identical(sweeps):
             robots,
             SchedulerSpec(RANDOM_SUBSET, 1234),
             tol=TOL,
+            record_trace=True,
             refresh_frames=True,
         )
-        return outcome.status, "\n".join(trace_line(e) for e in trace)
+        return outcome.status, "\n".join(trace)
 
     status_a, text_a = traced_run()
     status_b, text_b = traced_run()

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from gathersim import cli
 from gathersim.cli import (
     ConfigError,
     RunConfig,
@@ -69,6 +70,9 @@ def _line_config(**extra):
         (lambda c: c.update(monitors={"psychic": True}), "monitors.psychic"),
         (lambda c: c.update(monitors={"closure": "on"}), "monitors.closure"),
         (lambda c: c.update(trace_path=7), "trace_path"),
+        pytest.param(
+            lambda c: c.update(trace_path="t.jsonl"), "trace_path: unknown field", id="trace_path-unknown"
+        ),
         (lambda c: c.update(refresh_frames="always"), "refresh_frames"),
         pytest.param(lambda c: c.update(detection="weak"), "detection", id="detection-weak"),
         pytest.param(lambda c: c.update(detection="none"), "detection", id="detection-none"),
@@ -130,7 +134,6 @@ def test_config_round_trip():
         eps=1e-8,
         max_steps=500,
         monitors={"closure": True, "radius_progress": False},
-        trace_path="out.jsonl",
         refresh_frames=True,
     )
     assert parse_config(dump_config(original)) == original
@@ -244,12 +247,22 @@ def test_run_trace_replay_is_byte_identical(tmp_path, capsys):
         }
 
 
-def test_run_trace_path_from_config(tmp_path, capsys):
-    trace_file = tmp_path / "from_config.jsonl"
-    path = _write(tmp_path, _line_config(trace_path=str(trace_file)))
-    assert main(["run", "--config", path]) == 0
-    capsys.readouterr()
-    assert trace_file.exists()
+def test_run_unwritable_trace_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    calls = []
+    real_run = cli.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run", counting_run)
+    path = _write(tmp_path, _line_config())
+    trace = tmp_path / "no" / "such" / "dir" / "t.jsonl"
+    assert main(["run", "--config", path, "--trace", str(trace)]) == 1
+    captured = capsys.readouterr()
+    assert "cannot write trace" in captured.err
+    assert captured.out == ""
+    assert calls == []
 
 
 # -- sweep subcommand ---------------------------------------------------------

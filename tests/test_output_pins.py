@@ -8,7 +8,9 @@ if the change is intended, say why and record the new digest.
 
 The run cases cover what the benchmark's recorded digests do not: the
 boundary-only adversary, frames redrawn every step, and eps = 0, at which
-the lemma monitors do report findings.
+the lemma monitors do report findings.  The CLI trace cases pin the file
+``gathersim run --trace`` writes, reflected frames and a vetoed careful
+move included.
 """
 
 import contextlib
@@ -21,7 +23,7 @@ import warnings
 from gathersim import cli
 from gathersim.analysis import attach_lemma_monitors, random_robots, run_sweep
 from gathersim.geometry import Tolerance
-from gathersim.simulator import SchedulerSpec, run, trace_line
+from gathersim.simulator import SchedulerSpec, run
 
 # (eps, n, strategy, refresh_frames, seed)
 RUN_CASES = (
@@ -37,6 +39,33 @@ RUN_DIGEST = "a78e439ab3040191d74887d38033e497cf035f59467ecf4540e3c572be886c1f"
 SWEEP_DIGEST = "9ed7f24d3e07ca2ea2574cd1ff8cd70c59dea7fadbb38b166990bf7a3fdb1347"
 CHECK_DIGEST = "7bd7e3bff10cb78142331f855c530b381486c1849c6f5efd668dd39e52be2d4b"
 DEMO_DIGEST = "cf81d92f3fb1c6f465a8195d8477e83c6a0451146dae9ea628695d81a7210bd4"
+
+# Frames redrawn each step under the boundary-only adversary.
+BOUNDARY_CONFIG = {
+    "robots": [
+        {"x": 0.0, "y": 0.0, "sigma": 0.7, "frame": {"reflected": True}},
+        {"x": 3.0, "y": 1.0, "sigma": 0.9, "frame": {"rotation": 1.0, "scale": 1.5, "reflected": True}},
+        {"x": 1.0, "y": 4.0, "sigma": 0.8},
+        {"x": -2.0, "y": 2.5, "sigma": 0.6, "frame": {"rotation": -2.5, "tx": 3.0, "ty": 1.0}},
+        {"x": 0.5, "y": 1.5, "sigma": 1.2, "frame": {"scale": 0.25, "reflected": True}},
+    ],
+    "scheduler": {"strategy": "boundary_only_adversary", "seed": 17, "fairness_bound": 6},
+    "refresh_frames": True,
+}
+# A unique maximum at the origin; at t=0 the robots at x=4 and x=6 have the
+# robot at x=2 on their way to it, so their careful moves are vetoed.
+VETO_CONFIG = {
+    "robots": [
+        {"x": 0.0, "y": 0.0, "sigma": 1.0},
+        {"x": 0.0, "y": 0.0, "sigma": 1.0, "frame": {"rotation": 2.0, "scale": 0.5, "reflected": True}},
+        {"x": 2.0, "y": 0.0, "sigma": 1.0, "frame": {"rotation": -1.0, "scale": 3.0, "tx": 1.0, "ty": -2.0}},
+        {"x": 4.0, "y": 0.0, "sigma": 1.0, "frame": {"rotation": 0.5, "reflected": True}},
+        {"x": 6.0, "y": 0.0, "sigma": 1.5, "frame": {"scale": 2.0, "tx": -4.0, "reflected": True}},
+    ],
+    "scheduler": {"strategy": "synchronous"},
+}
+BOUNDARY_TRACE_DIGEST = "cb0e015513f7bd9d96875632eaee7dceb3e4177c6d1496e0bf9e310070d33369"
+VETO_TRACE_DIGEST = "2c3bf0cb842b90fd6db6d93b424d119a141b021186f011353daff4ce0da9050c"
 
 
 def _digest(lines):
@@ -60,9 +89,10 @@ def _run_lines(eps, n, strategy, refresh, seed):
             tol=Tolerance(eps),
             max_steps=300,
             monitors=attach_lemma_monitors(),
+            record_trace=True,
             refresh_frames=refresh,
         )
-    yield from (trace_line(event) for event in trace)
+    yield from trace
     for report in outcome.monitor_violations:
         yield json.dumps([report.monitor, report.step, report.description, _occupied(report.snapshot)])
     yield json.dumps([outcome.status, outcome.final_t, _occupied(outcome.final_config)])
@@ -73,6 +103,15 @@ def _cli_lines(argv):
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     return out.getvalue().splitlines() + [f"exit {code}"]
+
+
+def _cli_trace_lines(tmp_path, config):
+    """The trace file, then stdout and the exit code, of ``gathersim run --trace``."""
+    config_path = tmp_path / "config.json"
+    trace_path = tmp_path / "trace.jsonl"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    printed = _cli_lines(["run", "--config", str(config_path), "--trace", str(trace_path)])
+    return trace_path.read_text(encoding="utf-8").splitlines() + printed
 
 
 def test_monitored_run_traces_and_findings_are_pinned():
@@ -101,3 +140,22 @@ def test_even_witness_output_is_pinned():
     lines = _cli_lines(["demo-even", "--n", "4", "--steps", "200"])
     assert lines[-1] == "exit 0"
     assert _digest(lines) == DEMO_DIGEST
+
+
+def test_cli_trace_under_boundary_adversary_is_pinned(tmp_path):
+    lines = _cli_trace_lines(tmp_path, BOUNDARY_CONFIG)
+    assert lines[-1] == "exit 0"
+    assert _digest(lines) == BOUNDARY_TRACE_DIGEST
+
+
+def test_cli_trace_with_a_vetoed_careful_move_is_pinned(tmp_path):
+    lines = _cli_trace_lines(tmp_path, VETO_CONFIG)
+    assert lines[-1] == "exit 0"
+    records = [json.loads(line) for line in lines[:-2]]
+    vetoed = [
+        r for r in records
+        if r["activated"] and r["action"] == "stay" and r["branch"] in ("unique_max", "two_max")
+        and (r["new_x"], r["new_y"]) != (0.0, 0.0)
+    ]
+    assert [(r["t"], r["robot_id"]) for r in vetoed][:2] == [(0, 3), (0, 4)]
+    assert _digest(lines) == VETO_TRACE_DIGEST

@@ -5,6 +5,7 @@ it exercises the circle-contraction branch end to end with the motion cap
 active, which no single-module test can.
 """
 
+import dataclasses
 import json
 import math
 import warnings
@@ -52,6 +53,10 @@ def _line(robot_positions, sigma=1.0):
     ]
 
 
+def _records(trace):
+    return [json.loads(line) for line in trace]
+
+
 # -- robots and state ---------------------------------------------------------
 
 
@@ -74,8 +79,15 @@ def test_initial_state_validation():
 def test_initial_state_copies_robots():
     bots = [Robot(0, Point(0, 0), 1)]
     state = initial_state(bots)
-    state.robots[0].pos = Point(9, 9)
+    state.robots[0] = Robot(0, Point(9, 9), 1)
     assert bots[0].pos == Point(0, 0)
+
+
+def test_robots_are_frozen():
+    robot = Robot(0, Point(0, 0), 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        robot.pos = Point(9, 9)
+    assert robot.pos == Point(0, 0)
 
 
 # -- scheduling ---------------------------------------------------------------
@@ -210,10 +222,11 @@ def test_step_requires_valid_active_set():
 
 def test_step_gathered_fixed_point():
     state = initial_state([Robot(i, Point(2, 3), 1) for i in range(5)])
-    after, events = step(Snapshot(state, TOL), range(5))
+    after, actions = step(Snapshot(state, TOL), range(5))
     assert after.t == 1
     assert [r.pos for r in after.robots] == [Point(2, 3)] * 5
-    assert all(e.action == STAY for e in events)
+    assert sorted(actions) == [0, 1, 2, 3, 4]
+    assert all(a.kind == STAY for a in actions.values())
 
 
 def test_step_three_collinear_hand_trace():
@@ -221,11 +234,11 @@ def test_step_three_collinear_hand_trace():
     # at (2,0), the middle robot is interior and already central, so the two
     # rim robots head inward and the cap stops them after one unit.
     state = initial_state(_line([(0, 0), (2, 0), (4, 0)]))
-    after, events = step(Snapshot(state, TOL), [0, 1, 2])
+    after, actions = step(Snapshot(state, TOL), [0, 1, 2])
     assert [r.pos for r in after.robots] == [Point(1, 0), Point(2, 0), Point(3, 0)]
-    assert [e.action for e in events] == [MOVE_DIRECT, STAY, MOVE_DIRECT]
-    assert all(e.branch == BRANCH_BOUNDARY_TO_CENTER for e in events)
-    assert events[0].target == Point(2, 0)
+    assert [actions[i].kind for i in range(3)] == [MOVE_DIRECT, STAY, MOVE_DIRECT]
+    assert all(a.branch == BRANCH_BOUNDARY_TO_CENTER for a in actions.values())
+    assert actions[0].target == Point(2, 0)
 
 
 def test_step_blocked_careful_move_keeps_branch():
@@ -237,44 +250,66 @@ def test_step_blocked_careful_move_keeps_branch():
             Robot(3, Point(4, 0), 1),
         ]
     )
-    after, events = step(Snapshot(state, TOL), [0, 1, 2, 3])
-    blocked = events[3]
-    assert blocked.activated
-    assert blocked.action == STAY
+    before = Snapshot(state, TOL)
+    after, actions = step(before, [0, 1, 2, 3])
+    blocked = actions[3]
+    assert blocked.kind == STAY
     assert blocked.branch == BRANCH_UNIQUE_MAX
     assert blocked.target is None
+    assert after.robots[3] is before.state.robots[3]
     assert after.robots[3].pos == Point(4, 0)
     # the robot in front walked; the one behind still judged the old snapshot
-    mover = events[2]
-    assert mover.action == MOVE_CAREFUL
+    mover = actions[2]
+    assert mover.kind == MOVE_CAREFUL
+    assert mover.target == Point(0, 0)
     assert after.robots[2].pos == Point(1, 0)
 
 
 def test_step_inactive_robots_untouched():
     state = initial_state(_line([(0, 0), (2, 0), (4, 0)]))
-    after, events = step(Snapshot(state, TOL), [0])
+    after, actions = step(Snapshot(state, TOL), [0])
     assert after.robots[1].pos == Point(2, 0)
     assert after.robots[2].pos == Point(4, 0)
-    assert not events[1].activated
-    assert events[1].action is None and events[1].branch is None
+    assert list(actions) == [0]
     assert after.last_active == [0, -1, -1]
+    assert state.last_active == [-1, -1, -1]
 
 
 def test_step_snapshot_single_activation_matches_full():
     # A lone activated robot must decide exactly as it would have in the
     # synchronous step, because both read the same frozen snapshot.
     mk = lambda: initial_state(_line([(0, 0), (2, 0), (4, 0)]))
-    solo_after, solo_events = step(Snapshot(mk(), TOL), [0])
-    full_after, full_events = step(Snapshot(mk(), TOL), [0, 1, 2])
-    assert solo_events[0] == full_events[0]
+    solo_after, solo_actions = step(Snapshot(mk(), TOL), [0])
+    full_after, full_actions = step(Snapshot(mk(), TOL), [0, 1, 2])
+    assert solo_actions[0] == full_actions[0]
     assert solo_after.robots[0].pos == full_after.robots[0].pos
+
+
+def test_round_robin_step_touches_only_the_woken_robot():
+    snap = Snapshot(initial_state(_line([(0, 0), (2, 0), (4, 0), (1, 3), (5, 2)], sigma=0.6)), TOL)
+    spec = SchedulerSpec(ROUND_ROBIN)
+    kinds = set()
+    for _ in range(10):
+        active = next_active(spec, snap)
+        state, actions = step(snap, active)
+        assert list(actions) == active
+        for i, (old, new) in enumerate(zip(snap.state.robots, state.robots)):
+            if i not in actions or actions[i].kind == STAY:
+                assert new is old
+            else:
+                assert new.pos != old.pos
+            kinds.add(actions[i].kind if i in actions else None)
+        snap = Snapshot(state, TOL)
+    assert {None, STAY, MOVE_DIRECT} <= kinds
 
 
 # -- full runs ----------------------------------------------------------------
 
 
 def test_single_robot_is_gathered_immediately():
-    outcome, trace = run([Robot(0, Point(5, 5), 1)], SchedulerSpec(SYNCHRONOUS), tol=TOL)
+    outcome, trace = run(
+        [Robot(0, Point(5, 5), 1)], SchedulerSpec(SYNCHRONOUS), tol=TOL, record_trace=True
+    )
     assert outcome.status == GATHERED
     assert outcome.final_t == 0
     assert outcome.final_config.occupied == {Point(5, 5): 1}
@@ -304,11 +339,13 @@ def test_gathered_start_stays_gathered_without_stopping():
         tol=TOL,
         max_steps=200,
         stop_on_gather=False,
+        record_trace=True,
     )
     assert outcome.status == GATHERED
     assert outcome.final_t == 200
     assert outcome.final_config.occupied == {Point(-3, 7): 5}
-    assert all(e.new_pos == Point(-3, 7) for e in trace)
+    assert len(trace) == 5 * 200
+    assert all((r["new_x"], r["new_y"]) == (-3, 7) for r in _records(trace))
 
 
 def test_run_validates_max_steps():
@@ -344,11 +381,12 @@ def test_fairness_window_covers_every_robot():
         tol=TOL,
         max_steps=120,
         stop_on_gather=False,
+        record_trace=True,
     )
     by_step = {}
-    for e in trace:
-        if e.activated:
-            by_step.setdefault(e.t, set()).add(e.robot_id)
+    for r in _records(trace):
+        if r["activated"]:
+            by_step.setdefault(r["t"], set()).add(r["robot_id"])
     horizon = max(by_step) + 1
     assert horizon == 120
     for w in range(horizon - bound + 1):
@@ -360,10 +398,10 @@ def test_fairness_window_covers_every_robot():
 
 def test_boundary_adversary_cannot_prevent_gathering():
     bots = _line([(1, 0), (0, 1), (-1, 0), (0, -1), (0.3, 0.2)])
-    outcome, trace = run(bots, SchedulerSpec(BOUNDARY_ONLY), tol=TOL)
+    outcome, trace = run(bots, SchedulerSpec(BOUNDARY_ONLY), tol=TOL, record_trace=True)
     assert outcome.status == GATHERED
     # the interior robot slept until the fairness bound (3n = 15) forced it
-    first_active = min(e.t for e in trace if e.robot_id == 4 and e.activated)
+    first_active = min(r["t"] for r in _records(trace) if r["robot_id"] == 4 and r["activated"])
     assert first_active == 14
 
 
@@ -375,9 +413,10 @@ def test_trace_is_deterministic():
             Robot(2, Point(1, 4), 0.8),
         ]
         outcome, trace = run(
-            bots, SchedulerSpec(RANDOM_SUBSET, seed=42), tol=TOL, refresh_frames=True
+            bots, SchedulerSpec(RANDOM_SUBSET, seed=42), tol=TOL, record_trace=True,
+            refresh_frames=True,
         )
-        return outcome, "\n".join(trace_line(e) for e in trace)
+        return outcome, "\n".join(trace)
 
     first_outcome, first_text = go()
     second_outcome, second_text = go()
@@ -388,28 +427,33 @@ def test_trace_is_deterministic():
 
 def test_trace_events_respect_stay_invariant():
     bots = _line([(0, 0), (2, 0), (4, 0), (1, 3), (5, 2)], sigma=0.4)
-    _, trace = run(bots, SchedulerSpec(RANDOM_SUBSET, seed=9), tol=TOL)
-    pos = {i: Point(float(p[0]), float(p[1])) for i, p in enumerate([(0, 0), (2, 0), (4, 0), (1, 3), (5, 2)])}
-    for e in trace:
-        if not e.activated or e.action == STAY:
-            assert e.new_pos == pos[e.robot_id]
-        if not e.activated:
-            assert e.action is None and e.target is None
-        pos[e.robot_id] = e.new_pos
+    _, trace = run(bots, SchedulerSpec(RANDOM_SUBSET, seed=9), tol=TOL, record_trace=True)
+    pos = {i: (float(p[0]), float(p[1])) for i, p in enumerate([(0, 0), (2, 0), (4, 0), (1, 3), (5, 2)])}
+    for r in _records(trace):
+        new_pos = (r["new_x"], r["new_y"])
+        if not r["activated"] or r["action"] == STAY:
+            assert new_pos == pos[r["robot_id"]]
+        if not r["activated"]:
+            assert r["action"] is None and r["target_x"] is None and r["target_y"] is None
+        pos[r["robot_id"]] = new_pos
 
 
 def test_trace_line_format():
     bots = _line([(0, 0), (2, 0), (4, 0)])
-    _, trace = run(bots, SchedulerSpec(SYNCHRONOUS), tol=TOL)
-    line = trace_line(trace[0])
+    _, trace = run(bots, SchedulerSpec(SYNCHRONOUS), tol=TOL, record_trace=True)
+    line = trace[0]
     assert line.startswith('{"t":0,"robot_id":0,"activated":true,')
     record = json.loads(line)
     assert list(record) == [
         "t", "robot_id", "activated", "branch", "action",
         "target_x", "target_y", "new_x", "new_y",
     ]
-    stay_line = json.loads(trace_line(next(e for e in trace if e.action == STAY)))
+    stay_line = next(r for r in _records(trace) if r["action"] == STAY)
     assert stay_line["target_x"] is None and stay_line["target_y"] is None
+    assert trace_line(3, Robot(7, Point(0.5, -2.0), 1), None) == (
+        '{"t":3,"robot_id":7,"activated":false,"branch":null,"action":null,'
+        '"target_x":null,"target_y":null,"new_x":0.5,"new_y":-2.0}'
+    )
 
 
 def test_robot_count_conserved_every_step():
@@ -478,7 +522,8 @@ def test_each_configuration_is_normalized_once(strategy, monkeypatch):
 def test_scripted_run_follows_script_until_forced():
     bots = _line([(0, 0), (2, 0), (4, 0)])
     spec = SchedulerSpec(SCRIPTED, script=((0,), (1,), (2,)))
-    outcome, trace = run(bots, spec, tol=TOL, max_steps=6)
-    for e in trace:
+    outcome, trace = run(bots, spec, tol=TOL, max_steps=6, record_trace=True)
+    assert len(trace) == 3 * outcome.final_t
+    for r in _records(trace):
         # default bound 3n = 9 never kicks in within 6 steps
-        assert e.activated == (e.robot_id == e.t % 3)
+        assert r["activated"] == (r["robot_id"] == r["t"] % 3)
