@@ -286,15 +286,22 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"cannot write trace to {args.trace}: {err}", file=sys.stderr)
         return 1
     with handle or contextlib.nullcontext():
-        outcome, trace = run(
-            config.robots,
-            config.scheduler,
-            Tolerance(config.eps),
-            config.max_steps,
-            attach_lemma_monitors(config.monitors),
-            record_trace=handle is not None,
-            refresh_frames=config.refresh_frames,
-        )
+        try:
+            outcome, trace = run(
+                config.robots,
+                config.scheduler,
+                Tolerance(config.eps),
+                config.max_steps,
+                attach_lemma_monitors(config.monitors),
+                record_trace=handle is not None,
+                refresh_frames=config.refresh_frames,
+            )
+        except BaseException:
+            # An empty file would read as the trace of a run that never started.
+            if handle is not None:
+                handle.close()
+                os.remove(args.trace)
+            raise
         if handle is not None:
             try:
                 handle.writelines(line + "\n" for line in trace)

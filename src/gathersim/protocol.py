@@ -48,6 +48,13 @@ BRANCH_TWO_MAX = "two_max"
 BRANCH_ALL_TO_CENTER = "all_to_center"
 BRANCH_BOUNDARY_TO_CENTER = "boundary_to_center"
 BRANCH_INSIDE_TO_CENTER = "inside_to_center"
+BRANCHES = (
+    BRANCH_UNIQUE_MAX,
+    BRANCH_TWO_MAX,
+    BRANCH_ALL_TO_CENTER,
+    BRANCH_BOUNDARY_TO_CENTER,
+    BRANCH_INSIDE_TO_CENTER,
+)
 
 
 @dataclass(frozen=True)
@@ -73,6 +80,8 @@ class Action:
                 raise ValueError("action target must be finite")
         else:
             raise ValueError(f"unknown action kind {self.kind!r}")
+        if self.branch is not None and self.branch not in BRANCHES:
+            raise ValueError(f"unknown branch label {self.branch!r}")
 
 
 @dataclass(frozen=True)

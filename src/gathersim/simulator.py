@@ -13,7 +13,6 @@ overshoots and never veers.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import warnings
@@ -73,6 +72,20 @@ class Robot:
             raise ValueError(f"robot {self.ident}: sigma must be positive and finite")
         if not (math.isfinite(self.pos.x) and math.isfinite(self.pos.y)):
             raise ValueError(f"robot {self.ident}: position must be finite")
+
+    @cached_property
+    def asleep_record(self) -> str:
+        """This robot's trace record of a step it slept through, minus its opening ``{"t":<t>``.
+
+        Cached in the instance ``__dict__``, which a frozen dataclass still
+        allows; fields, ``==``, ``hash`` and ``repr`` never see it.  A robot
+        that moves is rebuilt by ``replace``, so the cache always shows the
+        current position, and a robot asleep for many steps is formatted once.
+        """
+        return (
+            f',"robot_id":{self.ident},"activated":false,"branch":null,"action":null,'
+            f'"target_x":null,"target_y":null,"new_x":{self.pos.x!r},"new_y":{self.pos.y!r}}}'
+        )
 
 
 @dataclass
@@ -215,26 +228,28 @@ def apply_motion(robot: Robot, target: Point) -> Point:
 
 
 def trace_line(t: int, robot: Robot, action: Optional[Action]) -> str:
-    """One robot's record of step t as a canonical JSON line (fixed key order).
+    """One robot's record of step t as a JSON line with a fixed key order.
 
     ``robot`` is the robot after the step and ``action`` what it did, or
     None if it slept.  A careful move vetoed by the clear-path rule is a
     "stay" with no target; the branch still tells you what was attempted.
+
+    The bytes are those of ``json.dumps(record, separators=(",", ":"))``
+    over the keys t, robot_id, activated, branch, action, target_x,
+    target_y, new_x and new_y.  They are written directly: ``Robot`` and
+    ``Action`` admit only finite coordinates, whose ``repr`` is JSON's
+    number text, and kinds and branches are fixed ASCII labels.  A sleeping
+    robot's record comes from ``Robot.asleep_record``, built once per
+    position.
     """
-    target = None if action is None else action.target
-    return json.dumps(
-        {
-            "t": t,
-            "robot_id": robot.ident,
-            "activated": action is not None,
-            "branch": None if action is None else action.branch,
-            "action": None if action is None else action.kind,
-            "target_x": None if target is None else target.x,
-            "target_y": None if target is None else target.y,
-            "new_x": robot.pos.x,
-            "new_y": robot.pos.y,
-        },
-        separators=(",", ":"),
+    if action is None:
+        return f'{{"t":{t}{robot.asleep_record}'
+    branch = "null" if action.branch is None else f'"{action.branch}"'
+    tx, ty = ("null", "null") if action.target is None else map(repr, action.target)
+    return (
+        f'{{"t":{t},"robot_id":{robot.ident},"activated":true,"branch":{branch},'
+        f'"action":"{action.kind}","target_x":{tx},"target_y":{ty},'
+        f'"new_x":{robot.pos.x!r},"new_y":{robot.pos.y!r}}}'
     )
 
 

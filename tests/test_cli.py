@@ -265,6 +265,20 @@ def test_run_unwritable_trace_fails_before_the_run(tmp_path, capsys, monkeypatch
     assert calls == []
 
 
+def test_run_that_raises_leaves_no_trace_file(tmp_path):
+    # Coordinates near the largest float overflow the rule's geometry into a non-finite target.
+    cfg = _gathered_config(robots=[
+        {"x": 1e308, "y": 0.0, "sigma": 1.0},
+        {"x": -1e308, "y": 0.0, "sigma": 1.0},
+        {"x": 0.0, "y": 1e308, "sigma": 1.0},
+    ])
+    path = _write(tmp_path, cfg)
+    trace = tmp_path / "huge.jsonl"
+    with pytest.raises(ValueError, match="action target must be finite"):
+        main(["run", "--config", path, "--trace", str(trace)])
+    assert not trace.exists()
+
+
 # -- sweep subcommand ---------------------------------------------------------
 
 

@@ -61,6 +61,9 @@ def test_action_validation():
         Action(MOVE_DIRECT, Point(math.inf, 0))
     with pytest.raises(ValueError):
         Action("wander", Point(0, 0))
+    # Trace records carry the branch label without JSON escaping, so only the rule's labels pass.
+    with pytest.raises(ValueError):
+        Action(STAY, branch='say "hi"')
     assert Action(STAY).target is None
 
 

@@ -85,8 +85,11 @@ def test_initial_state_copies_robots():
 
 def test_robots_are_frozen():
     robot = Robot(0, Point(0, 0), 1)
+    trace_line(0, robot, None)  # fills the cached record
     with pytest.raises(dataclasses.FrozenInstanceError):
         robot.pos = Point(9, 9)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        robot.asleep_record = ""
     assert robot.pos == Point(0, 0)
 
 
