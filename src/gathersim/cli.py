@@ -15,6 +15,7 @@ import contextlib
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
@@ -298,9 +299,14 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
         except BaseException:
             # An empty file would read as the trace of a run that never started.
+            # Only the empty regular file opened above is removed, never a device
+            # or pipe, and a failed removal never hides the run's own error.
             if handle is not None:
-                handle.close()
-                os.remove(args.trace)
+                with contextlib.suppress(OSError):
+                    opened = os.fstat(handle.fileno())
+                    handle.close()
+                    if stat.S_ISREG(opened.st_mode) and opened.st_size == 0:
+                        os.remove(args.trace)
             raise
         if handle is not None:
             try:

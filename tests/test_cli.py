@@ -6,6 +6,8 @@ tests grep the diagnostics, not just the exit codes.
 """
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -277,6 +279,52 @@ def test_run_that_raises_leaves_no_trace_file(tmp_path):
     with pytest.raises(ValueError, match="action target must be finite"):
         main(["run", "--config", path, "--trace", str(trace)])
     assert not trace.exists()
+
+
+def _failing_run(*args, **kwargs):
+    raise RuntimeError("run failed")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_run_that_raises_keeps_a_trace_path_that_is_no_regular_file(tmp_path, monkeypatch):
+    # A named pipe stands in for any device or pipe given as --trace, /dev/null among them.
+    monkeypatch.setattr(cli, "run", _failing_run)
+    path = _write(tmp_path, _line_config())
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)  # so the writer's open does not block
+    try:
+        with pytest.raises(RuntimeError, match="run failed"):
+            main(["run", "--config", path, "--trace", str(pipe)])
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+
+
+def test_run_that_raises_keeps_a_trace_file_that_is_no_longer_empty(tmp_path, monkeypatch):
+    def writing_run(*args, **kwargs):
+        trace.write_text("written elsewhere\n", encoding="utf-8")
+        raise RuntimeError("run failed")
+
+    monkeypatch.setattr(cli, "run", writing_run)
+    path = _write(tmp_path, _line_config())
+    trace = tmp_path / "t.jsonl"
+    with pytest.raises(RuntimeError, match="run failed"):
+        main(["run", "--config", path, "--trace", str(trace)])
+    assert trace.read_text(encoding="utf-8") == "written elsewhere\n"
+
+
+def test_run_that_raises_keeps_its_error_when_the_removal_fails(tmp_path, monkeypatch):
+    def refusing_remove(target):
+        raise PermissionError(target)
+
+    monkeypatch.setattr(cli, "run", _failing_run)
+    monkeypatch.setattr(cli.os, "remove", refusing_remove)
+    path = _write(tmp_path, _line_config())
+    trace = tmp_path / "t.jsonl"
+    with pytest.raises(RuntimeError, match="run failed"):
+        main(["run", "--config", path, "--trace", str(trace)])
+    assert trace.read_bytes() == b""
 
 
 # -- sweep subcommand ---------------------------------------------------------
