@@ -44,6 +44,7 @@ from .model import Frame, random_frame
 from .protocol import BRANCH_BOUNDARY_TO_CENTER
 from .simulator import (
     GATHERED,
+    STEP_LIMIT_REACHED,
     Robot,
     Rule,
     RunOutcome,
@@ -169,19 +170,10 @@ def check_concave_sectors_occupied(
     sec = smallest_enclosing_circle(pts)
     if sec.radius <= tol.eps:
         return None
-    center = sec.center
-    for p, pp in combinations(pts, 2):
-        if points_coincide(p, center, tol) or points_coincide(pp, center, tol):
-            continue
-        pair = make_sector_pair(p, pp, center, tol)
-        if pair is None:
-            continue
-        for which, kind in ((1, pair.kind1), (2, pair.kind2)):
-            if kind != CONCAVE:
-                continue
-            if not any(sector_contains(pair, which, q, tol) for q in pts):
-                return f"empty concave sector at center {center} for pair {p}, {pp}"
-    return None
+    found = _first_empty_sector(pts, sec.center, (CONCAVE,), tol)
+    if found is None:
+        return None
+    return f"empty concave sector at center {sec.center} for pair {found[0]}, {found[1]}"
 
 
 def check_hull_sector_equivalence(
@@ -200,24 +192,24 @@ def check_hull_sector_equivalence(
     if isinstance(hull, DegenerateHull):
         raise ValueError("hull equivalence needs a non-collinear point set")
     on_hull = hull_boundary_contains(hull, probe, tol)
-    return on_hull == _empty_wide_sector_exists(points, probe, tol)
+    empty_wide = _first_empty_sector(points, probe, (CONCAVE, STRAIGHT), tol)
+    return on_hull == (empty_wide is not None)
 
 
-def _empty_wide_sector_exists(
-    points: Sequence[Point], probe: Point, tol: Tolerance
-) -> bool:
-    pts = list(points)
-    anchors = [p for p in pts if not points_coincide(p, probe, tol)]
-    for r, rp in combinations(anchors, 2):
-        pair = make_sector_pair(r, rp, probe, tol)
+def _first_empty_sector(
+    points: Sequence[Point], apex: Point, kinds: tuple[str, ...], tol: Tolerance
+) -> Optional[tuple[Point, Point]]:
+    """The first pair of points away from ``apex`` that cuts, at ``apex``, an
+    empty sector of one of ``kinds``, or None."""
+    anchors = [p for p in points if not points_coincide(p, apex, tol)]
+    for p, pp in combinations(anchors, 2):
+        pair = make_sector_pair(p, pp, apex, tol)
         if pair is None:
             continue
         for which, kind in ((1, pair.kind1), (2, pair.kind2)):
-            if kind not in (CONCAVE, STRAIGHT):
-                continue
-            if not any(sector_contains(pair, which, q, tol) for q in pts):
-                return True
-    return False
+            if kind in kinds and not any(sector_contains(pair, which, q, tol) for q in points):
+                return p, pp
+    return None
 
 
 def check_sec_points_on_hull(
@@ -486,24 +478,23 @@ def run_sweep(
                 "violations": per_run,
             }
         )
-    summary = SweepSummary(runs, gathered, runs - gathered, longest, counts)
+    step_limit = sum(r["status"] == STEP_LIMIT_REACHED for r in records)
+    summary = SweepSummary(runs, gathered, step_limit, longest, counts)
     return summary, records
 
 
-def even_livelock_demo(n_even: int, steps: int) -> RunOutcome:
+def even_livelock_demo(n_even: int) -> RunOutcome:
     """The symmetric witness for why even counts cannot gather.
 
     Half the robots sit at each of two points, with frames rotated a half
     turn against each other so the two camps see identical worlds.  Both
     points carry the maximal multiplicity, everyone is standing on a
-    maximum, so the rule says stay; the configuration is pinned at two
-    occupied points forever.  The returned outcome carries a two-point
-    persistence check among its monitor results.
+    maximum, so the rule says stay.  After the first synchronous step every
+    robot has seen the two points and stayed, so the run ends with status
+    ``FIXED_POINT``: no schedule can move this configuration again.
     """
     if n_even < 2 or n_even % 2 != 0:
         raise ValueError("the witness needs an even robot count >= 2")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     half = n_even // 2
     left = Point(0.0, 0.0)
     right = Point(1.0, 0.0)
@@ -512,21 +503,12 @@ def even_livelock_demo(n_even: int, steps: int) -> RunOutcome:
         robots.append(Robot(i, left, sigma=1.0, frame=Frame()))
     for i in range(half, n_even):
         robots.append(Robot(i, right, sigma=1.0, frame=Frame(rotation=math.pi)))
-
-    def two_points_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
-        k = len(after.config.occupied)
-        if k != 2:
-            return f"witness held {k} occupied points instead of two"
-        return None
-
-    monitors = {**attach_lemma_monitors(), "two_point_persistence": two_points_rule}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         outcome, _ = run(
             robots,
             SchedulerSpec(strategy="synchronous", seed=0),
-            max_steps=steps,
-            monitors=monitors,
+            monitors=attach_lemma_monitors(),
         )
     return outcome
 

@@ -52,6 +52,7 @@ STRATEGIES = (SYNCHRONOUS, ROUND_ROBIN, RANDOM_SUBSET, BOUNDARY_ONLY, SCRIPTED)
 
 # Run outcome statuses.
 GATHERED = "gathered"
+FIXED_POINT = "fixed_point"
 STEP_LIMIT_REACHED = "step_limit_reached"
 
 
@@ -339,7 +340,11 @@ def run(
 
     Stops as soon as the configuration collapses to one point (unless
     ``stop_on_gather`` is off, which is how stability-after-gathering gets
-    exercised) or after max_steps steps, defaulting to 10000 per robot.
+    exercised), at a fixed point, or after max_steps steps, defaulting to
+    10000 per robot.  A fixed point is an ungathered configuration that every
+    robot has observed since the last move: the rule is deterministic and
+    oblivious and frames are fixed, so no schedule can change it.  With
+    ``refresh_frames`` frames are not fixed, and runs never stop there.
     ``monitors`` maps a name to a rule ``rule(before, after)`` over the
     snapshots around each step; a message it returns becomes a
     ``MonitorReport``.  Findings are collected, never raised; a violated
@@ -365,6 +370,8 @@ def run(
         raise ValueError("max_steps must be >= 1")
     trace: list[str] = []
     violations: list[MonitorReport] = []
+    status = STEP_LIMIT_REACHED
+    last_move = -1
     for _ in range(max_steps):
         if stop_on_gather and snap.config.is_gathered():
             break
@@ -380,5 +387,12 @@ def run(
             message = rule(before, snap)
             if message is not None:
                 violations.append(MonitorReport(name, before.state.t, message, snap.config))
-    status = GATHERED if snap.config.is_gathered() else STEP_LIMIT_REACHED
+        # Positions, not action kinds: a move that rounds to no motion is no move.
+        if any(state.robots[i].pos != before.state.robots[i].pos for i in actions):
+            last_move = before.state.t
+        elif not (refresh_frames or snap.config.is_gathered()) and min(state.last_active) > last_move:
+            status = FIXED_POINT
+            break
+    if snap.config.is_gathered():
+        status = GATHERED
     return RunOutcome(status, snap.state.t, snap.config, violations), trace

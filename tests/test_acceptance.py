@@ -20,6 +20,7 @@ from gathersim.analysis import (
 from gathersim.geometry import Point, Tolerance
 from gathersim.model import random_frame
 from gathersim.simulator import (
+    FIXED_POINT,
     GATHERED,
     RANDOM_SUBSET,
     Robot,
@@ -150,16 +151,15 @@ def test_criterion_5_geometry_property_checks():
 def test_criterion_6_even_witness_never_gathers():
     problems = []
     for n in (2, 4, 6):
-        outcome = even_livelock_demo(n, 10000)
-        two_points = len(outcome.final_config.occupied) == 2
-        held = not outcome.monitor_violations
-        if outcome.status == GATHERED or not two_points or not held:
-            problems.append(f"n={n}: {outcome.status}, {len(outcome.final_config.occupied)} points")
+        outcome = even_livelock_demo(n)
+        counts = sorted(outcome.final_config.occupied.values())
+        if outcome.status != FIXED_POINT or counts != [n // 2, n // 2] or outcome.monitor_violations:
+            problems.append(f"n={n}: {outcome.status}, counts {counts}")
     _verdict(
         6,
         not problems,
         "; ".join(problems) if problems else
-        "n in (2, 4, 6) all held exactly two occupied points for 10000 steps",
+        "n in (2, 4, 6) all reached a fixed point of two camps of n/2 robots with silent monitors",
     )
 
 

@@ -8,6 +8,7 @@ legal runs is untested by definition.
 
 import math
 import random
+import warnings
 
 import pytest
 
@@ -26,6 +27,7 @@ from gathersim.analysis import (
 )
 from gathersim.geometry import Point, Tolerance, dist, smallest_enclosing_circle
 from gathersim.simulator import (
+    FIXED_POINT,
     GATHERED,
     Robot,
     SimState,
@@ -374,23 +376,32 @@ def test_run_sweep_validates_runs():
         run_sweep(3, 0, seed=1, strategy="synchronous", tol=TOL)
 
 
+def test_run_sweep_counts_only_step_limits_as_step_limits():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        summary, records = run_sweep(2, 10, seed=0, strategy="synchronous", tol=TOL)
+    statuses = [r["status"] for r in records]
+    assert statuses.count(FIXED_POINT) == 5
+    assert statuses.count(GATHERED) == summary.gathered == 5
+    assert summary.step_limit == 0
+
+
 # -- the even-count witness ---------------------------------------------------
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_even_livelock_never_gathers(n):
-    outcome = even_livelock_demo(n, 300)
-    assert outcome.status != GATHERED
-    assert outcome.final_t == 300
-    assert len(outcome.final_config.occupied) == 2
+    # Every robot wakes in the first synchronous step and stays, so the
+    # configuration is a fixed point after one step.
+    outcome = even_livelock_demo(n)
+    assert outcome.status == FIXED_POINT
+    assert outcome.final_t == 1
     assert outcome.monitor_violations == []
     assert sorted(outcome.final_config.occupied.values()) == [n // 2, n // 2]
 
 
 def test_even_livelock_validates_inputs():
     with pytest.raises(ValueError):
-        even_livelock_demo(3, 100)
+        even_livelock_demo(3)
     with pytest.raises(ValueError):
-        even_livelock_demo(0, 100)
-    with pytest.raises(ValueError):
-        even_livelock_demo(2, 0)
+        even_livelock_demo(0)

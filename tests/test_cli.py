@@ -227,6 +227,22 @@ def test_run_step_limit_exits_one(tmp_path, capsys):
     assert record["status"] == "step_limit_reached"
 
 
+def test_run_fixed_point_exits_one(tmp_path, capsys):
+    # In a frame with unit 1e-8 the robot at x = 0.06 sees the other two
+    # within eps of itself, so nobody ever moves.
+    tiny = {"scale": 1e-8}
+    cfg = {
+        "robots": [{"x": x, "y": 0.0, "sigma": 1.0, "frame": tiny} for x in (0.0, 0.0, 0.06)],
+        "scheduler": {"strategy": "synchronous"},
+    }
+    path = _write(tmp_path, cfg)
+    assert main(["run", "--config", path]) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert record["status"] == "fixed_point"
+    assert record["final_t"] == 1
+    assert record["violations"] == []
+
+
 def test_run_trace_replay_is_byte_identical(tmp_path, capsys):
     cfg = _line_config(
         scheduler={"strategy": "random_subset", "seed": 21}, refresh_frames=True
@@ -389,16 +405,22 @@ def test_check_unknown_suite_is_usage_error():
 
 
 def test_demo_even_reports_livelock(capsys):
-    assert main(["demo-even", "--n", "4", "--steps", "60"]) == 0
+    assert main(["demo-even", "--n", "4"]) == 0
     out = capsys.readouterr().out
-    assert "status: step_limit_reached after 60 steps" in out
-    assert "two occupied points at every step: yes" in out
-    assert "x2" in out  # both camps keep their multiplicity
+    assert "status: fixed_point after 1 steps" in out
+    assert "final occupancy: (0, 0) x2, (1, 0) x2" in out  # two camps of n/2
+    assert "monitor findings: 0" in out
 
 
 def test_demo_even_rejects_odd_n():
     with pytest.raises(SystemExit) as excinfo:
-        main(["demo-even", "--n", "3", "--steps", "10"])
+        main(["demo-even", "--n", "3"])
+    assert excinfo.value.code == 2
+
+
+def test_demo_even_has_no_step_budget():
+    with pytest.raises(SystemExit) as excinfo:
+        main(["demo-even", "--n", "4", "--steps", "5"])
     assert excinfo.value.code == 2
 
 

@@ -8,12 +8,13 @@ active, which no single-module test can.
 import dataclasses
 import json
 import math
+import random
 import warnings
 
 import pytest
 
 import gathersim.simulator as simulator
-from gathersim.analysis import attach_lemma_monitors
+from gathersim.analysis import attach_lemma_monitors, random_robots
 from gathersim.geometry import Point, Tolerance, dist
 from gathersim.model import Frame
 from gathersim.protocol import (
@@ -25,6 +26,7 @@ from gathersim.protocol import (
 )
 from gathersim.simulator import (
     BOUNDARY_ONLY,
+    FIXED_POINT,
     GATHERED,
     RANDOM_SUBSET,
     ROUND_ROBIN,
@@ -373,6 +375,61 @@ def test_step_limit_status():
         )
     assert outcome.status == STEP_LIMIT_REACHED
     assert outcome.final_t == 3
+
+
+# The three stalls that used to run to the step limit with silent monitors:
+# a frame unit so small that a robot sees the others within eps, coordinates
+# so large that a unit move rounds to no move, and eps = 0 with a robot
+# within rounding of the center.  (name, robots, strategy, eps, steps)
+STALLS = (
+    ("scale", [((0.0, 0.0), Frame(scale=1e-8))] * 2 + [((0.06, 0.0), Frame(scale=1e-8))],
+     SYNCHRONOUS, 1e-9, 1),
+    ("huge", [((1e300, 0.0), Frame()), ((-1e300, 0.0), Frame()), ((0.0, 1e300), Frame())],
+     SYNCHRONOUS, 1e-9, 1),
+    ("eps0_boundary", None, BOUNDARY_ONLY, 0.0, 19),
+    ("eps0_random", None, RANDOM_SUBSET, 0.0, 4),
+)
+
+
+@pytest.mark.parametrize("name, placed, strategy, eps, steps", STALLS, ids=[s[0] for s in STALLS])
+def test_stall_ends_at_its_fixed_point(name, placed, strategy, eps, steps):
+    if placed is None:
+        bots = random_robots(random.Random("pin:3:1"), 3)
+    else:
+        bots = [Robot(i, Point(*pos), 1.0, frame) for i, (pos, frame) in enumerate(placed)]
+    outcome, _ = run(bots, SchedulerSpec(strategy, 1), tol=Tolerance(eps), monitors=attach_lemma_monitors())
+    assert outcome.status == FIXED_POINT
+    assert outcome.final_t == steps
+    assert len(outcome.final_config.occupied) > 1
+    # At eps = 0 the robot near the center is already misjudged in step 0.
+    expected = [("inside_stays_inside", 0)] if eps == 0.0 else []
+    assert [(v.monitor, v.step) for v in outcome.monitor_violations] == expected
+
+
+def test_fixed_point_waits_until_every_robot_has_woken():
+    # Robot 0 stands on the unique maximum and stays; robot 2 would walk to
+    # it but sleeps until the fairness bound forces it awake at t = 49.
+    bots = _line([(0, 0), (0, 0), (3, 0)])
+    spec = SchedulerSpec(SCRIPTED, fairness_bound=50, script=((0,),))
+    outcome, _ = run(bots, spec, tol=TOL, max_steps=20)
+    assert outcome.status == STEP_LIMIT_REACHED
+    assert outcome.final_t == 20
+    outcome, _ = run(bots, spec, tol=TOL)
+    assert outcome.status == GATHERED
+    assert outcome.final_t > 50
+
+
+def test_fixed_point_never_declared_with_refreshed_frames():
+    # Two camps of two always stay, whatever their frames, but frames drawn
+    # afresh each step could change a decision, so the run goes to its limit.
+    bots = _line([(0, 0), (0, 0), (1, 0), (1, 0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fixed, _ = run(bots, SchedulerSpec(SYNCHRONOUS), tol=TOL, max_steps=30)
+        refreshed, _ = run(bots, SchedulerSpec(SYNCHRONOUS), tol=TOL, max_steps=30, refresh_frames=True)
+    assert (fixed.status, fixed.final_t) == (FIXED_POINT, 1)
+    assert (refreshed.status, refreshed.final_t) == (STEP_LIMIT_REACHED, 30)
+    assert len(refreshed.final_config.occupied) == 2
 
 
 def test_fairness_window_covers_every_robot():
