@@ -387,20 +387,42 @@ def attach_lemma_monitors(
 # Randomized harnesses
 
 
+# Candidates random_point_set may reject in a row before it gives up.  While
+# a share a of the square is still free, a false give-up has probability
+# (1 - a)**10_000: under 5e-5 for a = 1e-3.
+_PLACEMENT_ATTEMPTS = 10_000
+
+
+class PlacementError(ValueError):
+    """random_point_set found no room for its next point."""
+
+
 def random_point_set(
     rng: random.Random, k: int, tol: Tolerance = _DEFAULT_TOL
 ) -> list[Point]:
     """k points uniform in the unit square, pairwise farther than 10*eps.
 
     The resampling keeps randomized suites away from predicate knife-edges;
-    deliberately degenerate inputs get their own deterministic tests.
+    deliberately degenerate inputs get their own deterministic tests.  Points
+    are kept greedily, so a large eps can leave no room for the next one:
+    after _PLACEMENT_ATTEMPTS rejected candidates in a row this raises
+    PlacementError rather than drawing forever.
     """
     min_sep = 10.0 * tol.eps
     pts: list[Point] = []
+    misses = 0
     while len(pts) < k:
         cand = Point(rng.random(), rng.random())
         if all(dist(cand, p) > min_sep for p in pts):
             pts.append(cand)
+            misses = 0
+        else:
+            misses += 1
+            if misses == _PLACEMENT_ATTEMPTS:
+                raise PlacementError(
+                    f"no room for point {len(pts) + 1} of {k}: {misses} candidates in a row "
+                    f"fell within 10*eps = {min_sep:g} of a kept point"
+                )
     return pts
 
 

@@ -23,6 +23,7 @@ from typing import Any, Optional, Sequence
 
 from .analysis import (
     MONITOR_RULES,
+    PlacementError,
     attach_lemma_monitors,
     check_geometry_suite,
     check_lemmas_suite,
@@ -99,7 +100,10 @@ def _reject_unknown(data: dict, known: Sequence[str], prefix: str) -> None:
 def _as_number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {type(value).__name__}")
-    result = float(value)
+    try:
+        result = float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{where}: too large for a float") from exc
     if not math.isfinite(result):
         raise ConfigError(f"{where}: must be finite")
     return result
@@ -333,9 +337,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0 if outcome.status == GATHERED and not outcome.monitor_violations else 1
 
 
+def _eps_too_large(err: PlacementError) -> ConfigError:
+    # sweep and check draw their point sets 10*eps apart, and eps comes from
+    # the environment alone.
+    return ConfigError(f"{ENV_EPS}: eps is too large for random point sets: {err}")
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     tol = Tolerance(default_eps())
-    summary, records = run_sweep(args.n, args.runs, args.seed, args.scheduler, tol)
+    try:
+        summary, records = run_sweep(args.n, args.runs, args.seed, args.scheduler, tol)
+    except PlacementError as err:
+        raise _eps_too_large(err) from err
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
             for record in records:
@@ -363,12 +376,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     tol = Tolerance(default_eps())
     checks: list[tuple[str, bool, str]] = []
-    if args.suite in ("geometry", "all"):
-        checks.extend(check_geometry_suite(tol))
-    if args.suite in ("properties", "all"):
-        checks.extend(check_properties_suite(tol))
-    if args.suite in ("lemmas", "all"):
-        checks.extend(check_lemmas_suite(tol))
+    try:
+        if args.suite in ("geometry", "all"):
+            checks.extend(check_geometry_suite(tol))
+        if args.suite in ("properties", "all"):
+            checks.extend(check_properties_suite(tol))
+        if args.suite in ("lemmas", "all"):
+            checks.extend(check_lemmas_suite(tol))
+    except PlacementError as err:
+        raise _eps_too_large(err) from err
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     return 0 if all(ok for _, ok, _ in checks) else 1

@@ -11,6 +11,11 @@ monitor.  It is exact: for any eps >= 0 (zero and subnormal included) and any
 finite coordinates, ``within(q)`` returns precisely the indices of the stored
 points p with ``dist(q, p) <= eps``, the predicate points_coincide applies.
 The grid only prunes; every candidate is settled by that same comparison.
+
+smallest_enclosing_circle is bit-for-bit a function of the point set: input
+order never changes a bit of the result.  It runs on plain floats for speed,
+and tests/test_sec_kernel.py pins its output bits against the object-based
+construction it replaced, kept there verbatim as the oracle.
 """
 
 from __future__ import annotations
@@ -260,6 +265,8 @@ def strictly_inside_circle(p: Point, circle: Circle, tol: Tolerance = _DEFAULT_T
 
 
 def _require_distinct(points: Sequence[Point]) -> None:
+    if len(set(points)) == len(points):
+        return
     seen = set()
     for p in points:
         if p in seen:
@@ -267,108 +274,134 @@ def _require_distinct(points: Sequence[Point]) -> None:
         seen.add(p)
 
 
-def _input_seed(points: Sequence[Point]) -> int:
-    coords = []
-    for p in points:
-        coords.append(p.x)
-        coords.append(p.y)
-    return zlib.crc32(struct.pack(f"<{len(coords)}d", *coords))
+# Multiplicative slack on every enclosure test; it soaks up the rounding in
+# the circumcenter solve.
+_SLACK = 1.0 + 1e-14
 
 
 def smallest_enclosing_circle(points: Iterable[Point]) -> Circle:
     """Smallest circle enclosing the given distinct points.
 
-    Randomized move-to-front construction; expected linear time.  The shuffle
-    is seeded from a checksum of the input coordinates, so the same point set
-    always walks the same path and returns bit-identical output, regardless
-    of input order.
+    Randomized move-to-front construction (Welzl 1991); expected linear time.
+    The shuffle is seeded from a checksum of the sorted input coordinates, so
+    the same point set always walks the same path and returns bit-identical
+    output, regardless of input order.
     """
     pts = list(points)
     if not pts:
         raise ValueError("smallest_enclosing_circle needs at least one point")
     _require_distinct(pts)
     shuffled = sorted(pts)
-    random.Random(_input_seed(shuffled)).shuffle(shuffled)
-    circle: Optional[Circle] = None
-    for i, p in enumerate(shuffled):
-        if circle is None or not _encloses(circle, p):
-            circle = _sec_one_known(shuffled[: i + 1], p)
-    assert circle is not None
-    return circle
+    coords = itertools.chain.from_iterable(shuffled)
+    seed = zlib.crc32(struct.pack(f"<{2 * len(shuffled)}d", *coords))
+    random.Random(seed).shuffle(shuffled)
+    # A negative limit encloses nothing, so the first point starts the circle.
+    cx = cy = r = 0.0
+    lim = -1.0
+    for i, (px, py) in enumerate(shuffled):
+        if not (math.hypot(px - cx, py - cy) <= lim):
+            cx, cy, r = _sec_one_known(shuffled, i + 1, px, py)
+            lim = r * _SLACK
+    return Circle(Point(cx, cy), r)
 
 
-def _encloses(circle: Circle, p: Point) -> bool:
-    # Multiplicative slack soaks up the rounding in the circumcenter solve.
-    return dist(p, circle.center) <= circle.radius * (1.0 + 1e-14)
-
-
-def _sec_one_known(points: Sequence[Point], p: Point) -> Circle:
-    circle = Circle(p, 0.0)
-    for i, q in enumerate(points):
-        if not _encloses(circle, q):
-            if circle.radius == 0.0:
-                circle = _diameter_circle(p, q)
+def _sec_one_known(
+    pts: list[Point], m: int, px: float, py: float
+) -> tuple[float, float, float]:
+    """SEC of pts[:m] with p = pts[m - 1] on its boundary."""
+    cx, cy, r = px, py, 0.0
+    lim = 0.0
+    for j, (qx, qy) in enumerate(pts[:m], 1):
+        if not (math.hypot(qx - cx, qy - cy) <= lim):
+            if r == 0.0:
+                cx, cy, r = _diameter_circle(px, py, qx, qy)
             else:
-                circle = _sec_two_known(points[: i + 1], p, q)
-    return circle
+                cx, cy, r = _sec_two_known(pts, j, px, py, qx, qy)
+            lim = r * _SLACK
+    return cx, cy, r
 
 
-def _sec_two_known(points: Sequence[Point], p: Point, q: Point) -> Circle:
-    base = _diameter_circle(p, q)
-    left: Optional[Circle] = None
-    right: Optional[Circle] = None
-    # Pick the best boundary circle on each side of line pq.
-    for r in points:
-        if _encloses(base, r):
+def _sec_two_known(
+    pts: list[Point], m: int, px: float, py: float, qx: float, qy: float
+) -> tuple[float, float, float]:
+    """SEC of pts[:m] with p and q on its boundary."""
+    mx, my, mr = _diameter_circle(px, py, qx, qy)
+    mlim = mr * _SLACK
+    ux = qx - px
+    uy = qy - py
+    # min and max fold left to right, as the builtins do over (p, q, r).
+    pq_minx = qx if qx < px else px
+    pq_maxx = qx if qx > px else px
+    pq_miny = qy if qy < py else py
+    pq_maxy = qy if qy > py else py
+    # Pick the best circumcenter on each side of line pq, by its cross
+    # product with pq, and keep the third point it passes through: the radius
+    # is a function of the center and the three points, so only the two
+    # winners ever need one.
+    left_cc = right_cc = None
+    lcx = lcy = lpx = lpy = rcx = rcy = rpx = rpy = 0.0
+    for rx, ry in pts[:m]:
+        if math.hypot(rx - mx, ry - my) <= mlim:
             continue
-        side = _cross(p, q, r)
-        c = _circumcircle(p, q, r)
-        if c is None:
+        side = ux * (ry - py) - uy * (rx - px)
+        if not (side > 0.0 or side < 0.0):
             continue
-        cc_side = _cross(p, q, c.center)
-        if side > 0.0 and (left is None or cc_side > _cross(p, q, left.center)):
-            left = c
-        elif side < 0.0 and (right is None or cc_side < _cross(p, q, right.center)):
-            right = c
-    if left is None and right is None:
-        return base
-    if left is None:
-        return right  # type: ignore[return-value]
-    if right is None:
+        # Shift toward the bounding-box midpoint before solving; this keeps
+        # the determinant well conditioned far from the origin.
+        lo = rx if rx < pq_minx else pq_minx
+        hi = rx if rx > pq_maxx else pq_maxx
+        ox = (lo + hi) / 2.0
+        lo = ry if ry < pq_miny else pq_miny
+        hi = ry if ry > pq_maxy else pq_maxy
+        oy = (lo + hi) / 2.0
+        ax, ay = px - ox, py - oy
+        bx, by = qx - ox, qy - oy
+        cx, cy = rx - ox, ry - oy
+        d = (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by)) * 2.0
+        if d == 0.0:
+            continue
+        sa = ax * ax + ay * ay
+        sb = bx * bx + by * by
+        sc = cx * cx + cy * cy
+        x = ox + (sa * (by - cy) + sb * (cy - ay) + sc * (ay - by)) / d
+        y = oy + (sa * (cx - bx) + sb * (ax - cx) + sc * (bx - ax)) / d
+        cc = ux * (y - py) - uy * (x - px)
+        if side > 0.0:
+            if left_cc is None or cc > left_cc:
+                left_cc, lcx, lcy, lpx, lpy = cc, x, y, rx, ry
+        elif right_cc is None or cc < right_cc:
+            right_cc, rcx, rcy, rpx, rpy = cc, x, y, rx, ry
+    if left_cc is None and right_cc is None:
+        return mx, my, mr
+    if left_cc is None:
+        return rcx, rcy, _circumradius(rcx, rcy, px, py, qx, qy, rpx, rpy)
+    left = lcx, lcy, _circumradius(lcx, lcy, px, py, qx, qy, lpx, lpy)
+    if right_cc is None:
         return left
-    return left if left.radius <= right.radius else right
+    right = rcx, rcy, _circumradius(rcx, rcy, px, py, qx, qy, rpx, rpy)
+    return left if left[2] <= right[2] else right
 
 
-def _diameter_circle(a: Point, b: Point) -> Circle:
-    cx = (a.x + b.x) / 2.0
-    cy = (a.y + b.y) / 2.0
-    center = Point(cx, cy)
-    return Circle(center, max(dist(center, a), dist(center, b)))
+def _diameter_circle(px: float, py: float, qx: float, qy: float) -> tuple[float, float, float]:
+    cx = (px + qx) / 2.0
+    cy = (py + qy) / 2.0
+    dp = math.hypot(cx - px, cy - py)
+    dq = math.hypot(cx - qx, cy - qy)
+    return cx, cy, (dq if dq > dp else dp)
 
 
-def _circumcircle(a: Point, b: Point, c: Point) -> Optional[Circle]:
-    # Shift toward the bounding-box midpoint before solving; this keeps the
-    # determinant well conditioned when the triangle sits far from the origin.
-    ox = (min(a.x, b.x, c.x) + max(a.x, b.x, c.x)) / 2.0
-    oy = (min(a.y, b.y, c.y) + max(a.y, b.y, c.y)) / 2.0
-    ax, ay = a.x - ox, a.y - oy
-    bx, by = b.x - ox, b.y - oy
-    cx, cy = c.x - ox, c.y - oy
-    d = (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by)) * 2.0
-    if d == 0.0:
-        return None
-    x = ox + (
-        (ax * ax + ay * ay) * (by - cy)
-        + (bx * bx + by * by) * (cy - ay)
-        + (cx * cx + cy * cy) * (ay - by)
-    ) / d
-    y = oy + (
-        (ax * ax + ay * ay) * (cx - bx)
-        + (bx * bx + by * by) * (ax - cx)
-        + (cx * cx + cy * cy) * (bx - ax)
-    ) / d
-    center = Point(x, y)
-    return Circle(center, max(dist(center, a), dist(center, b), dist(center, c)))
+def _circumradius(
+    x: float, y: float, ax: float, ay: float, bx: float, by: float, cx: float, cy: float
+) -> float:
+    """max() of the distances from the center (x, y) to a, b and c, in that order."""
+    r = math.hypot(x - ax, y - ay)
+    d = math.hypot(x - bx, y - by)
+    if d > r:
+        r = d
+    d = math.hypot(x - cx, y - cy)
+    if d > r:
+        r = d
+    return r
 
 
 def convex_hull(points: Iterable[Point], tol: Tolerance = _DEFAULT_TOL) -> Hull:

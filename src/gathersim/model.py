@@ -111,15 +111,18 @@ def ego_frame(frame: Frame, pos: Point) -> Frame:
 def observe(config: Configuration, frame: Frame) -> Configuration:
     """Project a configuration into a robot's local coordinates, counts kept.
 
-    Each point maps exactly as to_local maps it; the rotation's cosine and
-    sine are computed once for the whole view.
+    Each point maps exactly as to_local maps it, with the same operations in
+    the same order; the rotation's cosine and sine are computed once for the
+    whole view.
     """
     c, s = _cos_sin(frame)
+    scale, reflected = frame.scale, frame.reflected
     tx, ty = frame.translation
     local: dict[Point, int] = {}
-    for p, count in config.occupied.items():
-        lx, ly = _linear_part(frame, c, s, p.x, p.y)
-        local[Point(lx + tx, ly + ty)] = count
+    for (x, y), count in config.occupied.items():
+        if reflected:
+            y = -y
+        local[Point(scale * (c * x - s * y) + tx, scale * (s * x + c * y) + ty)] = count
     return Configuration(local)
 
 

@@ -28,7 +28,6 @@ from .geometry import (
     Point,
     Tolerance,
     dist,
-    on_circle,
     point_on_segment,
     points_coincide,
     smallest_enclosing_circle,
@@ -102,18 +101,25 @@ def classify_branch(occupied: dict[Point, int], tol: Tolerance = _DEFAULT_TOL) -
         return BranchInfo(BRANCH_UNIQUE_MAX, maxima)
     if len(maxima) == 2:
         return BranchInfo(BRANCH_TWO_MAX, maxima)
-    pts = list(occupied)
-    sec = smallest_enclosing_circle(pts)
-    boundary = tuple(p for p in pts if on_circle(p, sec, tol))
-    boundary_set = set(boundary)
-    interior = tuple(p for p in pts if p not in boundary_set)
+    sec = smallest_enclosing_circle(occupied)
+    # The on_circle test, inlined: |dist(p, center) - radius| <= eps.
+    (cx, cy), r = sec
+    eps = tol.eps
+    boundary: list[Point] = []
+    interior: list[Point] = []
+    for p in occupied:
+        x, y = p
+        if abs(math.hypot(x - cx, y - cy) - r) <= eps:
+            boundary.append(p)
+        else:
+            interior.append(p)
     if not interior:
         label = BRANCH_ALL_TO_CENTER
     elif all(points_coincide(p, sec.center, tol) for p in interior):
         label = BRANCH_BOUNDARY_TO_CENTER
     else:
         label = BRANCH_INSIDE_TO_CENTER
-    return BranchInfo(label, maxima, sec, boundary, interior)
+    return BranchInfo(label, maxima, sec, tuple(boundary), tuple(interior))
 
 
 def choose_closest_position(own: Point, p1: Point, p2: Point) -> Point:

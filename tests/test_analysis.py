@@ -336,6 +336,30 @@ def test_attach_lemma_monitors_battery_and_toggles():
 # -- randomized harnesses -----------------------------------------------------
 
 
+def _reference_random_point_set(rng, k, tol):
+    min_sep = 10.0 * tol.eps
+    pts = []
+    while len(pts) < k:
+        cand = Point(rng.random(), rng.random())
+        if all(dist(cand, p) > min_sep for p in pts):
+            pts.append(cand)
+    return pts
+
+
+@pytest.mark.parametrize("seed, k, eps", [(5, 12, 1e-9), (1, 201, 1e-9), (2, 30, 0.01), (3, 8, 0.03)])
+def test_random_point_set_makes_the_draws_it_always_made(seed, k, eps):
+    tol = Tolerance(eps)
+    rng, ref = random.Random(seed), random.Random(seed)
+    assert random_point_set(rng, k, tol) == _reference_random_point_set(ref, k, tol)
+    assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("seed, k, eps", [(0, 3, 0.1), (0, 2, 1.0), (4, 200, 0.01)])
+def test_random_point_set_gives_up_when_no_room_is_left(seed, k, eps):
+    with pytest.raises(ValueError, match="no room for point"):
+        random_point_set(random.Random(seed), k, Tolerance(eps))
+
+
 def test_random_point_set_spacing():
     rng = random.Random(5)
     pts = random_point_set(rng, 12, TOL)

@@ -97,6 +97,13 @@ def _line_config(**extra):
         pytest.param(
             lambda c: c["scheduler"].update(script=[[0]]), "scheduler.script", id="script-unscripted"
         ),
+        pytest.param(lambda c: c["robots"][0].update(x=10**400), "robots[0].x: too large", id="huge-x"),
+        pytest.param(
+            lambda c: c["robots"][2].update(frame={"tx": -(10**400)}),
+            "robots[2].frame.tx: too large",
+            id="huge-frame-tx",
+        ),
+        pytest.param(lambda c: c.update(eps=10**400), "eps: too large", id="huge-eps"),
     ],
 )
 def test_parse_errors_name_the_field(mangle, needle):
@@ -209,6 +216,18 @@ def test_run_bad_config_exits_two(tmp_path, capsys):
     assert main(["run", "--config", path]) == 2
     err = capsys.readouterr().err
     assert "robots[0].sigma" in err
+
+
+def test_run_huge_json_integer_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(
+        '{"robots": [{"x": 1' + "0" * 400 + ', "y": 0, "sigma": 1}]}', encoding="utf-8"
+    )
+    assert main(["run", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: robots[0].x: too large")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_run_weak_detection_is_a_config_error(tmp_path, capsys):
@@ -383,7 +402,31 @@ def test_sweep_rejects_scripted_strategy(capsys):
     assert excinfo.value.code == 2
 
 
+def test_sweep_with_no_room_for_its_points_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # Points 10*eps = 10 apart cannot share the unit square.
+    monkeypatch.setenv("GATHERSIM_EPS", "1")
+    out = tmp_path / "records.jsonl"
+    code = main(
+        ["sweep", "--n", "5", "--runs", "2", "--seed", "0",
+         "--scheduler", "synchronous", "--out", str(out)]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: GATHERSIM_EPS")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 # -- check subcommand ---------------------------------------------------------
+
+
+def test_check_with_no_room_for_its_points_is_a_config_error(capsys, monkeypatch):
+    monkeypatch.setenv("GATHERSIM_EPS", "1")
+    assert main(["check", "--suite", "geometry"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: GATHERSIM_EPS")
+    assert captured.out == ""
+
 
 
 def test_check_lemmas_suite(capsys):
