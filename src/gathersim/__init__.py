@@ -8,7 +8,6 @@ execution engine, and verification tooling (oracles, monitors, sweeps).
 from .geometry import (
     Circle,
     Point,
-    Tolerance,
     convex_hull,
     smallest_enclosing_circle,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "RunOutcome",
     "SchedulerSpec",
     "Snapshot",
-    "Tolerance",
     "attach_lemma_monitors",
     "compute_action",
     "convex_hull",

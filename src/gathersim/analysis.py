@@ -23,13 +23,13 @@ from typing import Mapping, Optional, Sequence
 
 from .geometry import (
     CONCAVE,
+    EPS,
     STRAIGHT,
     Circle,
     DegenerateHull,
     Point,
     PointGrid,
     Polygon,
-    Tolerance,
     convex_hull,
     dist,
     hull_boundary_contains,
@@ -52,8 +52,6 @@ from .simulator import (
     Snapshot,
     run,
 )
-
-_DEFAULT_TOL = Tolerance()
 
 _ORACLE_LIMIT = 15
 # Absolute slack for the oracle's enclosure test; far below the 1e-9 the
@@ -126,9 +124,7 @@ def _oracle_encloses(circle: Circle, pts: Sequence[Point]) -> bool:
     return all(dist(p, circle.center) <= circle.radius + _ORACLE_SLACK for p in pts)
 
 
-def check_radius_decrease(
-    points: Sequence[Point], lam: float, tol: Tolerance = _DEFAULT_TOL
-) -> bool:
+def check_radius_decrease(points: Sequence[Point], lam: float) -> bool:
     """Shrink test: pull every boundary point inward, did the circle shrink?
 
     Moves each point on the enclosing circle toward the center by fraction
@@ -141,12 +137,12 @@ def check_radius_decrease(
     if len(pts) < 2:
         raise ValueError("need at least two distinct points")
     before = smallest_enclosing_circle(pts)
-    if before.radius <= tol.eps:
+    if before.radius <= EPS:
         raise ValueError("points are effectively all at one spot")
     cx, cy = before.center
     moved: list[Point] = []
     for p in pts:
-        if on_circle(p, before, tol):
+        if on_circle(p, before):
             moved.append(Point(p.x + lam * (cx - p.x), p.y + lam * (cy - p.y)))
         else:
             moved.append(p)
@@ -154,9 +150,7 @@ def check_radius_decrease(
     return after.radius < before.radius
 
 
-def check_concave_sectors_occupied(
-    points: Sequence[Point], tol: Tolerance = _DEFAULT_TOL
-) -> Optional[str]:
+def check_concave_sectors_occupied(points: Sequence[Point]) -> Optional[str]:
     """Every concave sector at the enclosing-circle center must be occupied.
 
     For each pair of input points that cuts a valid sector pair at the
@@ -168,17 +162,15 @@ def check_concave_sectors_occupied(
     if len(pts) < 2:
         raise ValueError("need at least two points")
     sec = smallest_enclosing_circle(pts)
-    if sec.radius <= tol.eps:
+    if sec.radius <= EPS:
         return None
-    found = _first_empty_sector(pts, sec.center, (CONCAVE,), tol)
+    found = _first_empty_sector(pts, sec.center, (CONCAVE,))
     if found is None:
         return None
     return f"empty concave sector at center {sec.center} for pair {found[0]}, {found[1]}"
 
 
-def check_hull_sector_equivalence(
-    points: Sequence[Point], probe: Point, tol: Tolerance = _DEFAULT_TOL
-) -> bool:
+def check_hull_sector_equivalence(points: Sequence[Point], probe: Point) -> bool:
     """Hull membership vs. empty wide sectors, checked as a biconditional.
 
     A probe lies on the hull boundary exactly when some pair of input points
@@ -188,44 +180,38 @@ def check_hull_sector_equivalence(
     hull-interior or boundary probes (the simulator only ever cares about
     circle centers, which satisfy that).
     """
-    hull = convex_hull(points, tol)
+    hull = convex_hull(points)
     if isinstance(hull, DegenerateHull):
         raise ValueError("hull equivalence needs a non-collinear point set")
-    on_hull = hull_boundary_contains(hull, probe, tol)
-    empty_wide = _first_empty_sector(points, probe, (CONCAVE, STRAIGHT), tol)
+    on_hull = hull_boundary_contains(hull, probe)
+    empty_wide = _first_empty_sector(points, probe, (CONCAVE, STRAIGHT))
     return on_hull == (empty_wide is not None)
 
 
 def _first_empty_sector(
-    points: Sequence[Point], apex: Point, kinds: tuple[str, ...], tol: Tolerance
+    points: Sequence[Point], apex: Point, kinds: tuple[str, ...]
 ) -> Optional[tuple[Point, Point]]:
     """The first pair of points away from ``apex`` that cuts, at ``apex``, an
     empty sector of one of ``kinds``, or None."""
-    anchors = [p for p in points if not points_coincide(p, apex, tol)]
+    anchors = [p for p in points if not points_coincide(p, apex)]
     for p, pp in combinations(anchors, 2):
-        pair = make_sector_pair(p, pp, apex, tol)
+        pair = make_sector_pair(p, pp, apex)
         if pair is None:
             continue
         for which, kind in ((1, pair.kind1), (2, pair.kind2)):
-            if kind in kinds and not any(sector_contains(pair, which, q, tol) for q in points):
+            if kind in kinds and not any(sector_contains(pair, which, q) for q in points):
                 return p, pp
     return None
 
 
-def check_sec_points_on_hull(
-    points: Sequence[Point], tol: Tolerance = _DEFAULT_TOL
-) -> bool:
+def check_sec_points_on_hull(points: Sequence[Point]) -> bool:
     """Input points on the enclosing circle must all be hull-boundary points."""
     pts = list(points)
     if len(pts) < 2:
         raise ValueError("need at least two points")
     sec = smallest_enclosing_circle(pts)
-    hull = convex_hull(pts, tol)
-    return all(
-        hull_boundary_contains(hull, p, tol)
-        for p in pts
-        if on_circle(p, sec, tol)
-    )
+    hull = convex_hull(pts)
+    return all(hull_boundary_contains(hull, p) for p in pts if on_circle(p, sec))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +225,7 @@ def _closure_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
         return f"gathering point split into {len(after.config.occupied)} points"
     before_p = next(iter(before.config.occupied))
     after_p = next(iter(after.config.occupied))
-    if not points_coincide(before_p, after_p, before.tol):
+    if not points_coincide(before_p, after_p):
         return f"gathering point drifted from {before_p} to {after_p}"
     return None
 
@@ -251,7 +237,7 @@ def _unique_max_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
     maxima_after = after.branch.maxima
     if len(maxima_after) != 1:
         return f"unique maximum gave way to {len(maxima_after)} maxima"
-    if not points_coincide(maxima[0], maxima_after[0], before.tol):
+    if not points_coincide(maxima[0], maxima_after[0]):
         return f"unique maximum moved from {maxima[0]} to {maxima_after[0]}"
     return None
 
@@ -268,9 +254,9 @@ def _inside_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
     if len(before.branch.maxima) < 3 or len(after.branch.maxima) < 3:
         return None
     for before_bot, after_bot in zip(before.state.robots, after.state.robots):
-        if not strictly_inside_circle(before_bot.pos, before.sec, before.tol):
+        if not strictly_inside_circle(before_bot.pos, before.sec):
             continue
-        if not strictly_inside_circle(after_bot.pos, after.sec, before.tol):
+        if not strictly_inside_circle(after_bot.pos, after.sec):
             return (
                 f"robot {before_bot.ident} was strictly inside the circle "
                 f"and ended on or outside the new one"
@@ -284,15 +270,14 @@ def _center_containment_rule(before: Snapshot, after: Snapshot) -> Optional[str]
         return None
     assert info.sec is not None
     center = info.sec.center
-    tol = before.tol
     bots_b, bots_a = before.state.robots, after.state.robots
     # Hypothesis 1: some robot standing on the circle actually moved.
     moved_from_boundary = False
     boundary_set = set(info.boundary)
     for before_bot, after_bot in zip(bots_b, bots_a):
-        if points_coincide(before_bot.pos, after_bot.pos, tol):
+        if points_coincide(before_bot.pos, after_bot.pos):
             continue
-        if any(points_coincide(before_bot.pos, b, tol) for b in boundary_set):
+        if any(points_coincide(before_bot.pos, b) for b in boundary_set):
             moved_from_boundary = True
             break
     if not moved_from_boundary:
@@ -300,10 +285,10 @@ def _center_containment_rule(before: Snapshot, after: Snapshot) -> Optional[str]
     # Hypothesis 2: every boundary point keeps at least one robot that did
     # not arrive at the center this step.
     for b in info.boundary:
-        holders = [i for i, bot in enumerate(bots_b) if points_coincide(bot.pos, b, tol)]
-        if holders and all(points_coincide(bots_a[i].pos, center, tol) for i in holders):
+        holders = [i for i, bot in enumerate(bots_b) if points_coincide(bot.pos, b)]
+        if holders and all(points_coincide(bots_a[i].pos, center) for i in holders):
             return None
-    if not strictly_inside_circle(center, after.sec, tol):
+    if not strictly_inside_circle(center, after.sec):
         return "old center is not strictly inside the new enclosing circle"
     return None
 
@@ -313,13 +298,11 @@ def _radius_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
         return None
     before_r = before.sec.radius
     after_r = after.sec.radius
-    if after_r > before_r + before.tol.eps:
+    if after_r > before_r + EPS:
         return f"enclosing radius grew from {before_r} to {after_r}"
     # When every robot has left the old circle's rim, the new circle must be
     # strictly smaller; everything now sits measurably deeper than the rim.
-    vacated = all(
-        not on_circle(bot.pos, before.sec, before.tol) for bot in after.state.robots
-    )
+    vacated = all(not on_circle(bot.pos, before.sec) for bot in after.state.robots)
     if vacated and not (after_r < before_r):
         return f"rim fully vacated but radius held at {after_r}"
     return None
@@ -329,7 +312,6 @@ def _careful_separation_rule(before: Snapshot, after: Snapshot) -> Optional[str]
     maxima = before.branch.maxima
     if len(maxima) > 2:
         return None
-    tol = before.tol
     bots_b = before.state.robots
     after_pos = [bot.pos for bot in after.state.robots]
     # Two robots that both stayed put coincide after the step exactly when
@@ -337,14 +319,14 @@ def _careful_separation_rule(before: Snapshot, after: Snapshot) -> Optional[str]
     moved = [i for i, p in enumerate(after_pos) if p != bots_b[i].pos]
     if not moved:
         return None
-    grid = PointGrid(after_pos + list(maxima), tol.eps)
+    grid = PointGrid(after_pos + list(maxima), EPS)
     for j, p in enumerate(after_pos):
         grid.add(p, j)
     on_max = {j for m in maxima for j in grid.within(m)}
     merged = {(min(i, j), max(i, j)) for i in moved for j in grid.within(after_pos[i]) if j != i}
     # Lexicographically first (i, j): the pair a scan of all pairs reports.
     for i, j in sorted(merged):
-        if i not in on_max and not points_coincide(bots_b[i].pos, bots_b[j].pos, tol):
+        if i not in on_max and not points_coincide(bots_b[i].pos, bots_b[j].pos):
             return (
                 f"robots {bots_b[i].ident} and {bots_b[j].ident} merged at "
                 f"{after_pos[i]}, which is not a maximum point"
@@ -387,51 +369,28 @@ def attach_lemma_monitors(
 # Randomized harnesses
 
 
-# Candidates random_point_set may reject in a row before it gives up.  While
-# a share a of the square is still free, a false give-up has probability
-# (1 - a)**10_000: under 5e-5 for a = 1e-3.
-_PLACEMENT_ATTEMPTS = 10_000
-
-
-class PlacementError(ValueError):
-    """random_point_set found no room for its next point."""
-
-
-def random_point_set(
-    rng: random.Random, k: int, tol: Tolerance = _DEFAULT_TOL
-) -> list[Point]:
-    """k points uniform in the unit square, pairwise farther than 10*eps.
+def random_point_set(rng: random.Random, k: int) -> list[Point]:
+    """k points uniform in the unit square, pairwise farther than 10*EPS.
 
     The resampling keeps randomized suites away from predicate knife-edges;
-    deliberately degenerate inputs get their own deterministic tests.  Points
-    are kept greedily, so a large eps can leave no room for the next one:
-    after _PLACEMENT_ATTEMPTS rejected candidates in a row this raises
-    PlacementError rather than drawing forever.
+    deliberately degenerate inputs get their own deterministic tests.  A
+    candidate is rejected with probability under k * 1e-15, so the loop ends.
     """
-    min_sep = 10.0 * tol.eps
+    min_sep = 10.0 * EPS
     pts: list[Point] = []
-    misses = 0
     while len(pts) < k:
         cand = Point(rng.random(), rng.random())
         if all(dist(cand, p) > min_sep for p in pts):
             pts.append(cand)
-            misses = 0
-        else:
-            misses += 1
-            if misses == _PLACEMENT_ATTEMPTS:
-                raise PlacementError(
-                    f"no room for point {len(pts) + 1} of {k}: {misses} candidates in a row "
-                    f"fell within 10*eps = {min_sep:g} of a kept point"
-                )
     return pts
 
 
-def random_robots(rng: random.Random, n: int, tol: Tolerance = _DEFAULT_TOL) -> list[Robot]:
+def random_robots(rng: random.Random, n: int) -> list[Robot]:
     """n robots on 1..n random points with random multiplicities and frames."""
     if n < 1:
         raise ValueError("n must be >= 1")
     k = rng.randint(1, n)
-    points = random_point_set(rng, k, tol)
+    points = random_point_set(rng, k)
     cuts = sorted(rng.sample(range(1, n), k - 1))
     counts = [b - a for a, b in zip([0] + cuts, cuts + [n])]
     robots: list[Robot] = []
@@ -459,7 +418,6 @@ def run_sweep(
     runs: int,
     seed: int,
     strategy: str,
-    tol: Tolerance = _DEFAULT_TOL,
     max_steps: Optional[int] = None,
     fairness_bound: Optional[int] = None,
 ) -> tuple[SweepSummary, list[dict]]:
@@ -478,10 +436,10 @@ def run_sweep(
     longest = 0
     for index in range(runs):
         init_rng = random.Random(f"{seed}:init:{index}")
-        robots = random_robots(init_rng, n, tol)
+        robots = random_robots(init_rng, n)
         sched_seed = random.Random(f"{seed}:sched:{index}").getrandbits(63)
         spec = SchedulerSpec(strategy, sched_seed, fairness_bound)
-        outcome, _ = run(robots, spec, tol=tol, max_steps=max_steps, monitors=monitors)
+        outcome, _ = run(robots, spec, max_steps=max_steps, monitors=monitors)
         per_run: dict[str, int] = {}
         for report in outcome.monitor_violations:
             per_run[report.monitor] = per_run.get(report.monitor, 0) + 1
@@ -557,7 +515,7 @@ def _probe_for(points: list[Point], hull: Polygon, rng: random.Random) -> Point:
 
 
 def check_geometry_suite(
-    tol: Tolerance = _DEFAULT_TOL, sets: int = 1000, seed: str = "check:geometry"
+    sets: int = 1000, seed: str = "check:geometry"
 ) -> list[tuple[str, bool, str]]:
     """Fast smallest enclosing circle against the brute-force oracle."""
     rng = random.Random(seed)
@@ -565,11 +523,11 @@ def check_geometry_suite(
     support_ok = True
     support_note = ""
     for _ in range(sets):
-        pts = random_point_set(rng, rng.randint(3, 12), tol)
+        pts = random_point_set(rng, rng.randint(3, 12))
         fast = smallest_enclosing_circle(pts)
         slow = brute_force_sec(pts)
         worst = max(worst, dist(fast.center, slow.center), abs(fast.radius - slow.radius))
-        on_rim = [p for p in pts if on_circle(p, fast, tol)]
+        on_rim = [p for p in pts if on_circle(p, fast)]
         if len(on_rim) < 2:
             support_ok = False
             support_note = f"{len(on_rim)} support points on {pts}"
@@ -591,7 +549,7 @@ def check_geometry_suite(
 
 
 def check_properties_suite(
-    tol: Tolerance = _DEFAULT_TOL, sets: int = 500, seed: str = "check:properties"
+    sets: int = 500, seed: str = "check:properties"
 ) -> list[tuple[str, bool, str]]:
     """The sector, hull and shrink properties on random point sets."""
     rng = random.Random(seed)
@@ -600,18 +558,18 @@ def check_properties_suite(
     on_hull_bad = 0
     shrink_bad = 0
     for _ in range(sets):
-        pts = random_point_set(rng, rng.randint(3, 10), tol)
-        if check_concave_sectors_occupied(pts, tol) is not None:
+        pts = random_point_set(rng, rng.randint(3, 10))
+        if check_concave_sectors_occupied(pts) is not None:
             concave_bad += 1
-        hull = convex_hull(pts, tol)
+        hull = convex_hull(pts)
         if isinstance(hull, Polygon):
             probe = _probe_for(pts, hull, rng)
-            if not check_hull_sector_equivalence(pts, probe, tol):
+            if not check_hull_sector_equivalence(pts, probe):
                 equivalence_bad += 1
-        if not check_sec_points_on_hull(pts, tol):
+        if not check_sec_points_on_hull(pts):
             on_hull_bad += 1
         lam = rng.choice((0.1, 0.5, 1.0))
-        if not check_radius_decrease(pts, lam, tol):
+        if not check_radius_decrease(pts, lam):
             shrink_bad += 1
     return [
         ("concave_sectors_occupied", concave_bad == 0, f"{concave_bad} violations in {sets} sets"),
@@ -621,12 +579,12 @@ def check_properties_suite(
     ]
 
 
-def check_lemmas_suite(tol: Tolerance = _DEFAULT_TOL, seed: int = 7) -> list[tuple[str, bool, str]]:
+def check_lemmas_suite(seed: int = 7) -> list[tuple[str, bool, str]]:
     """Small monitored sweeps; every run must gather with silent monitors."""
     results = []
     for n in (3, 5):
         for strategy in ("synchronous", "random_subset"):
-            summary, _ = run_sweep(n, 20, seed, strategy, tol)
+            summary, _ = run_sweep(n, 20, seed, strategy)
             ok = summary.gathered == summary.runs and not any(summary.violations.values())
             results.append(
                 (

@@ -5,8 +5,11 @@ silent monitors, sweep runs randomized batches, check prints the verdicts of
 the suites in gathersim.analysis, and demo-even shows the symmetric witness
 that even robot counts never gather: a run that ends at a fixed point.
 Configurations are JSON; a rejected config always names the offending
-field.  The GATHERSIM_EPS environment variable overrides the default
-tolerance; an eps given in a config file still wins.
+field.  The coincidence tolerance is the fixed geometry.EPS; no config key or
+environment variable sets it.  A robot coordinate, and a frame's scale times
+the largest coordinate magnitude, may not exceed geometry.COORD_LIMIT = 2**300
+in magnitude: a robot's view must stay inside the domain where the smallest
+enclosing circle is exact.
 """
 
 from __future__ import annotations
@@ -19,11 +22,10 @@ import os
 import stat
 import sys
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence, TextIO
 
 from .analysis import (
     MONITOR_RULES,
-    PlacementError,
     attach_lemma_monitors,
     check_geometry_suite,
     check_lemmas_suite,
@@ -31,7 +33,7 @@ from .analysis import (
     even_livelock_demo,
     run_sweep,
 )
-from .geometry import Point, Tolerance
+from .geometry import COORD_LIMIT, Point
 from .model import Frame
 from .simulator import (
     FIXED_POINT,
@@ -43,7 +45,6 @@ from .simulator import (
     run,
 )
 
-ENV_EPS = "GATHERSIM_EPS"
 SUITES = ("geometry", "properties", "lemmas", "all")
 SWEEP_STRATEGIES = tuple(s for s in STRATEGIES if s != SCRIPTED)
 
@@ -52,24 +53,10 @@ class ConfigError(ValueError):
     """Rejected configuration; the message names the offending field."""
 
 
-def default_eps() -> float:
-    raw = os.environ.get(ENV_EPS)
-    if raw is None:
-        return Tolerance().eps
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{ENV_EPS}: not a number: {raw!r}") from exc
-    if not (value >= 0.0 and math.isfinite(value)):
-        raise ConfigError(f"{ENV_EPS}: eps must be finite and non-negative")
-    return value
-
-
 @dataclass
 class RunConfig:
     robots: list[Robot]
     scheduler: SchedulerSpec
-    eps: float = Tolerance().eps
     max_steps: Optional[int] = None
     monitors: Optional[dict[str, bool]] = None
     refresh_frames: bool = False
@@ -109,6 +96,13 @@ def _as_number(value: Any, where: str) -> float:
     return result
 
 
+def _as_coordinate(value: Any, where: str) -> float:
+    result = _as_number(value, where)
+    if abs(result) > COORD_LIMIT:
+        raise ConfigError(f"{where}: magnitude exceeds 2**300")
+    return result
+
+
 def _as_int(value: Any, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}: expected an integer, got {type(value).__name__}")
@@ -145,8 +139,8 @@ def _parse_robot(raw: Any, index: int) -> Robot:
     where = f"robots[{index}]"
     data = _as_mapping(raw, where)
     _reject_unknown(data, ("x", "y", "sigma", "frame"), f"{where}.")
-    x = _as_number(_require(data, "x", where), f"{where}.x")
-    y = _as_number(_require(data, "y", where), f"{where}.y")
+    x = _as_coordinate(_require(data, "x", where), f"{where}.x")
+    y = _as_coordinate(_require(data, "y", where), f"{where}.y")
     sigma = _as_number(_require(data, "sigma", where), f"{where}.sigma")
     if sigma <= 0.0:
         raise ConfigError(f"{where}.sigma: must be > 0")
@@ -193,23 +187,27 @@ def parse_config(data: Any) -> RunConfig:
     top = _as_mapping(data, "config")
     _reject_unknown(
         top,
-        ("robots", "scheduler", "detection", "eps", "max_steps", "monitors", "refresh_frames"),
+        ("robots", "scheduler", "detection", "max_steps", "monitors", "refresh_frames"),
         "",
     )
     robots_raw = _require(top, "robots", "config")
     if not isinstance(robots_raw, list) or not robots_raw:
         raise ConfigError("robots: expected a non-empty list")
     robots = [_parse_robot(r, i) for i, r in enumerate(robots_raw)]
+    # A robot sees every position scaled by its own frame's scale.
+    largest = max(max(abs(r.pos.x), abs(r.pos.y)) for r in robots)
+    for i, robot in enumerate(robots):
+        if robot.frame.scale * largest > COORD_LIMIT:
+            raise ConfigError(
+                f"robots[{i}].frame.scale: {robot.frame.scale:g} times the largest "
+                f"coordinate magnitude {largest:g} exceeds 2**300"
+            )
     scheduler = _parse_scheduler(top.get("scheduler", {}), len(robots))
     # The rule needs exact counts; the key stays so that a config asking for
     # anything weaker is refused instead of silently run under strong.
     detection = top.get("detection", "strong")
     if detection != "strong":
         raise ConfigError(f"detection: only 'strong' is supported, got {detection!r}")
-    eps = top.get("eps")
-    eps = default_eps() if eps is None else _as_number(eps, "eps")
-    if eps < 0.0:
-        raise ConfigError("eps: must be >= 0")
     max_steps = top.get("max_steps")
     if max_steps is not None:
         max_steps = _as_int(max_steps, "max_steps")
@@ -228,7 +226,7 @@ def parse_config(data: Any) -> RunConfig:
             parsed_toggles[name] = _as_bool(enabled, f"monitors.{name}")
         monitors = parsed_toggles
     refresh = _as_bool(top.get("refresh_frames", False), "refresh_frames")
-    return RunConfig(robots, scheduler, eps, max_steps, monitors, refresh)
+    return RunConfig(robots, scheduler, max_steps, monitors, refresh)
 
 
 def load_config(path: str) -> RunConfig:
@@ -270,7 +268,6 @@ def dump_config(config: RunConfig) -> dict:
     return {
         "robots": robots,
         "scheduler": scheduler,
-        "eps": config.eps,
         "max_steps": config.max_steps,
         "monitors": None if config.monitors is None else dict(config.monitors),
         "refresh_frames": config.refresh_frames,
@@ -278,6 +275,26 @@ def dump_config(config: RunConfig) -> dict:
 
 
 # -- subcommands ------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _removed_if_left_empty(handle: Optional[TextIO], path: Optional[str]) -> Iterator[None]:
+    """If the body raises, remove the file ``handle`` opened at ``path`` while it is empty.
+
+    An empty file would read as the output of work that never ran.  Only an
+    empty regular file is removed, never a device or pipe, and a failed
+    removal never hides the body's own error.
+    """
+    try:
+        yield
+    except BaseException:
+        if handle is not None:
+            with contextlib.suppress(OSError):
+                opened = os.fstat(handle.fileno())
+                handle.close()
+                if stat.S_ISREG(opened.st_mode) and opened.st_size == 0:
+                    os.remove(path)
+        raise
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -293,27 +310,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"cannot write trace to {args.trace}: {err}", file=sys.stderr)
         return 1
     with handle or contextlib.nullcontext():
-        try:
+        with _removed_if_left_empty(handle, args.trace):
             outcome, trace = run(
                 config.robots,
                 config.scheduler,
-                Tolerance(config.eps),
-                config.max_steps,
-                attach_lemma_monitors(config.monitors),
+                max_steps=config.max_steps,
+                monitors=attach_lemma_monitors(config.monitors),
                 record_trace=handle is not None,
                 refresh_frames=config.refresh_frames,
             )
-        except BaseException:
-            # An empty file would read as the trace of a run that never started.
-            # Only the empty regular file opened above is removed, never a device
-            # or pipe, and a failed removal never hides the run's own error.
-            if handle is not None:
-                with contextlib.suppress(OSError):
-                    opened = os.fstat(handle.fileno())
-                    handle.close()
-                    if stat.S_ISREG(opened.st_mode) and opened.st_size == 0:
-                        os.remove(args.trace)
-            raise
         if handle is not None:
             try:
                 handle.writelines(line + "\n" for line in trace)
@@ -337,25 +342,23 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0 if outcome.status == GATHERED and not outcome.monitor_violations else 1
 
 
-def _eps_too_large(err: PlacementError) -> ConfigError:
-    # sweep and check draw their point sets 10*eps apart, and eps comes from
-    # the environment alone.
-    return ConfigError(f"{ENV_EPS}: eps is too large for random point sets: {err}")
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    tol = Tolerance(default_eps())
+    # Opened first, so an unwritable path fails before the sweep, not after.
     try:
-        summary, records = run_sweep(args.n, args.runs, args.seed, args.scheduler, tol)
-    except PlacementError as err:
-        raise _eps_too_large(err) from err
-    try:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+        handle = open(args.out, "w", encoding="utf-8")
     except OSError as err:
         print(f"cannot write records to {args.out}: {err}", file=sys.stderr)
         return 1
+    with handle:
+        with _removed_if_left_empty(handle, args.out):
+            summary, records = run_sweep(args.n, args.runs, args.seed, args.scheduler)
+        try:
+            for record in records:
+                handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+            handle.flush()
+        except OSError as err:
+            print(f"cannot write records to {args.out}: {err}", file=sys.stderr)
+            return 1
     print(
         json.dumps(
             {
@@ -374,17 +377,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    tol = Tolerance(default_eps())
     checks: list[tuple[str, bool, str]] = []
-    try:
-        if args.suite in ("geometry", "all"):
-            checks.extend(check_geometry_suite(tol))
-        if args.suite in ("properties", "all"):
-            checks.extend(check_properties_suite(tol))
-        if args.suite in ("lemmas", "all"):
-            checks.extend(check_lemmas_suite(tol))
-    except PlacementError as err:
-        raise _eps_too_large(err) from err
+    if args.suite in ("geometry", "all"):
+        checks.extend(check_geometry_suite())
+    if args.suite in ("properties", "all"):
+        checks.extend(check_properties_suite())
+    if args.suite in ("lemmas", "all"):
+        checks.extend(check_lemmas_suite())
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     return 0 if all(ok for _, ok, _ in checks) else 1

@@ -1,21 +1,27 @@
 """Planar primitives shared by the whole package.
 
 Everything here is a plain function over small immutable values.  The one
-policy decision worth calling out is the tolerance model: a single absolute
-epsilon (see Tolerance) governs coincidence, on-segment and on-circle tests,
-while collinearity normalizes the cross product by the two leg lengths so the
-verdict does not depend on the overall scale of the input.
+policy decision worth calling out is the tolerance model: one fixed absolute
+epsilon, EPS, governs coincidence, on-segment and on-circle tests, while
+collinearity normalizes the cross product by the two leg lengths so the
+verdict does not depend on the overall scale of the input.  Robots share no
+unit of length, so EPS is the simulator's own rounding slack, not a
+parameter of the model, and nothing sets it.
 
 PointGrid is the eps-neighbour index behind normalize and the separation
-monitor.  It is exact: for any eps >= 0 (zero and subnormal included) and any
-finite coordinates, ``within(q)`` returns precisely the indices of the stored
-points p with ``dist(q, p) <= eps``, the predicate points_coincide applies.
+monitor, which query it at EPS.  It is exact: for any eps >= 0 (zero and
+subnormal included) and any finite coordinates, ``within(q)`` returns
+precisely the indices of the stored points p with ``dist(q, p) <= eps``, the
+comparison points_coincide makes at EPS.
 The grid only prunes; every candidate is settled by that same comparison.
 
 smallest_enclosing_circle is bit-for-bit a function of the point set: input
 order never changes a bit of the result.  It runs on plain floats for speed,
 and tests/test_sec_kernel.py pins its output bits against the object-based
-construction it replaced, kept there verbatim as the oracle.
+construction it replaced, kept there verbatim as the oracle.  Its valid
+domain is coordinates of magnitude at most COORD_LIMIT = 2**300: the
+circumcenter solve multiplies a squared distance by a coordinate difference,
+so the cube of the point set's span must stay well inside the float range.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ import random
 import struct
 import sys
 import zlib
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 
@@ -78,26 +83,18 @@ class SectorPair(NamedTuple):
     kind2: str
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Single epsilon shared by all approximate predicates."""
-
-    eps: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if not (self.eps >= 0.0 and math.isfinite(self.eps)):
-            raise ValueError("eps must be a finite non-negative float")
-
-
-_DEFAULT_TOL = Tolerance()
+# The absolute epsilon of every approximate predicate.
+EPS = 1e-9
+# Largest coordinate magnitude inside smallest_enclosing_circle's valid domain.
+COORD_LIMIT = 2.0**300
 
 
 def dist(a: Point, b: Point) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
-def points_coincide(a: Point, b: Point, tol: Tolerance = _DEFAULT_TOL) -> bool:
-    return dist(a, b) <= tol.eps
+def points_coincide(a: Point, b: Point) -> bool:
+    return dist(a, b) <= EPS
 
 
 class PointGrid:
@@ -150,7 +147,7 @@ def _cross(o: Point, a: Point, b: Point) -> float:
     return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
 
 
-def collinear(a: Point, b: Point, c: Point, tol: Tolerance = _DEFAULT_TOL) -> bool:
+def collinear(a: Point, b: Point, c: Point) -> bool:
     """Scale-free collinearity of three points.
 
     The cross product at ``a`` is compared against eps times the product of
@@ -161,7 +158,7 @@ def collinear(a: Point, b: Point, c: Point, tol: Tolerance = _DEFAULT_TOL) -> bo
     lb = dist(a, c)
     if la == 0.0 or lb == 0.0:
         return True
-    return abs(_cross(a, b, c)) <= tol.eps * la * lb
+    return abs(_cross(a, b, c)) <= EPS * la * lb
 
 
 def _segment_distance(q: Point, a: Point, b: Point) -> float:
@@ -175,27 +172,25 @@ def _segment_distance(q: Point, a: Point, b: Point) -> float:
     return math.hypot(wx - t * vx, wy - t * vy)
 
 
-def point_on_segment(q: Point, a: Point, b: Point, tol: Tolerance = _DEFAULT_TOL) -> bool:
+def point_on_segment(q: Point, a: Point, b: Point) -> bool:
     """Whether q lies on the closed segment [a, b], endpoints included."""
-    return _segment_distance(q, a, b) <= tol.eps
+    return _segment_distance(q, a, b) <= EPS
 
 
-def point_between_collinear(c: Point, r: Point, rp: Point, tol: Tolerance = _DEFAULT_TOL) -> bool:
+def point_between_collinear(c: Point, r: Point, rp: Point) -> bool:
     """Whether c sits strictly between r and rp on their common line.
 
     Raises ValueError when the three points are not collinear; returns False
     when c coincides with either endpoint.
     """
-    if not collinear(r, rp, c, tol):
+    if not collinear(r, rp, c):
         raise ValueError("point_between_collinear needs collinear input")
-    if points_coincide(c, r, tol) or points_coincide(c, rp, tol):
+    if points_coincide(c, r) or points_coincide(c, rp):
         return False
     return (r.x - c.x) * (rp.x - c.x) + (r.y - c.y) * (rp.y - c.y) < 0.0
 
 
-def make_sector_pair(
-    r: Point, rp: Point, c: Point, tol: Tolerance = _DEFAULT_TOL
-) -> Optional[SectorPair]:
+def make_sector_pair(r: Point, rp: Point, c: Point) -> Optional[SectorPair]:
     """Build the two open sectors at apex c through r and rp.
 
     Kinds: a span under half a turn is "convex", over is "concave", and when
@@ -205,13 +200,13 @@ def make_sector_pair(
     overlap and cut out nothing usable.  Coincident inputs are rejected.
     """
     if (
-        points_coincide(r, rp, tol)
-        or points_coincide(r, c, tol)
-        or points_coincide(rp, c, tol)
+        points_coincide(r, rp)
+        or points_coincide(r, c)
+        or points_coincide(rp, c)
     ):
         raise ValueError("sector pair needs three pairwise distinct points")
-    if collinear(c, r, rp, tol):
-        if point_between_collinear(c, r, rp, tol):
+    if collinear(c, r, rp):
+        if point_between_collinear(c, r, rp):
             return SectorPair(c, r, rp, STRAIGHT, STRAIGHT)
         return None
     if _cross(c, r, rp) > 0.0:
@@ -219,16 +214,14 @@ def make_sector_pair(
     return SectorPair(c, r, rp, CONCAVE, CONVEX)
 
 
-def _on_closed_half_line(c: Point, through: Point, q: Point, tol: Tolerance) -> bool:
-    if not collinear(c, through, q, tol):
+def _on_closed_half_line(c: Point, through: Point, q: Point) -> bool:
+    if not collinear(c, through, q):
         return False
     # Collinear with the ray: on it unless strictly behind the apex.
     return (through.x - c.x) * (q.x - c.x) + (through.y - c.y) * (q.y - c.y) >= 0.0
 
 
-def sector_contains(
-    sectors: SectorPair, which: int, q: Point, tol: Tolerance = _DEFAULT_TOL
-) -> bool:
+def sector_contains(sectors: SectorPair, which: int, q: Point) -> bool:
     """Open-sector membership; ``which`` picks sector 1 or 2.
 
     Points on either bounding half-line, or at the apex, are in neither
@@ -237,15 +230,15 @@ def sector_contains(
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
     c = sectors.apex
-    if points_coincide(q, c, tol):
+    if points_coincide(q, c):
         return False
-    if _on_closed_half_line(c, sectors.ray1_through, q, tol):
+    if _on_closed_half_line(c, sectors.ray1_through, q):
         return False
-    if _on_closed_half_line(c, sectors.ray2_through, q, tol):
+    if _on_closed_half_line(c, sectors.ray2_through, q):
         return False
     r, rp = sectors.ray1_through, sectors.ray2_through
     turn = _cross(c, r, rp)
-    if collinear(c, r, rp, tol):
+    if collinear(c, r, rp):
         # Straight pair: sector 1 is the open half-plane left of the r ray.
         in_first = _cross(c, r, q) > 0.0
     elif turn > 0.0:
@@ -256,12 +249,12 @@ def sector_contains(
     return in_first if which == 1 else not in_first
 
 
-def on_circle(p: Point, circle: Circle, tol: Tolerance = _DEFAULT_TOL) -> bool:
-    return abs(dist(p, circle.center) - circle.radius) <= tol.eps
+def on_circle(p: Point, circle: Circle) -> bool:
+    return abs(dist(p, circle.center) - circle.radius) <= EPS
 
 
-def strictly_inside_circle(p: Point, circle: Circle, tol: Tolerance = _DEFAULT_TOL) -> bool:
-    return dist(p, circle.center) < circle.radius - tol.eps
+def strictly_inside_circle(p: Point, circle: Circle) -> bool:
+    return dist(p, circle.center) < circle.radius - EPS
 
 
 def _require_distinct(points: Sequence[Point]) -> None:
@@ -404,7 +397,7 @@ def _circumradius(
     return r
 
 
-def convex_hull(points: Iterable[Point], tol: Tolerance = _DEFAULT_TOL) -> Hull:
+def convex_hull(points: Iterable[Point]) -> Hull:
     """Convex hull with strictly convex vertices, counterclockwise.
 
     Monotone chain with exact orientation tests builds the structure; an
@@ -426,7 +419,7 @@ def convex_hull(points: Iterable[Point], tol: Tolerance = _DEFAULT_TOL) -> Hull:
     far1 = max(pts, key=lambda p: dist(pts[0], p))
     far2 = max(pts, key=lambda p: dist(far1, p))
     lo, hi = (far1, far2) if far1 <= far2 else (far2, far1)
-    if all(collinear(lo, hi, p, tol) for p in pts):
+    if all(collinear(lo, hi, p) for p in pts):
         return DegenerateHull(lo, hi)
 
     lower: list[Point] = []
@@ -439,7 +432,7 @@ def convex_hull(points: Iterable[Point], tol: Tolerance = _DEFAULT_TOL) -> Hull:
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0.0:
             upper.pop()
         upper.append(p)
-    ring = _merge_flat_corners(lower[:-1] + upper[:-1], tol)
+    ring = _merge_flat_corners(lower[:-1] + upper[:-1])
     if len(ring) < 3:
         # The set is eps-flat even though no single baseline showed it.
         return DegenerateHull(lo, hi)
@@ -447,7 +440,7 @@ def convex_hull(points: Iterable[Point], tol: Tolerance = _DEFAULT_TOL) -> Hull:
     return Polygon(tuple(ring[start:] + ring[:start]))
 
 
-def _merge_flat_corners(ring: list[Point], tol: Tolerance) -> list[Point]:
+def _merge_flat_corners(ring: list[Point]) -> list[Point]:
     verts = list(ring)
     changed = True
     while changed and len(verts) >= 3:
@@ -456,21 +449,21 @@ def _merge_flat_corners(ring: list[Point], tol: Tolerance) -> list[Point]:
             a = verts[i - 1]
             b = verts[i]
             c = verts[(i + 1) % len(verts)]
-            if collinear(a, b, c, tol):
+            if collinear(a, b, c):
                 del verts[i]
                 changed = True
                 break
     return verts
 
 
-def hull_boundary_contains(hull: Hull, q: Point, tol: Tolerance = _DEFAULT_TOL) -> bool:
+def hull_boundary_contains(hull: Hull, q: Point) -> bool:
     """Whether q lies on the hull boundary (vertices and edges included)."""
     if isinstance(hull, DegenerateHull):
-        return point_on_segment(q, hull.a, hull.b, tol)
+        return point_on_segment(q, hull.a, hull.b)
     verts = hull.vertices
     if len(verts) == 1:
-        return points_coincide(q, verts[0], tol)
+        return points_coincide(q, verts[0])
     return any(
-        point_on_segment(q, verts[i], verts[(i + 1) % len(verts)], tol)
+        point_on_segment(q, verts[i], verts[(i + 1) % len(verts)])
         for i in range(len(verts))
     )

@@ -13,9 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .geometry import Point, PointGrid, Tolerance
-
-_DEFAULT_TOL = Tolerance()
+from .geometry import EPS, Point, PointGrid
 
 
 @dataclass
@@ -144,7 +142,7 @@ def random_frame(rng: random.Random) -> Frame:
     )
 
 
-def normalize(raw_positions: Iterable[Point], tol: Tolerance = _DEFAULT_TOL) -> Configuration:
+def normalize(raw_positions: Iterable[Point]) -> Configuration:
     """Cluster raw robot positions into a configuration.
 
     Positions within eps of an already-seen representative join the earliest
@@ -155,7 +153,7 @@ def normalize(raw_positions: Iterable[Point], tol: Tolerance = _DEFAULT_TOL) -> 
     # Points pass through as they are: building a Point costs more than the
     # rest of the loop does per position.
     points = [raw if type(raw) is Point else Point(raw[0], raw[1]) for raw in raw_positions]
-    grid = PointGrid(points, tol.eps)
+    grid = PointGrid(points, EPS)
     occupied: dict[Point, int] = {}
     reps: list[Point] = []
     for p in points:

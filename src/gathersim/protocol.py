@@ -25,16 +25,14 @@ from typing import Optional, Sequence
 
 from .geometry import (
     Circle,
+    EPS,
     Point,
-    Tolerance,
     dist,
     point_on_segment,
     points_coincide,
     smallest_enclosing_circle,
 )
 from .model import Configuration, max_points
-
-_DEFAULT_TOL = Tolerance()
 
 # Action kinds.
 STAY = "stay"
@@ -94,7 +92,7 @@ class BranchInfo:
     interior: tuple[Point, ...] = ()
 
 
-def classify_branch(occupied: dict[Point, int], tol: Tolerance = _DEFAULT_TOL) -> BranchInfo:
+def classify_branch(occupied: dict[Point, int]) -> BranchInfo:
     """Decide which branch of the rule a configuration falls under."""
     maxima = tuple(max_points(occupied))
     if len(maxima) == 1:
@@ -102,20 +100,19 @@ def classify_branch(occupied: dict[Point, int], tol: Tolerance = _DEFAULT_TOL) -
     if len(maxima) == 2:
         return BranchInfo(BRANCH_TWO_MAX, maxima)
     sec = smallest_enclosing_circle(occupied)
-    # The on_circle test, inlined: |dist(p, center) - radius| <= eps.
+    # The on_circle test, inlined: |dist(p, center) - radius| <= EPS.
     (cx, cy), r = sec
-    eps = tol.eps
     boundary: list[Point] = []
     interior: list[Point] = []
     for p in occupied:
         x, y = p
-        if abs(math.hypot(x - cx, y - cy) - r) <= eps:
+        if abs(math.hypot(x - cx, y - cy) - r) <= EPS:
             boundary.append(p)
         else:
             interior.append(p)
     if not interior:
         label = BRANCH_ALL_TO_CENTER
-    elif all(points_coincide(p, sec.center, tol) for p in interior):
+    elif all(points_coincide(p, sec.center) for p in interior):
         label = BRANCH_BOUNDARY_TO_CENTER
     else:
         label = BRANCH_INSIDE_TO_CENTER
@@ -129,49 +126,40 @@ def choose_closest_position(own: Point, p1: Point, p2: Point) -> Point:
     return p1 if dist(own, p1) <= dist(own, p2) else p2
 
 
-def path_is_clear(
-    occupied: Sequence[Point] | dict[Point, int],
-    start: Point,
-    goal: Point,
-    tol: Tolerance = _DEFAULT_TOL,
-) -> bool:
+def path_is_clear(occupied: Sequence[Point] | dict[Point, int], start: Point, goal: Point) -> bool:
     """No occupied point blocks the open segment from start to goal.
 
     Points coincident with either endpoint do not block; anything else on
     the segment does.
     """
     for q in occupied:
-        if points_coincide(q, start, tol) or points_coincide(q, goal, tol):
+        if points_coincide(q, start) or points_coincide(q, goal):
             continue
-        if point_on_segment(q, start, goal, tol):
+        if point_on_segment(q, start, goal):
             return False
     return True
 
 
-def _standing_on(own: Point, candidates: Sequence[Point], tol: Tolerance) -> bool:
-    return any(points_coincide(own, p, tol) for p in candidates)
+def _standing_on(own: Point, candidates: Sequence[Point]) -> bool:
+    return any(points_coincide(own, p) for p in candidates)
 
 
-def compute_action(
-    view: Configuration,
-    own_position: Point,
-    tol: Tolerance = _DEFAULT_TOL,
-) -> Action:
+def compute_action(view: Configuration, own_position: Point) -> Action:
     """Run the decision rule on one robot's view.
 
     ``own_position`` and the view share the same (local) coordinates.  The
     view carries exact multiplicities: the rule keys on them.
     """
-    info = classify_branch(view.occupied, tol)
+    info = classify_branch(view.occupied)
 
     if info.label == BRANCH_UNIQUE_MAX:
         target = info.maxima[0]
-        if points_coincide(own_position, target, tol):
+        if points_coincide(own_position, target):
             return Action(STAY, branch=info.label)
         return Action(MOVE_CAREFUL, target, info.label)
 
     if info.label == BRANCH_TWO_MAX:
-        if _standing_on(own_position, info.maxima, tol):
+        if _standing_on(own_position, info.maxima):
             return Action(STAY, branch=info.label)
         target = choose_closest_position(own_position, info.maxima[0], info.maxima[1])
         return Action(MOVE_CAREFUL, target, info.label)
@@ -183,9 +171,9 @@ def compute_action(
     elif info.label == BRANCH_BOUNDARY_TO_CENTER:
         maxima_set = set(info.maxima)
         movers = [p for p in info.boundary if p in maxima_set]
-        moves = _standing_on(own_position, movers, tol)
+        moves = _standing_on(own_position, movers)
     else:
-        moves = _standing_on(own_position, info.interior, tol)
-    if moves and not points_coincide(own_position, center, tol):
+        moves = _standing_on(own_position, info.interior)
+    if moves and not points_coincide(own_position, center):
         return Action(MOVE_DIRECT, center, info.label)
     return Action(STAY, branch=info.label)

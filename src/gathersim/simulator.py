@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
-from .geometry import Circle, Point, Tolerance, dist, on_circle, points_coincide, smallest_enclosing_circle
+from .geometry import Circle, Point, dist, on_circle, points_coincide, smallest_enclosing_circle
 from .model import (
     Configuration,
     Frame,
@@ -39,8 +39,6 @@ from .protocol import (
     compute_action,
     path_is_clear,
 )
-
-_DEFAULT_TOL = Tolerance()
 
 # Scheduler strategies.
 SYNCHRONOUS = "synchronous"
@@ -148,14 +146,13 @@ class Snapshot:
     enclosing circle.
     """
 
-    def __init__(self, state: SimState, tol: Tolerance) -> None:
+    def __init__(self, state: SimState) -> None:
         self.state = state
-        self.tol = tol
-        self.config = normalize(state.positions(), tol)
+        self.config = normalize(state.positions())
 
     @cached_property
     def branch(self) -> BranchInfo:
-        return classify_branch(self.config.occupied, self.tol)
+        return classify_branch(self.config.occupied)
 
     @cached_property
     def sec(self) -> Circle:
@@ -190,7 +187,7 @@ def next_active(spec: SchedulerSpec, snap: Snapshot) -> list[int]:
     elif spec.strategy == BOUNDARY_ONLY:
         # Adversary that starves the interior: only robots currently on the
         # enclosing circle wake up (fairness forcing aside).
-        chosen = {i for i, r in enumerate(state.robots) if on_circle(r.pos, snap.sec, snap.tol)}
+        chosen = {i for i, r in enumerate(state.robots) if on_circle(r.pos, snap.sec)}
     else:
         assert spec.script is not None
         step_ids = spec.script[t % len(spec.script)]
@@ -254,7 +251,7 @@ def trace_line(t: int, robot: Robot, action: Optional[Action]) -> str:
     )
 
 
-def _snap_to_occupied(target: Point, config: Configuration, tol: Tolerance) -> Point:
+def _snap_to_occupied(target: Point, config: Configuration) -> Point:
     """Replace a target within eps of an occupied point by that exact point.
 
     Local-to-global roundtrips leave crumbs of rounding; snapping makes sure
@@ -262,7 +259,7 @@ def _snap_to_occupied(target: Point, config: Configuration, tol: Tolerance) -> P
     actually grows instead of producing eps-separated dust.
     """
     for p in config.occupied:
-        if points_coincide(target, p, tol):
+        if points_coincide(target, p):
             return p
     return target
 
@@ -277,7 +274,7 @@ def step(snap: Snapshot, active: Sequence[int]) -> tuple[SimState, dict[int, Act
     runs on the snapshot: the protocol asked under local coordinates, but
     blocking is a fact about the shared world, so it is re-checked globally.
     """
-    state, config, tol = snap.state, snap.config, snap.tol
+    state, config = snap.state, snap.config
     if not active:
         raise ValueError("activation set must be non-empty")
     robots = list(state.robots)
@@ -289,11 +286,11 @@ def step(snap: Snapshot, active: Sequence[int]) -> tuple[SimState, dict[int, Act
         robot = robots[i]
         last_active[i] = state.t
         frame = ego_frame(robot.frame, robot.pos)
-        action = compute_action(observe(config, frame), Point(0.0, 0.0), tol)
+        action = compute_action(observe(config, frame), Point(0.0, 0.0))
         if action.kind != STAY:
             assert action.target is not None
-            target = _snap_to_occupied(to_global(frame, action.target), config, tol)
-            if action.kind == MOVE_CAREFUL and not path_is_clear(config.occupied, robot.pos, target, tol):
+            target = _snap_to_occupied(to_global(frame, action.target), config)
+            if action.kind == MOVE_CAREFUL and not path_is_clear(config.occupied, robot.pos, target):
                 action = Action(STAY, branch=action.branch)
             else:
                 action = Action(action.kind, target, action.branch)
@@ -329,7 +326,6 @@ class RunOutcome:
 def run(
     robots: Sequence[Robot],
     scheduler: SchedulerSpec,
-    tol: Tolerance = _DEFAULT_TOL,
     max_steps: Optional[int] = None,
     monitors: Optional[Mapping[str, Rule]] = None,
     stop_on_gather: bool = True,
@@ -356,7 +352,7 @@ def run(
     scheduler seed, an adversarial stress mode; the rule is supposed to be
     indifferent to frames, and this flag lets runs prove it.
     """
-    snap = Snapshot(initial_state(robots), tol)
+    snap = Snapshot(initial_state(robots))
     n = len(snap.state.robots)
     if n % 2 == 0:
         warnings.warn(
@@ -379,7 +375,7 @@ def run(
             rng = random.Random(f"{scheduler.seed}:frames:{snap.state.t}")
             snap.state.robots = [replace(r, frame=random_frame(rng)) for r in snap.state.robots]
         state, actions = step(snap, next_active(scheduler, snap))
-        before, snap = snap, Snapshot(state, tol)
+        before, snap = snap, Snapshot(state)
         if record_trace:
             t = before.state.t
             trace.extend(trace_line(t, r, actions.get(i)) for i, r in enumerate(state.robots))

@@ -17,7 +17,7 @@ from gathersim.analysis import (
     even_livelock_demo,
     run_sweep,
 )
-from gathersim.geometry import Point, Tolerance
+from gathersim.geometry import Point
 from gathersim.model import random_frame
 from gathersim.simulator import (
     FIXED_POINT,
@@ -28,7 +28,6 @@ from gathersim.simulator import (
     run,
 )
 
-TOL = Tolerance()
 
 ODD_SIZES = (1, 3, 5, 7, 9, 11)
 STRATEGIES = ("synchronous", "round_robin", "random_subset", "boundary_only_adversary")
@@ -49,9 +48,7 @@ def sweeps():
     results = {}
     for n in ODD_SIZES:
         for strategy in STRATEGIES:
-            results[n, strategy] = run_sweep(
-                n, RUNS_PER_CELL, _sweep_seed(n, strategy), strategy, TOL
-            )
+            results[n, strategy] = run_sweep(n, RUNS_PER_CELL, _sweep_seed(n, strategy), strategy)
     return results
 
 
@@ -86,7 +83,6 @@ def test_criterion_2_gathered_runs_stay_gathered():
         outcome, _ = run(
             robots,
             spec,
-            tol=TOL,
             max_steps=1000,
             monitors={
                 **attach_lemma_monitors(),
@@ -127,7 +123,7 @@ def test_criterion_3_lemma_monitors_silent(sweeps):
 
 
 def test_criterion_4_circle_oracle_agreement():
-    checks = check_geometry_suite(TOL, sets=1000)
+    checks = check_geometry_suite(sets=1000)
     failed = [detail for _, ok, detail in checks if not ok]
     agreement_detail = checks[0][2]
     _verdict(
@@ -138,7 +134,7 @@ def test_criterion_4_circle_oracle_agreement():
 
 
 def test_criterion_5_geometry_property_checks():
-    checks = check_properties_suite(TOL, sets=500)
+    checks = check_properties_suite(sets=500)
     failed = [f"{name}: {detail}" for name, ok, detail in checks if not ok]
     _verdict(
         5,
@@ -178,7 +174,6 @@ def test_criterion_7_reruns_are_identical(sweeps):
         outcome, trace = run(
             robots,
             SchedulerSpec(RANDOM_SUBSET, 1234),
-            tol=TOL,
             record_trace=True,
             refresh_frames=True,
         )
@@ -189,7 +184,7 @@ def test_criterion_7_reruns_are_identical(sweeps):
     trace_same = text_a == text_b and status_a == status_b and len(text_a) > 0
 
     n, strategy = 5, "random_subset"
-    replay = run_sweep(n, RUNS_PER_CELL, _sweep_seed(n, strategy), strategy, TOL)
+    replay = run_sweep(n, RUNS_PER_CELL, _sweep_seed(n, strategy), strategy)
     sweep_same = replay == sweeps[n, strategy]
     _verdict(
         7,

@@ -25,7 +25,7 @@ from gathersim.analysis import (
     random_robots,
     run_sweep,
 )
-from gathersim.geometry import Point, Tolerance, dist, smallest_enclosing_circle
+from gathersim.geometry import EPS, Point, dist, smallest_enclosing_circle
 from gathersim.simulator import (
     FIXED_POINT,
     GATHERED,
@@ -33,8 +33,8 @@ from gathersim.simulator import (
     SimState,
     Snapshot,
 )
+from other_eps import at_eps
 
-TOL = Tolerance()
 
 SQUARE = [Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -1)]
 
@@ -45,7 +45,7 @@ def _transition(before_pts, after_pts):
     assert len(after_pts) == n
     before = SimState(0, [Robot(i, Point(*p), 5.0) for i, p in enumerate(before_pts)], [-1] * n)
     after = SimState(1, [Robot(i, Point(*p), 5.0) for i, p in enumerate(after_pts)], [0] * n)
-    return Snapshot(before, TOL), Snapshot(after, TOL)
+    return Snapshot(before), Snapshot(after)
 
 
 def _check(name, transition):
@@ -85,7 +85,7 @@ def test_oracle_agrees_with_fast_implementation():
     rng = random.Random(101)
     worst = 0.0
     for _ in range(150):
-        pts = random_point_set(rng, rng.randint(3, 12), TOL)
+        pts = random_point_set(rng, rng.randint(3, 12))
         fast = smallest_enclosing_circle(pts)
         slow = brute_force_sec(pts)
         worst = max(worst, dist(fast.center, slow.center), abs(fast.radius - slow.radius))
@@ -97,7 +97,7 @@ def test_oracle_agrees_with_fast_implementation():
 
 def test_radius_decrease_equilateral_halves():
     tri = [Point(0, 0), Point(1, 0), Point(0.5, math.sqrt(3) / 2)]
-    assert check_radius_decrease(tri, 0.5, TOL)
+    assert check_radius_decrease(tri, 0.5)
     # pulling every vertex halfway to the center is a similarity with ratio
     # one half, so the new radius must be exactly half the old
     before = smallest_enclosing_circle(tri)
@@ -108,30 +108,30 @@ def test_radius_decrease_equilateral_halves():
 
 
 def test_radius_decrease_two_points_collapse():
-    assert check_radius_decrease([Point(0, 0), Point(4, 0)], 1.0, TOL)
+    assert check_radius_decrease([Point(0, 0), Point(4, 0)], 1.0)
 
 
 def test_radius_decrease_square_with_center():
     pts = SQUARE + [Point(0, 0)]
-    assert check_radius_decrease(pts, 0.25, TOL)
+    assert check_radius_decrease(pts, 0.25)
 
 
 def test_radius_decrease_validates_inputs():
     pts = [Point(0, 0), Point(1, 0)]
     with pytest.raises(ValueError):
-        check_radius_decrease(pts, 0.0, TOL)
+        check_radius_decrease(pts, 0.0)
     with pytest.raises(ValueError):
-        check_radius_decrease(pts, 1.5, TOL)
+        check_radius_decrease(pts, 1.5)
     with pytest.raises(ValueError):
-        check_radius_decrease([Point(1, 1), Point(1, 1)], 0.5, TOL)
+        check_radius_decrease([Point(1, 1), Point(1, 1)], 0.5)
 
 
 def test_radius_decrease_random_sets():
     rng = random.Random(33)
     for _ in range(60):
-        pts = random_point_set(rng, rng.randint(2, 10), TOL)
+        pts = random_point_set(rng, rng.randint(2, 10))
         for lam in (0.1, 0.5, 1.0):
-            assert check_radius_decrease(pts, lam, TOL)
+            assert check_radius_decrease(pts, lam)
 
 
 # -- sector occupancy around the circle center --------------------------------
@@ -140,7 +140,7 @@ def test_radius_decrease_random_sets():
 def test_concave_sectors_random_sets_pass():
     rng = random.Random(55)
     for _ in range(60):
-        assert check_concave_sectors_occupied(random_point_set(rng, 5, TOL), TOL) is None
+        assert check_concave_sectors_occupied(random_point_set(rng, 5)) is None
 
 
 def test_concave_sectors_obtuse_triangle():
@@ -149,17 +149,17 @@ def test_concave_sectors_obtuse_triangle():
     pts = [Point(0, 0), Point(4, 0), Point(1, 1)]
     sec = smallest_enclosing_circle(pts)
     assert dist(sec.center, Point(2, 0)) <= 1e-12
-    assert check_concave_sectors_occupied(pts, TOL) is None
+    assert check_concave_sectors_occupied(pts) is None
 
 
 def test_concave_sectors_collinear_pair_vacuous():
-    assert check_concave_sectors_occupied([Point(0, 0), Point(2, 0)], TOL) is None
+    assert check_concave_sectors_occupied([Point(0, 0), Point(2, 0)]) is None
 
 
 def test_concave_sectors_degenerate_and_small_inputs():
-    assert check_concave_sectors_occupied([Point(0, 0), Point(0, 5e-10)], TOL) is None
+    assert check_concave_sectors_occupied([Point(0, 0), Point(0, 5e-10)]) is None
     with pytest.raises(ValueError):
-        check_concave_sectors_occupied([Point(0, 0)], TOL)
+        check_concave_sectors_occupied([Point(0, 0)])
 
 
 # -- hull membership vs. empty wide sectors -----------------------------------
@@ -167,37 +167,37 @@ def test_concave_sectors_degenerate_and_small_inputs():
 
 def test_hull_equivalence_triangle_probes():
     tri = [Point(0, 0), Point(4, 0), Point(0, 4)]
-    assert check_hull_sector_equivalence(tri, Point(2, 0), TOL)   # edge midpoint
-    assert check_hull_sector_equivalence(tri, Point(4 / 3, 4 / 3), TOL)  # centroid
-    assert check_hull_sector_equivalence(tri, Point(0, 0), TOL)   # vertex
+    assert check_hull_sector_equivalence(tri, Point(2, 0))   # edge midpoint
+    assert check_hull_sector_equivalence(tri, Point(4 / 3, 4 / 3))  # centroid
+    assert check_hull_sector_equivalence(tri, Point(0, 0))   # vertex
 
 
 def test_hull_equivalence_random_probes():
     rng = random.Random(77)
     for _ in range(40):
-        pts = random_point_set(rng, rng.randint(3, 8), TOL)
+        pts = random_point_set(rng, rng.randint(3, 8))
         hull = smallest_enclosing_circle(pts)  # center is inside the hull
-        assert check_hull_sector_equivalence(pts, hull.center, TOL)
-        assert check_hull_sector_equivalence(pts, pts[0], TOL)
+        assert check_hull_sector_equivalence(pts, hull.center)
+        assert check_hull_sector_equivalence(pts, pts[0])
 
 
 def test_hull_equivalence_rejects_collinear():
     with pytest.raises(ValueError):
-        check_hull_sector_equivalence([Point(0, 0), Point(1, 0), Point(2, 0)], Point(1, 0), TOL)
+        check_hull_sector_equivalence([Point(0, 0), Point(1, 0), Point(2, 0)], Point(1, 0))
 
 
 # -- circle points lie on the hull --------------------------------------------
 
 
 def test_sec_points_on_hull_examples():
-    assert check_sec_points_on_hull(SQUARE + [Point(0, 0)], TOL)
-    assert check_sec_points_on_hull([Point(0, 0), Point(2, 0), Point(4, 0)], TOL)
+    assert check_sec_points_on_hull(SQUARE + [Point(0, 0)])
+    assert check_sec_points_on_hull([Point(0, 0), Point(2, 0), Point(4, 0)])
 
 
 def test_sec_points_on_hull_random():
     rng = random.Random(88)
     for _ in range(60):
-        assert check_sec_points_on_hull(random_point_set(rng, 8, TOL), TOL)
+        assert check_sec_points_on_hull(random_point_set(rng, 8))
 
 
 # -- monitors against fabricated transitions ----------------------------------
@@ -336,8 +336,8 @@ def test_attach_lemma_monitors_battery_and_toggles():
 # -- randomized harnesses -----------------------------------------------------
 
 
-def _reference_random_point_set(rng, k, tol):
-    min_sep = 10.0 * tol.eps
+def _reference_random_point_set(rng, k, eps):
+    min_sep = 10.0 * eps
     pts = []
     while len(pts) < k:
         cand = Point(rng.random(), rng.random())
@@ -348,42 +348,38 @@ def _reference_random_point_set(rng, k, tol):
 
 @pytest.mark.parametrize("seed, k, eps", [(5, 12, 1e-9), (1, 201, 1e-9), (2, 30, 0.01), (3, 8, 0.03)])
 def test_random_point_set_makes_the_draws_it_always_made(seed, k, eps):
-    tol = Tolerance(eps)
+    # The coarse spacings make rejections common enough to exercise the resampling.
     rng, ref = random.Random(seed), random.Random(seed)
-    assert random_point_set(rng, k, tol) == _reference_random_point_set(ref, k, tol)
+    with at_eps(eps):
+        got = random_point_set(rng, k)
+    assert got == _reference_random_point_set(ref, k, eps)
     assert rng.getstate() == ref.getstate()
-
-
-@pytest.mark.parametrize("seed, k, eps", [(0, 3, 0.1), (0, 2, 1.0), (4, 200, 0.01)])
-def test_random_point_set_gives_up_when_no_room_is_left(seed, k, eps):
-    with pytest.raises(ValueError, match="no room for point"):
-        random_point_set(random.Random(seed), k, Tolerance(eps))
 
 
 def test_random_point_set_spacing():
     rng = random.Random(5)
-    pts = random_point_set(rng, 12, TOL)
+    pts = random_point_set(rng, 12)
     assert len(pts) == 12
     assert all(0.0 <= p.x <= 1.0 and 0.0 <= p.y <= 1.0 for p in pts)
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            assert dist(pts[i], pts[j]) > 10 * TOL.eps
+            assert dist(pts[i], pts[j]) > 10 * EPS
 
 
 def test_random_robots_shape():
     rng = random.Random(6)
     for n in (1, 4, 9):
-        bots = random_robots(rng, n, TOL)
+        bots = random_robots(rng, n)
         assert len(bots) == n
         assert sorted(b.ident for b in bots) == list(range(n))
         assert all(0.1 <= b.sigma <= 2.0 for b in bots)
     with pytest.raises(ValueError):
-        random_robots(rng, 0, TOL)
+        random_robots(rng, 0)
 
 
 def test_run_sweep_deterministic_and_clean():
-    first = run_sweep(3, 5, seed=1, strategy="synchronous", tol=TOL)
-    second = run_sweep(3, 5, seed=1, strategy="synchronous", tol=TOL)
+    first = run_sweep(3, 5, seed=1, strategy="synchronous")
+    second = run_sweep(3, 5, seed=1, strategy="synchronous")
     assert first == second
     summary, records = first
     assert summary.runs == 5
@@ -397,13 +393,13 @@ def test_run_sweep_deterministic_and_clean():
 
 def test_run_sweep_validates_runs():
     with pytest.raises(ValueError):
-        run_sweep(3, 0, seed=1, strategy="synchronous", tol=TOL)
+        run_sweep(3, 0, seed=1, strategy="synchronous")
 
 
 def test_run_sweep_counts_only_step_limits_as_step_limits():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        summary, records = run_sweep(2, 10, seed=0, strategy="synchronous", tol=TOL)
+        summary, records = run_sweep(2, 10, seed=0, strategy="synchronous")
     statuses = [r["status"] for r in records]
     assert statuses.count(FIXED_POINT) == 5
     assert statuses.count(GATHERED) == summary.gathered == 5

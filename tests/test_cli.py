@@ -15,7 +15,6 @@ from gathersim import cli
 from gathersim.cli import (
     ConfigError,
     RunConfig,
-    default_eps,
     dump_config,
     load_config,
     main,
@@ -103,7 +102,16 @@ def _line_config(**extra):
             "robots[2].frame.tx: too large",
             id="huge-frame-tx",
         ),
-        pytest.param(lambda c: c.update(eps=10**400), "eps: too large", id="huge-eps"),
+        pytest.param(lambda c: c.update(eps=1e-9), "eps: unknown field", id="eps-unknown"),
+        pytest.param(
+            lambda c: c["robots"][1].update(x=2.0**300 * 1.5), "robots[1].x: magnitude", id="far-x"
+        ),
+        pytest.param(lambda c: c["robots"][2].update(y=-1e103), "robots[2].y: magnitude", id="far-y"),
+        pytest.param(
+            lambda c: c["robots"][1].update(frame={"scale": 1e120}),
+            "robots[1].frame.scale: 1e+120 times the largest coordinate magnitude 2 exceeds 2**300",
+            id="far-view",
+        ),
     ],
 )
 def test_parse_errors_name_the_field(mangle, needle):
@@ -123,11 +131,19 @@ def test_parse_rejects_non_object_and_bad_script():
         parse_config(cfg)
 
 
-def test_parse_defaults(monkeypatch):
-    monkeypatch.delenv("GATHERSIM_EPS", raising=False)
+def test_parse_accepts_coordinates_and_views_up_to_2_to_the_300():
+    limit = 2.0**300
+    cfg = _gathered_config()
+    cfg["robots"][0].update(x=-limit, y=limit)
+    assert parse_config(cfg).robots[0].pos == Point(-limit, limit)
+    cfg = _gathered_config()
+    cfg["robots"][2].update(frame={"scale": limit / 2.0})
+    assert parse_config(cfg).robots[2].frame.scale == limit / 2.0
+
+
+def test_parse_defaults():
     config = parse_config({"robots": [{"x": 0.0, "y": 0.0, "sigma": 1.0}]})
     assert config.scheduler == SchedulerSpec("synchronous", 0, None)
-    assert config.eps == 1e-9
     assert config.max_steps is None
     assert config.monitors is None
     assert config.refresh_frames is False
@@ -140,7 +156,6 @@ def test_config_round_trip():
             Robot(1, Point(2.0, 3.0), 1.1),
         ],
         scheduler=SchedulerSpec("random_subset", 99, 6),
-        eps=1e-8,
         max_steps=500,
         monitors={"closure": True, "radius_progress": False},
         refresh_frames=True,
@@ -163,28 +178,6 @@ def test_load_config_io_errors(tmp_path):
     bad.write_text("{nope", encoding="utf-8")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(str(bad))
-
-
-# -- eps override -------------------------------------------------------------
-
-
-def test_default_eps_env(monkeypatch):
-    monkeypatch.delenv("GATHERSIM_EPS", raising=False)
-    assert default_eps() == 1e-9
-    monkeypatch.setenv("GATHERSIM_EPS", "1e-6")
-    assert default_eps() == 1e-6
-    monkeypatch.setenv("GATHERSIM_EPS", "three")
-    with pytest.raises(ConfigError, match="GATHERSIM_EPS"):
-        default_eps()
-    monkeypatch.setenv("GATHERSIM_EPS", "-1")
-    with pytest.raises(ConfigError, match="GATHERSIM_EPS"):
-        default_eps()
-
-
-def test_config_eps_beats_env(monkeypatch):
-    monkeypatch.setenv("GATHERSIM_EPS", "1e-6")
-    assert parse_config(_gathered_config()).eps == 1e-6
-    assert parse_config(_gathered_config(eps=1e-12)).eps == 1e-12
 
 
 # -- run subcommand -----------------------------------------------------------
@@ -228,6 +221,46 @@ def test_run_huge_json_integer_is_a_config_error(tmp_path, capsys):
     assert captured.err.startswith("config error: robots[0].x: too large")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+# Five robots about 1e103 from the origin; the circumcenter solve overflowed
+# into a non-finite target.  Scaled down by 1e100 they gather, but a frame of
+# scale 1e120 takes that view back out of range.
+FAR_ROBOTS = [(1e103, 0.0), (-1e103, 3e102), (2e102, 1e103), (-4e102, -7e102), (5e102, -9e102)]
+
+
+def _far_config(shrink=1.0, frame=None):
+    robots = [
+        {"x": x * shrink, "y": y * shrink, "sigma": 1e104 * shrink, "frame": frame or {}}
+        for x, y in FAR_ROBOTS
+    ]
+    return {"robots": robots, "scheduler": {"strategy": "synchronous"}}
+
+
+@pytest.mark.parametrize(
+    "cfg, needle",
+    [
+        pytest.param(_far_config(), "robots[0].x: magnitude exceeds 2**300", id="far"),
+        pytest.param(
+            _far_config(1e-100, {"scale": 1e120}), "robots[0].frame.scale: 1e+120 times", id="far-view"
+        ),
+        pytest.param(_gathered_config(eps=1e-9), "eps: unknown field", id="eps"),
+    ],
+)
+def test_run_rejected_config_exits_two_naming_the_field(tmp_path, capsys, cfg, needle):
+    path = _write(tmp_path, cfg)
+    assert main(["run", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {needle}")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_run_far_robots_scaled_into_range_gather(tmp_path, capsys):
+    path = _write(tmp_path, _far_config(1e-100))
+    assert main(["run", "--config", path]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["status"] == "gathered" and record["final_t"] == 2
 
 
 def test_run_weak_detection_is_a_config_error(tmp_path, capsys):
@@ -302,22 +335,17 @@ def test_run_unwritable_trace_fails_before_the_run(tmp_path, capsys, monkeypatch
     assert calls == []
 
 
-def test_run_that_raises_leaves_no_trace_file(tmp_path):
-    # Coordinates near the largest float overflow the rule's geometry into a non-finite target.
-    cfg = _gathered_config(robots=[
-        {"x": 1e308, "y": 0.0, "sigma": 1.0},
-        {"x": -1e308, "y": 0.0, "sigma": 1.0},
-        {"x": 0.0, "y": 1e308, "sigma": 1.0},
-    ])
-    path = _write(tmp_path, cfg)
-    trace = tmp_path / "huge.jsonl"
-    with pytest.raises(ValueError, match="action target must be finite"):
-        main(["run", "--config", path, "--trace", str(trace)])
-    assert not trace.exists()
-
-
 def _failing_run(*args, **kwargs):
     raise RuntimeError("run failed")
+
+
+def test_run_that_raises_leaves_no_trace_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "run", _failing_run)
+    path = _write(tmp_path, _line_config())
+    trace = tmp_path / "t.jsonl"
+    with pytest.raises(RuntimeError, match="run failed"):
+        main(["run", "--config", path, "--trace", str(trace)])
+    assert not trace.exists()
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -402,30 +430,58 @@ def test_sweep_rejects_scripted_strategy(capsys):
     assert excinfo.value.code == 2
 
 
-def test_sweep_with_no_room_for_its_points_is_a_config_error(tmp_path, capsys, monkeypatch):
-    # Points 10*eps = 10 apart cannot share the unit square.
-    monkeypatch.setenv("GATHERSIM_EPS", "1")
-    out = tmp_path / "records.jsonl"
+def test_sweep_unwritable_out_fails_before_the_sweep(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_sweep", lambda *args: calls.append(args))
+    out = tmp_path / "no" / "such" / "dir" / "records.jsonl"
     code = main(
-        ["sweep", "--n", "5", "--runs", "2", "--seed", "0",
+        ["sweep", "--n", "3", "--runs", "2", "--seed", "0",
          "--scheduler", "synchronous", "--out", str(out)]
     )
-    assert code == 2
+    assert code == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("config error: GATHERSIM_EPS")
+    assert "cannot write records" in captured.err
     assert captured.out == ""
+    assert calls == []
+
+
+def test_sweep_that_raises_leaves_no_records_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "run_sweep", _failing_run)
+    out = tmp_path / "records.jsonl"
+    with pytest.raises(RuntimeError, match="run failed"):
+        main(["sweep", "--n", "3", "--runs", "2", "--seed", "0",
+              "--scheduler", "synchronous", "--out", str(out)])
     assert not out.exists()
+
+
+def _sweep_output(out_path):
+    code = main(
+        ["sweep", "--n", "5", "--runs", "3", "--seed", "0",
+         "--scheduler", "random_subset", "--out", str(out_path)]
+    )
+    return code, out_path.read_bytes()
+
+
+def test_sweep_ignores_GATHERSIM_EPS(tmp_path, capsys, monkeypatch):
+    # Point sets 10*0.5 apart do not fit in the unit square, so a sweep that read it would fail.
+    monkeypatch.delenv("GATHERSIM_EPS", raising=False)
+    plain = _sweep_output(tmp_path / "plain.jsonl"), capsys.readouterr()
+    monkeypatch.setenv("GATHERSIM_EPS", "0.5")
+    with_env = _sweep_output(tmp_path / "env.jsonl"), capsys.readouterr()
+    assert plain[0][0] == 0
+    assert with_env == plain
 
 
 # -- check subcommand ---------------------------------------------------------
 
 
-def test_check_with_no_room_for_its_points_is_a_config_error(capsys, monkeypatch):
-    monkeypatch.setenv("GATHERSIM_EPS", "1")
-    assert main(["check", "--suite", "geometry"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("config error: GATHERSIM_EPS")
-    assert captured.out == ""
+def test_check_ignores_GATHERSIM_EPS(capsys, monkeypatch):
+    monkeypatch.delenv("GATHERSIM_EPS", raising=False)
+    plain = main(["check", "--suite", "all"]), capsys.readouterr()
+    monkeypatch.setenv("GATHERSIM_EPS", "0.5")
+    with_env = main(["check", "--suite", "all"]), capsys.readouterr()
+    assert plain[0] == 0
+    assert with_env == plain
 
 
 

@@ -6,7 +6,6 @@ bisector equations by hand, hulls by inspection.  The fast code has to come
 to them, not the other way round.
 """
 
-import math
 import random
 
 import pytest
@@ -20,7 +19,7 @@ from gathersim.geometry import (
     DegenerateHull,
     Point,
     Polygon,
-    Tolerance,
+    _segment_distance,
     collinear,
     convex_hull,
     dist,
@@ -35,7 +34,6 @@ from gathersim.geometry import (
     strictly_inside_circle,
 )
 
-TOL = Tolerance()
 
 # Circumcenter of {(0,0),(1,0),(0.5,0.8660254)} from the bisector equations
 #   x = 0.5
@@ -62,45 +60,44 @@ def _points(min_size, max_size):
 
 
 def test_points_coincide_basic():
-    assert points_coincide(Point(0, 0), Point(0, 0), TOL)
-    assert not points_coincide(Point(0, 0), Point(1, 0), TOL)
-    assert points_coincide(Point(0, 0), Point(0, 5e-10), TOL)
+    assert points_coincide(Point(0, 0), Point(0, 0))
+    assert not points_coincide(Point(0, 0), Point(1, 0))
+    assert points_coincide(Point(0, 0), Point(0, 5e-10))
 
 
 def test_point_on_segment_examples():
     a, b = Point(0, 0), Point(2, 0)
-    assert point_on_segment(Point(1, 0), a, b, TOL)
-    assert not point_on_segment(Point(1, 1), a, b, TOL)
-    assert not point_on_segment(Point(3, 0), a, b, TOL)
+    assert point_on_segment(Point(1, 0), a, b)
+    assert not point_on_segment(Point(1, 1), a, b)
+    assert not point_on_segment(Point(3, 0), a, b)
 
 
 def test_point_on_segment_includes_endpoints():
     a, b = Point(1, 2), Point(5, -3)
-    assert point_on_segment(a, a, b, TOL)
-    assert point_on_segment(b, a, b, TOL)
+    assert point_on_segment(a, a, b)
+    assert point_on_segment(b, a, b)
 
 
 def test_point_between_collinear_examples():
-    assert point_between_collinear(Point(1, 0), Point(0, 0), Point(2, 0), TOL)
-    assert not point_between_collinear(Point(0, 0), Point(1, 0), Point(2, 0), TOL)
+    assert point_between_collinear(Point(1, 0), Point(0, 0), Point(2, 0))
+    assert not point_between_collinear(Point(0, 0), Point(1, 0), Point(2, 0))
     # endpoint coincidence is not "strictly between"
-    assert not point_between_collinear(Point(2, 0), Point(0, 0), Point(2, 0), TOL)
+    assert not point_between_collinear(Point(2, 0), Point(0, 0), Point(2, 0))
 
 
 def test_point_between_collinear_rejects_off_line():
     with pytest.raises(ValueError):
-        point_between_collinear(Point(1, 1), Point(0, 0), Point(2, 0), TOL)
+        point_between_collinear(Point(1, 1), Point(0, 0), Point(2, 0))
 
 
 def test_collinear_is_scale_free():
     a, b, c = Point(0, 0), Point(1, 0), Point(2, 1e-12)
-    assert collinear(a, b, c, TOL)
+    assert collinear(a, b, c)
     scale = 1e6
     assert collinear(
         Point(a.x * scale, a.y * scale),
         Point(b.x * scale, b.y * scale),
         Point(c.x * scale, c.y * scale),
-        TOL,
     )
 
 
@@ -108,63 +105,61 @@ def test_collinear_is_scale_free():
 
 
 def test_sector_pair_right_angle_kinds():
-    pair = make_sector_pair(Point(1, 0), Point(0, 1), Point(0, 0), TOL)
+    pair = make_sector_pair(Point(1, 0), Point(0, 1), Point(0, 0))
     assert pair is not None
     assert {pair.kind1, pair.kind2} == {CONVEX, CONCAVE}
 
 
 def test_sector_pair_straight():
-    pair = make_sector_pair(Point(-1, 0), Point(1, 0), Point(0, 0), TOL)
+    pair = make_sector_pair(Point(-1, 0), Point(1, 0), Point(0, 0))
     assert pair is not None
     assert (pair.kind1, pair.kind2) == (STRAIGHT, STRAIGHT)
 
 
 def test_sector_pair_collinear_not_between_is_none():
-    assert make_sector_pair(Point(1, 0), Point(2, 0), Point(0, 0), TOL) is None
+    assert make_sector_pair(Point(1, 0), Point(2, 0), Point(0, 0)) is None
 
 
 def test_sector_pair_coincident_inputs_rejected():
     with pytest.raises(ValueError):
-        make_sector_pair(Point(1, 0), Point(1, 0), Point(0, 0), TOL)
+        make_sector_pair(Point(1, 0), Point(1, 0), Point(0, 0))
     with pytest.raises(ValueError):
-        make_sector_pair(Point(1, 0), Point(0, 1), Point(1, 0), TOL)
+        make_sector_pair(Point(1, 0), Point(0, 1), Point(1, 0))
 
 
 def test_sector_contains_examples():
-    pair = make_sector_pair(Point(1, 0), Point(0, 1), Point(0, 0), TOL)
+    pair = make_sector_pair(Point(1, 0), Point(0, 1), Point(0, 0))
     convex_side = 1 if pair.kind1 == CONVEX else 2
     concave_side = 3 - convex_side
-    assert sector_contains(pair, convex_side, Point(1, 1), TOL)
-    assert not sector_contains(pair, concave_side, Point(1, 1), TOL)
+    assert sector_contains(pair, convex_side, Point(1, 1))
+    assert not sector_contains(pair, concave_side, Point(1, 1))
     # on a bounding half-line: in neither
-    assert not sector_contains(pair, 1, Point(2, 0), TOL)
-    assert not sector_contains(pair, 2, Point(2, 0), TOL)
-    assert sector_contains(pair, concave_side, Point(-1, -1), TOL)
+    assert not sector_contains(pair, 1, Point(2, 0))
+    assert not sector_contains(pair, 2, Point(2, 0))
+    assert sector_contains(pair, concave_side, Point(-1, -1))
 
 
 def test_sector_apex_in_neither():
-    pair = make_sector_pair(Point(1, 0), Point(0, 1), Point(0, 0), TOL)
-    assert not sector_contains(pair, 1, Point(0, 0), TOL)
-    assert not sector_contains(pair, 2, Point(0, 0), TOL)
+    pair = make_sector_pair(Point(1, 0), Point(0, 1), Point(0, 0))
+    assert not sector_contains(pair, 1, Point(0, 0))
+    assert not sector_contains(pair, 2, Point(0, 0))
 
 
 def test_sector_half_line_beyond_anchor_excluded():
     # The half-line through r extends past r; q behind the apex is NOT on it.
-    pair = make_sector_pair(Point(1, 0), Point(0, 1), Point(0, 0), TOL)
-    assert not sector_contains(pair, 1, Point(5, 0), TOL)
-    assert not sector_contains(pair, 2, Point(5, 0), TOL)
+    pair = make_sector_pair(Point(1, 0), Point(0, 1), Point(0, 0))
+    assert not sector_contains(pair, 1, Point(5, 0))
+    assert not sector_contains(pair, 2, Point(5, 0))
     # (-1, 0) is behind the apex relative to r=(1,0): belongs to a sector.
-    assert sector_contains(pair, 1, Point(-1, 0), TOL) or sector_contains(
-        pair, 2, Point(-1, 0), TOL
-    )
+    assert sector_contains(pair, 1, Point(-1, 0)) or sector_contains(pair, 2, Point(-1, 0))
 
 
 def test_straight_sectors_are_half_planes():
-    pair = make_sector_pair(Point(-1, 0), Point(1, 0), Point(0, 0), TOL)
+    pair = make_sector_pair(Point(-1, 0), Point(1, 0), Point(0, 0))
     above = Point(0.3, 2.0)
     below = Point(-0.7, -0.1)
-    assert sector_contains(pair, 1, above, TOL) != sector_contains(pair, 2, above, TOL)
-    assert sector_contains(pair, 1, above, TOL) != sector_contains(pair, 1, below, TOL)
+    assert sector_contains(pair, 1, above) != sector_contains(pair, 2, above)
+    assert sector_contains(pair, 1, above) != sector_contains(pair, 1, below)
 
 
 @settings(max_examples=300)
@@ -174,18 +169,18 @@ def test_sector_exclusivity(pts, raw_q):
     r, rp, c = pts
     q = Point(*raw_q)
     try:
-        pair = make_sector_pair(r, rp, c, TOL)
+        pair = make_sector_pair(r, rp, c)
     except ValueError:
         return
     if pair is None:
         return
-    in1 = sector_contains(pair, 1, q, TOL)
-    in2 = sector_contains(pair, 2, q, TOL)
+    in1 = sector_contains(pair, 1, q)
+    in2 = sector_contains(pair, 2, q)
     assert not (in1 and in2)
     on_ray = (
-        points_coincide(q, c, TOL)
-        or (collinear(c, r, q, TOL) and (r.x - c.x) * (q.x - c.x) + (r.y - c.y) * (q.y - c.y) >= 0)
-        or (collinear(c, rp, q, TOL) and (rp.x - c.x) * (q.x - c.x) + (rp.y - c.y) * (q.y - c.y) >= 0)
+        points_coincide(q, c)
+        or (collinear(c, r, q) and (r.x - c.x) * (q.x - c.x) + (r.y - c.y) * (q.y - c.y) >= 0)
+        or (collinear(c, rp, q) and (rp.x - c.x) * (q.x - c.x) + (rp.y - c.y) * (q.y - c.y) >= 0)
     )
     if on_ray:
         assert not in1 and not in2
@@ -198,7 +193,7 @@ def test_sector_exclusivity(pts, raw_q):
 
 def test_sec_two_points():
     sec = smallest_enclosing_circle([Point(0, 0), Point(2, 0)])
-    assert points_coincide(sec.center, Point(1, 0), TOL)
+    assert points_coincide(sec.center, Point(1, 0))
     assert abs(sec.radius - 1.0) <= 1e-12
 
 
@@ -211,9 +206,9 @@ def test_sec_equilateral_frozen_values():
 
 def test_sec_third_point_inside():
     sec = smallest_enclosing_circle([Point(0, 0), Point(4, 0), Point(2, 1)])
-    assert points_coincide(sec.center, Point(2, 0), TOL)
+    assert points_coincide(sec.center, Point(2, 0))
     assert abs(sec.radius - 2.0) <= 1e-12
-    assert strictly_inside_circle(Point(2, 1), sec, TOL)
+    assert strictly_inside_circle(Point(2, 1), sec)
 
 
 def test_sec_single_point():
@@ -258,42 +253,40 @@ def test_sec_encloses_and_is_supported(pts):
 
 
 def test_hull_square_with_interior_point():
-    hull = convex_hull(
-        [Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1), Point(0.5, 0.5)], TOL
-    )
+    hull = convex_hull([Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1), Point(0.5, 0.5)])
     assert isinstance(hull, Polygon)
     assert set(hull.vertices) == {Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)}
     assert hull.vertices[0] == Point(0, 0)
 
 
 def test_hull_collinear_degenerate():
-    hull = convex_hull([Point(0, 0), Point(1, 0), Point(2, 0)], TOL)
+    hull = convex_hull([Point(0, 0), Point(1, 0), Point(2, 0)])
     assert hull == DegenerateHull(Point(0, 0), Point(2, 0))
 
 
 def test_hull_triangle():
     pts = [Point(0, 0), Point(3, 0), Point(0, 4)]
-    hull = convex_hull(pts, TOL)
+    hull = convex_hull(pts)
     assert isinstance(hull, Polygon)
     assert set(hull.vertices) == set(pts)
 
 
 def test_hull_boundary_contains():
-    hull = convex_hull([Point(0, 0), Point(2, 0), Point(0, 2)], TOL)
-    assert hull_boundary_contains(hull, Point(1, 0), TOL)
-    assert hull_boundary_contains(hull, Point(0, 0), TOL)
-    assert hull_boundary_contains(hull, Point(1, 1), TOL)  # on the hypotenuse
-    assert not hull_boundary_contains(hull, Point(0.5, 0.5), TOL)
-    assert not hull_boundary_contains(hull, Point(3, 3), TOL)
+    hull = convex_hull([Point(0, 0), Point(2, 0), Point(0, 2)])
+    assert hull_boundary_contains(hull, Point(1, 0))
+    assert hull_boundary_contains(hull, Point(0, 0))
+    assert hull_boundary_contains(hull, Point(1, 1))  # on the hypotenuse
+    assert not hull_boundary_contains(hull, Point(0.5, 0.5))
+    assert not hull_boundary_contains(hull, Point(3, 3))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_points(1, 15))
 def test_hull_contains_all_points_and_is_convex(pts):
-    hull = convex_hull(pts, TOL)
+    hull = convex_hull(pts)
     if isinstance(hull, DegenerateHull):
         for p in pts:
-            assert point_on_segment(p, hull.a, hull.b, Tolerance(1e-6))
+            assert _segment_distance(p, hull.a, hull.b) <= 1e-6
         return
     verts = hull.vertices
     assert set(verts) <= set(pts)
@@ -322,16 +315,9 @@ def test_hull_contains_all_points_and_is_convex(pts):
 
 def test_on_circle_and_inside():
     sec = smallest_enclosing_circle([Point(-1, 0), Point(1, 0)])
-    assert on_circle(Point(1, 0), sec, TOL)
-    assert on_circle(Point(0, 1), sec, TOL)
-    assert strictly_inside_circle(Point(0.5, 0), sec, TOL)
-    assert not strictly_inside_circle(Point(1, 0), sec, TOL)
-    assert not on_circle(Point(0, 0), sec, TOL)
+    assert on_circle(Point(1, 0), sec)
+    assert on_circle(Point(0, 1), sec)
+    assert strictly_inside_circle(Point(0.5, 0), sec)
+    assert not strictly_inside_circle(Point(1, 0), sec)
+    assert not on_circle(Point(0, 0), sec)
 
-
-def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        Tolerance(-1e-9)
-    with pytest.raises(ValueError):
-        Tolerance(math.inf)
-    assert Tolerance(0.0).eps == 0.0

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gathersim.geometry import Point, Tolerance, dist
+from gathersim.geometry import Point, dist
 from gathersim.model import (
     IDENTITY_FRAME,
     Configuration,
@@ -26,7 +26,6 @@ from gathersim.model import (
     to_local,
 )
 
-TOL = Tolerance()
 
 
 def _frames():
@@ -238,22 +237,22 @@ def test_max_points_frame_invariant(raw_occupied, seed):
 
 
 def test_normalize_exact_duplicates():
-    cfg = normalize([Point(0, 0), Point(0, 0), Point(1, 0)], TOL)
+    cfg = normalize([Point(0, 0), Point(0, 0), Point(1, 0)])
     assert cfg.occupied == {Point(0, 0): 2, Point(1, 0): 1}
 
 
 def test_normalize_merges_below_eps():
-    cfg = normalize([Point(0, 0), Point(0, 5e-10)], TOL)
+    cfg = normalize([Point(0, 0), Point(0, 5e-10)])
     assert cfg.occupied == {Point(0, 0): 2}
 
 
 def test_normalize_distinct_points_stay_apart():
-    cfg = normalize([Point(0, 0), Point(1, 0), Point(2, 0)], TOL)
+    cfg = normalize([Point(0, 0), Point(1, 0), Point(2, 0)])
     assert cfg.occupied == {Point(0, 0): 1, Point(1, 0): 1, Point(2, 0): 1}
 
 
 def test_normalize_representative_is_first_encountered():
-    cfg = normalize([Point(1e-10, 0), Point(0, 0)], TOL)
+    cfg = normalize([Point(1e-10, 0), Point(0, 0)])
     assert cfg.occupied == {Point(1e-10, 0): 2}
 
 
@@ -264,4 +263,4 @@ def test_normalize_representative_is_first_encountered():
     )
 )
 def test_normalize_conserves_robot_count(raw):
-    assert normalize(raw, TOL).robot_count == len(raw)
+    assert normalize(raw).robot_count == len(raw)

@@ -4,6 +4,7 @@ normalize and the careful-separation monitor once compared every position
 with every other one.  Those loops are kept here, verbatim, as the oracles:
 the indexed versions must give the same representatives, counts and order,
 and the same first report, for every eps >= 0 and every finite coordinate.
+The package runs at the fixed geometry.EPS; at_eps checks the other values.
 """
 
 import math
@@ -14,19 +15,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gathersim.analysis import MONITOR_RULES
-from gathersim.geometry import Point, PointGrid, Tolerance, dist, points_coincide
+from gathersim.geometry import Point, PointGrid, dist, points_coincide
 from gathersim.model import normalize
 from gathersim.simulator import Robot
+from other_eps import at_eps
 
 EPSILONS = (0.0, 5e-324, 1e-9, 1e-3)
 
 
-def _reference_normalize(raw_positions, tol):
+def _reference_normalize(raw_positions, eps):
     occupied = {}
     for raw in raw_positions:
         p = Point(raw[0], raw[1])
         for rep in occupied:
-            if dist(p, rep) <= tol.eps:
+            if dist(p, rep) <= eps:
                 occupied[rep] += 1
                 break
         else:
@@ -42,11 +44,11 @@ def _reference_careful_separation(tr):
     bots_a = tr.after.robots
     for i in range(len(bots_b)):
         for j in range(i + 1, len(bots_b)):
-            if points_coincide(bots_b[i].pos, bots_b[j].pos, tr.tol):
+            if points_coincide(bots_b[i].pos, bots_b[j].pos):
                 continue
-            if not points_coincide(bots_a[i].pos, bots_a[j].pos, tr.tol):
+            if not points_coincide(bots_a[i].pos, bots_a[j].pos):
                 continue
-            if any(points_coincide(bots_a[i].pos, m, tr.tol) for m in maxima):
+            if any(points_coincide(bots_a[i].pos, m) for m in maxima):
                 continue
             return (
                 f"robots {bots_b[i].ident} and {bots_b[j].ident} merged at "
@@ -55,14 +57,14 @@ def _reference_careful_separation(tr):
     return None
 
 
-def _transition(before, after, maxima, tol):
+def _transition(before, after, maxima):
     """The parts of the (before, after) snapshots the separation rule reads,
     and the same step as the reference reads it."""
     state_b = SimpleNamespace(robots=[Robot(i, p, 1.0) for i, p in enumerate(before)])
     state_a = SimpleNamespace(robots=[Robot(i, p, 1.0) for i, p in enumerate(after)])
-    snap_b = SimpleNamespace(state=state_b, branch=SimpleNamespace(maxima=tuple(maxima)), tol=tol)
-    snap_a = SimpleNamespace(state=state_a, tol=tol)
-    tr = SimpleNamespace(maxima_before=tuple(maxima), before=state_b, after=state_a, tol=tol)
+    snap_b = SimpleNamespace(state=state_b, branch=SimpleNamespace(maxima=tuple(maxima)))
+    snap_a = SimpleNamespace(state=state_a)
+    tr = SimpleNamespace(maxima_before=tuple(maxima), before=state_b, after=state_a)
     return (snap_b, snap_a), tr
 
 
@@ -110,8 +112,9 @@ def _positions(draw, eps):
 def test_normalize_matches_quadratic_reference(data):
     eps = data.draw(st.sampled_from(EPSILONS), label="eps")
     raw = data.draw(_positions(eps), label="raw")
-    tol = Tolerance(eps)
-    assert _exact(normalize(raw, tol).occupied) == _exact(_reference_normalize(raw, tol))
+    with at_eps(eps):
+        got = normalize(raw).occupied
+    assert _exact(got) == _exact(_reference_normalize(raw, eps))
 
 
 @settings(max_examples=400, deadline=None)
@@ -125,9 +128,9 @@ def test_careful_separation_matches_quadratic_reference(data):
         [data.draw(spot) for _ in range(n)],
         [data.draw(spot) for _ in range(n)],
         data.draw(st.lists(spot, max_size=3), label="maxima"),
-        Tolerance(eps),
     )
-    assert MONITOR_RULES["careful_separation"](*snaps) == _reference_careful_separation(tr)
+    with at_eps(eps):
+        assert MONITOR_RULES["careful_separation"](*snaps) == _reference_careful_separation(tr)
 
 
 def test_careful_separation_tests_only_the_first_robot_against_the_maxima():
@@ -139,8 +142,10 @@ def test_careful_separation_tests_only_the_first_robot_against_the_maxima():
         ([far, near], "robots 0 and 1 merged at Point(x=0.0015, y=0.0), which is not a maximum point"),
         ([near, far], None),
     ]:
-        snaps, tr = _transition(before, after, [Point(0.0, 0.0)], Tolerance(1e-3))
-        assert MONITOR_RULES["careful_separation"](*snaps) == _reference_careful_separation(tr) == expected
+        snaps, tr = _transition(before, after, [Point(0.0, 0.0)])
+        with at_eps(1e-3):
+            got = MONITOR_RULES["careful_separation"](*snaps)
+            assert got == _reference_careful_separation(tr) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -163,7 +168,8 @@ def test_normalize_keeps_one_ulp_neighbours_near_1e300_apart():
 
 def test_normalize_with_zero_eps_merges_only_equal_points():
     raw = [Point(0.0, 1.0), Point(-0.0, 1.0), Point(5e-324, 1.0), Point(0.0, 1.0)]
-    got = normalize(raw, Tolerance(0.0)).occupied
+    with at_eps(0.0):
+        got = normalize(raw).occupied
     assert _exact(got) == [(0.0.hex(), 1.0.hex(), 3), (5e-324.hex(), 1.0.hex(), 1)]
 
 

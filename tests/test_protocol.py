@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gathersim.geometry import Point, Tolerance, dist, smallest_enclosing_circle
+from gathersim.geometry import Point, dist, smallest_enclosing_circle
 from gathersim.model import (
     IDENTITY_FRAME,
     Configuration,
@@ -37,7 +37,6 @@ from gathersim.protocol import (
     path_is_clear,
 )
 
-TOL = Tolerance()
 
 SQUARE = [Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -1)]
 PENTAGON = [
@@ -72,19 +71,19 @@ def test_action_validation():
 
 def test_unique_max_others_walk_carefully():
     view = _strong_view({Point(0, 0): 3, Point(4, 0): 1, Point(2, 3): 1})
-    act = compute_action(view, Point(4, 0), TOL)
+    act = compute_action(view, Point(4, 0))
     assert act == Action(MOVE_CAREFUL, Point(0, 0), BRANCH_UNIQUE_MAX)
 
 
 def test_unique_max_occupant_stays():
     view = _strong_view({Point(0, 0): 3, Point(4, 0): 1, Point(2, 3): 1})
-    act = compute_action(view, Point(0, 0), TOL)
+    act = compute_action(view, Point(0, 0))
     assert act == Action(STAY, branch=BRANCH_UNIQUE_MAX)
 
 
 def test_gathered_point_is_fixed():
     view = _strong_view({Point(2, -1): 7})
-    act = compute_action(view, Point(2, -1), TOL)
+    act = compute_action(view, Point(2, -1))
     assert act.kind == STAY
 
 
@@ -93,14 +92,14 @@ def test_gathered_point_is_fixed():
 
 def test_two_max_goes_to_closer():
     view = _strong_view({Point(0, 0): 2, Point(6, 0): 2, Point(1, 0): 1})
-    act = compute_action(view, Point(1, 0), TOL)
+    act = compute_action(view, Point(1, 0))
     assert act == Action(MOVE_CAREFUL, Point(0, 0), BRANCH_TWO_MAX)
 
 
 def test_two_max_occupants_stay():
     view = _strong_view({Point(0, 0): 2, Point(6, 0): 2, Point(1, 0): 1})
     for own in (Point(0, 0), Point(6, 0)):
-        assert compute_action(view, own, TOL) == Action(
+        assert compute_action(view, own) == Action(
             STAY, branch=BRANCH_TWO_MAX
         )
 
@@ -121,7 +120,7 @@ def test_two_max_tie_targets_lex_first_maximum():
     # Robot halfway between the maxima: classify_branch orders them, the
     # tie-break lands on the lexicographically first.
     view = _strong_view({Point(2, 0): 2, Point(-2, 0): 2, Point(0, 0): 1})
-    act = compute_action(view, Point(0, 0), TOL)
+    act = compute_action(view, Point(0, 0))
     assert act == Action(MOVE_CAREFUL, Point(-2, 0), BRANCH_TWO_MAX)
 
 
@@ -132,7 +131,7 @@ def test_empty_interior_everyone_moves_to_center():
     view = _strong_view({p: 1 for p in PENTAGON})
     sec = smallest_enclosing_circle(PENTAGON)
     for own in PENTAGON:
-        act = compute_action(view, own, TOL)
+        act = compute_action(view, own)
         assert act.kind == MOVE_DIRECT
         assert act.branch == BRANCH_ALL_TO_CENTER
         assert act.target == sec.center
@@ -142,24 +141,24 @@ def test_empty_interior_everyone_moves_to_center():
 def test_interior_at_center_boundary_maxima_move():
     view = _strong_view({p: 1 for p in SQUARE} | {Point(0, 0): 1})
     for corner in SQUARE:
-        act = compute_action(view, corner, TOL)
+        act = compute_action(view, corner)
         assert act.kind == MOVE_DIRECT
         assert act.branch == BRANCH_BOUNDARY_TO_CENTER
         assert dist(act.target, Point(0, 0)) <= 1e-9
     # the robot already at the center has nowhere to go
-    act = compute_action(view, Point(0, 0), TOL)
+    act = compute_action(view, Point(0, 0))
     assert act == Action(STAY, branch=BRANCH_BOUNDARY_TO_CENTER)
 
 
 def test_interior_off_center_only_inside_moves():
     inside = Point(0.3, 0.2)
     view = _strong_view({p: 1 for p in SQUARE} | {inside: 1})
-    act = compute_action(view, inside, TOL)
+    act = compute_action(view, inside)
     assert act.kind == MOVE_DIRECT
     assert act.branch == BRANCH_INSIDE_TO_CENTER
     assert dist(act.target, Point(0, 0)) <= 1e-9
     for corner in SQUARE:
-        assert compute_action(view, corner, TOL) == Action(
+        assert compute_action(view, corner) == Action(
             STAY, branch=BRANCH_INSIDE_TO_CENTER
         )
 
@@ -170,15 +169,15 @@ def test_boundary_to_center_skips_non_maximal_boundary():
     view = _strong_view(
         {Point(1, 0): 2, Point(0, 1): 2, Point(-1, 0): 2, Point(0, -1): 1, Point(0, 0): 1}
     )
-    info = classify_branch(view.occupied, TOL)
+    info = classify_branch(view.occupied)
     assert info.label == BRANCH_BOUNDARY_TO_CENTER
-    assert compute_action(view, Point(0, -1), TOL).kind == STAY
-    assert compute_action(view, Point(1, 0), TOL).kind == MOVE_DIRECT
+    assert compute_action(view, Point(0, -1)).kind == STAY
+    assert compute_action(view, Point(1, 0)).kind == MOVE_DIRECT
 
 
 def test_classify_branch_geometry_fields():
     occupied = {p: 1 for p in SQUARE} | {Point(0, 0): 1}
-    info = classify_branch(occupied, TOL)
+    info = classify_branch(occupied)
     assert info.label == BRANCH_BOUNDARY_TO_CENTER
     assert set(info.boundary) == set(SQUARE)
     assert info.interior == (Point(0, 0),)
@@ -191,22 +190,22 @@ def test_classify_branch_geometry_fields():
 
 
 def test_path_clear_endpoints_only():
-    assert path_is_clear([Point(0, 0), Point(4, 0)], Point(4, 0), Point(0, 0), TOL)
+    assert path_is_clear([Point(0, 0), Point(4, 0)], Point(4, 0), Point(0, 0))
 
 
 def test_path_blocked_by_midpoint_robot():
     occupied = [Point(0, 0), Point(2, 0), Point(4, 0)]
-    assert not path_is_clear(occupied, Point(4, 0), Point(0, 0), TOL)
+    assert not path_is_clear(occupied, Point(4, 0), Point(0, 0))
 
 
 def test_path_ignores_off_segment_robot():
     occupied = [Point(0, 0), Point(2, 1), Point(4, 0)]
-    assert path_is_clear(occupied, Point(4, 0), Point(0, 0), TOL)
+    assert path_is_clear(occupied, Point(4, 0), Point(0, 0))
 
 
 def test_path_accepts_occupancy_map():
     occupied = {Point(0, 0): 2, Point(2, 0): 1, Point(4, 0): 1}
-    assert not path_is_clear(occupied, Point(4, 0), Point(0, 0), TOL)
+    assert not path_is_clear(occupied, Point(4, 0), Point(0, 0))
 
 
 # -- determinism, totality, equivariance --------------------------------------
@@ -228,7 +227,7 @@ def test_every_view_maps_to_exactly_one_branch(raw_occupied, pick):
     """Lattice views cannot fall through the rule or hit two branches at once."""
     view = _strong_view(raw_occupied)
     own = sorted(raw_occupied)[pick % len(raw_occupied)]
-    act = compute_action(view, own, TOL)
+    act = compute_action(view, own)
     assert act.kind in (STAY, MOVE_CAREFUL, MOVE_DIRECT)
     assert act.branch in (
         BRANCH_UNIQUE_MAX,
@@ -239,7 +238,7 @@ def test_every_view_maps_to_exactly_one_branch(raw_occupied, pick):
     )
     assert (act.target is None) == (act.kind == STAY)
     # purity: same inputs, same answer
-    assert compute_action(view, own, TOL) == act
+    assert compute_action(view, own) == act
 
 
 EQUIVARIANCE_CONFIGS = [
@@ -263,11 +262,11 @@ def test_similarity_equivariance(occupied):
     cfg = Configuration(occupied)
     rng = random.Random(20240817)
     for own in occupied:
-        global_act = compute_action(observe(cfg, IDENTITY_FRAME), own, TOL)
+        global_act = compute_action(observe(cfg, IDENTITY_FRAME), own)
         for _ in range(8):
             frame = ego_frame(random_frame(rng), own)
             local_view = observe(cfg, frame)
-            local_act = compute_action(local_view, Point(0.0, 0.0), TOL)
+            local_act = compute_action(local_view, Point(0.0, 0.0))
             assert local_act.kind == global_act.kind
             assert local_act.branch == global_act.branch
             if global_act.target is not None:

@@ -20,8 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gathersim import geometry
-from gathersim.geometry import Circle, Point, Tolerance, on_circle
+from gathersim.geometry import Circle, Point, on_circle
 from gathersim.protocol import classify_branch
+from other_eps import at_eps
 
 # -- oracle: the object-based construction, verbatim ---------------------------
 
@@ -314,9 +315,9 @@ def test_two_known_step_matches_oracle(p, q, others):
 def test_boundary_split_is_the_on_circle_split(pts, eps):
     if len(pts) < 3:
         pts = pts + [Point(1e4, 1e4), Point(-1e4, 1e4), Point(0.0, -1e4)][: 3 - len(pts)]
-    tol = Tolerance(eps)
     occupied = {p: 1 for p in pts}
-    info = classify_branch(occupied, tol)
-    assert info.sec == geometry.smallest_enclosing_circle(pts)
-    assert info.boundary == tuple(p for p in pts if on_circle(p, info.sec, tol))
-    assert info.interior == tuple(p for p in pts if not on_circle(p, info.sec, tol))
+    with at_eps(eps):
+        info = classify_branch(occupied)
+        assert info.sec == geometry.smallest_enclosing_circle(pts)
+        assert info.boundary == tuple(p for p in pts if on_circle(p, info.sec))
+        assert info.interior == tuple(p for p in pts if not on_circle(p, info.sec))

@@ -15,7 +15,7 @@ import pytest
 
 import gathersim.simulator as simulator
 from gathersim.analysis import attach_lemma_monitors, random_robots
-from gathersim.geometry import Point, Tolerance, dist
+from gathersim.geometry import Point, dist
 from gathersim.model import Frame
 from gathersim.protocol import (
     BRANCH_BOUNDARY_TO_CENTER,
@@ -46,7 +46,6 @@ from gathersim.simulator import (
     trace_line,
 )
 
-TOL = Tolerance()
 
 
 def _line(robot_positions, sigma=1.0):
@@ -100,13 +99,13 @@ def test_robots_are_frozen():
 
 def test_synchronous_wakes_everyone():
     state = initial_state(_line([(i, 0) for i in range(5)]))
-    snap = Snapshot(state, TOL)
+    snap = Snapshot(state)
     assert next_active(SchedulerSpec(SYNCHRONOUS), snap) == [0, 1, 2, 3, 4]
 
 
 def test_round_robin_cycles_by_step():
     state = initial_state(_line([(0, 0), (1, 0), (2, 0)]))
-    snap = Snapshot(state, TOL)
+    snap = Snapshot(state)
     state.t = 4
     assert next_active(SchedulerSpec(ROUND_ROBIN), snap) == [1]
 
@@ -115,7 +114,7 @@ def test_random_subset_forces_starved_robot():
     # With seed 0 the raw draw at t=10 is {3}; robot 2 has been idle for the
     # whole fairness window, so the post-filter must add it.
     state = initial_state(_line([(i, 0) for i in range(4)]))
-    snap = Snapshot(state, TOL)
+    snap = Snapshot(state)
     state.t = 10
     state.last_active = [9, 9, 7, 9]
     spec = SchedulerSpec(RANDOM_SUBSET, seed=0, fairness_bound=3)
@@ -124,7 +123,7 @@ def test_random_subset_forces_starved_robot():
 
 def test_random_subset_never_empty_and_replayable():
     state = initial_state(_line([(0, 0), (1, 0), (2, 0)]))
-    snap = Snapshot(state, TOL)
+    snap = Snapshot(state)
     spec = SchedulerSpec(RANDOM_SUBSET, seed=11)
     for t in range(200):
         state.t = t
@@ -139,14 +138,14 @@ def test_boundary_only_starves_interior():
     state = initial_state(
         _line([(1, 0), (0, 1), (-1, 0), (0, -1), (0.3, 0.2)])
     )
-    snap = Snapshot(state, TOL)
+    snap = Snapshot(state)
     active = next_active(SchedulerSpec(BOUNDARY_ONLY), snap)
     assert active == [0, 1, 2, 3]
 
 
 def test_scripted_cycles_and_validates():
     state = initial_state(_line([(0, 0), (1, 0), (2, 0)]))
-    snap = Snapshot(state, TOL)
+    snap = Snapshot(state)
     spec = SchedulerSpec(SCRIPTED, script=((0,), (1, 2)))
     assert next_active(spec, snap) == [0]
     state.t = 1
@@ -220,14 +219,14 @@ def test_motion_survives_an_overflowing_distance(start, target, sigma):
 def test_step_requires_valid_active_set():
     state = initial_state(_line([(0, 0), (1, 0)]))
     with pytest.raises(ValueError):
-        step(Snapshot(state, TOL), [])
+        step(Snapshot(state), [])
     with pytest.raises(ValueError):
-        step(Snapshot(state, TOL), [5])
+        step(Snapshot(state), [5])
 
 
 def test_step_gathered_fixed_point():
     state = initial_state([Robot(i, Point(2, 3), 1) for i in range(5)])
-    after, actions = step(Snapshot(state, TOL), range(5))
+    after, actions = step(Snapshot(state), range(5))
     assert after.t == 1
     assert [r.pos for r in after.robots] == [Point(2, 3)] * 5
     assert sorted(actions) == [0, 1, 2, 3, 4]
@@ -239,7 +238,7 @@ def test_step_three_collinear_hand_trace():
     # at (2,0), the middle robot is interior and already central, so the two
     # rim robots head inward and the cap stops them after one unit.
     state = initial_state(_line([(0, 0), (2, 0), (4, 0)]))
-    after, actions = step(Snapshot(state, TOL), [0, 1, 2])
+    after, actions = step(Snapshot(state), [0, 1, 2])
     assert [r.pos for r in after.robots] == [Point(1, 0), Point(2, 0), Point(3, 0)]
     assert [actions[i].kind for i in range(3)] == [MOVE_DIRECT, STAY, MOVE_DIRECT]
     assert all(a.branch == BRANCH_BOUNDARY_TO_CENTER for a in actions.values())
@@ -255,7 +254,7 @@ def test_step_blocked_careful_move_keeps_branch():
             Robot(3, Point(4, 0), 1),
         ]
     )
-    before = Snapshot(state, TOL)
+    before = Snapshot(state)
     after, actions = step(before, [0, 1, 2, 3])
     blocked = actions[3]
     assert blocked.kind == STAY
@@ -272,7 +271,7 @@ def test_step_blocked_careful_move_keeps_branch():
 
 def test_step_inactive_robots_untouched():
     state = initial_state(_line([(0, 0), (2, 0), (4, 0)]))
-    after, actions = step(Snapshot(state, TOL), [0])
+    after, actions = step(Snapshot(state), [0])
     assert after.robots[1].pos == Point(2, 0)
     assert after.robots[2].pos == Point(4, 0)
     assert list(actions) == [0]
@@ -284,14 +283,14 @@ def test_step_snapshot_single_activation_matches_full():
     # A lone activated robot must decide exactly as it would have in the
     # synchronous step, because both read the same frozen snapshot.
     mk = lambda: initial_state(_line([(0, 0), (2, 0), (4, 0)]))
-    solo_after, solo_actions = step(Snapshot(mk(), TOL), [0])
-    full_after, full_actions = step(Snapshot(mk(), TOL), [0, 1, 2])
+    solo_after, solo_actions = step(Snapshot(mk()), [0])
+    full_after, full_actions = step(Snapshot(mk()), [0, 1, 2])
     assert solo_actions[0] == full_actions[0]
     assert solo_after.robots[0].pos == full_after.robots[0].pos
 
 
 def test_round_robin_step_touches_only_the_woken_robot():
-    snap = Snapshot(initial_state(_line([(0, 0), (2, 0), (4, 0), (1, 3), (5, 2)], sigma=0.6)), TOL)
+    snap = Snapshot(initial_state(_line([(0, 0), (2, 0), (4, 0), (1, 3), (5, 2)], sigma=0.6)))
     spec = SchedulerSpec(ROUND_ROBIN)
     kinds = set()
     for _ in range(10):
@@ -304,7 +303,7 @@ def test_round_robin_step_touches_only_the_woken_robot():
             else:
                 assert new.pos != old.pos
             kinds.add(actions[i].kind if i in actions else None)
-        snap = Snapshot(state, TOL)
+        snap = Snapshot(state)
     assert {None, STAY, MOVE_DIRECT} <= kinds
 
 
@@ -313,7 +312,7 @@ def test_round_robin_step_touches_only_the_woken_robot():
 
 def test_single_robot_is_gathered_immediately():
     outcome, trace = run(
-        [Robot(0, Point(5, 5), 1)], SchedulerSpec(SYNCHRONOUS), tol=TOL, record_trace=True
+        [Robot(0, Point(5, 5), 1)], SchedulerSpec(SYNCHRONOUS), record_trace=True
     )
     assert outcome.status == GATHERED
     assert outcome.final_t == 0
@@ -322,7 +321,7 @@ def test_single_robot_is_gathered_immediately():
 
 
 def test_three_collinear_gathers_at_center():
-    outcome, _ = run(_line([(0, 0), (2, 0), (4, 0)]), SchedulerSpec(SYNCHRONOUS), tol=TOL)
+    outcome, _ = run(_line([(0, 0), (2, 0), (4, 0)]), SchedulerSpec(SYNCHRONOUS))
     assert outcome.status == GATHERED
     assert outcome.final_t == 2
     assert outcome.final_config.occupied == {Point(2, 0): 3}
@@ -330,7 +329,7 @@ def test_three_collinear_gathers_at_center():
 
 def test_three_collinear_fast_sigma_gathers_in_one():
     outcome, _ = run(
-        _line([(0, 0), (2, 0), (4, 0)], sigma=10.0), SchedulerSpec(SYNCHRONOUS), tol=TOL
+        _line([(0, 0), (2, 0), (4, 0)], sigma=10.0), SchedulerSpec(SYNCHRONOUS)
     )
     assert outcome.status == GATHERED
     assert outcome.final_t == 1
@@ -341,7 +340,6 @@ def test_gathered_start_stays_gathered_without_stopping():
     outcome, trace = run(
         bots,
         SchedulerSpec(RANDOM_SUBSET, seed=5),
-        tol=TOL,
         max_steps=200,
         stop_on_gather=False,
         record_trace=True,
@@ -355,13 +353,13 @@ def test_gathered_start_stays_gathered_without_stopping():
 
 def test_run_validates_max_steps():
     with pytest.raises(ValueError):
-        run([Robot(0, Point(0, 0), 1)], SchedulerSpec(SYNCHRONOUS), tol=TOL, max_steps=0)
+        run([Robot(0, Point(0, 0), 1)], SchedulerSpec(SYNCHRONOUS), max_steps=0)
 
 
 def test_even_robot_count_warns():
     bots = _line([(0, 0), (1, 0)])
     with pytest.warns(RuntimeWarning, match="even"):
-        run(bots, SchedulerSpec(SYNCHRONOUS), tol=TOL, max_steps=5)
+        run(bots, SchedulerSpec(SYNCHRONOUS), max_steps=5)
 
 
 def test_step_limit_status():
@@ -370,40 +368,41 @@ def test_step_limit_status():
     bots = _line([(0, 0), (2, 0), (4, 0)])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        outcome, _ = run(
-            bots, SchedulerSpec(ROUND_ROBIN), tol=TOL, max_steps=3
-        )
+        outcome, _ = run(bots, SchedulerSpec(ROUND_ROBIN), max_steps=3)
     assert outcome.status == STEP_LIMIT_REACHED
     assert outcome.final_t == 3
 
 
-# The three stalls that used to run to the step limit with silent monitors:
-# a frame unit so small that a robot sees the others within eps, coordinates
-# so large that a unit move rounds to no move, and eps = 0 with a robot
-# within rounding of the center.  (name, robots, strategy, eps, steps)
+# Two stalls that used to run to the step limit with silent monitors: a
+# frame unit so small that a robot sees the others within eps, and
+# coordinates so large that a unit move rounds to no move.  (name, robots)
 STALLS = (
-    ("scale", [((0.0, 0.0), Frame(scale=1e-8))] * 2 + [((0.06, 0.0), Frame(scale=1e-8))],
-     SYNCHRONOUS, 1e-9, 1),
-    ("huge", [((1e300, 0.0), Frame()), ((-1e300, 0.0), Frame()), ((0.0, 1e300), Frame())],
-     SYNCHRONOUS, 1e-9, 1),
-    ("eps0_boundary", None, BOUNDARY_ONLY, 0.0, 19),
-    ("eps0_random", None, RANDOM_SUBSET, 0.0, 4),
+    ("scale", [((0.0, 0.0), Frame(scale=1e-8))] * 2 + [((0.06, 0.0), Frame(scale=1e-8))]),
+    ("huge", [((1e300, 0.0), Frame()), ((-1e300, 0.0), Frame()), ((0.0, 1e300), Frame())]),
 )
 
 
-@pytest.mark.parametrize("name, placed, strategy, eps, steps", STALLS, ids=[s[0] for s in STALLS])
-def test_stall_ends_at_its_fixed_point(name, placed, strategy, eps, steps):
-    if placed is None:
-        bots = random_robots(random.Random("pin:3:1"), 3)
-    else:
-        bots = [Robot(i, Point(*pos), 1.0, frame) for i, (pos, frame) in enumerate(placed)]
-    outcome, _ = run(bots, SchedulerSpec(strategy, 1), tol=Tolerance(eps), monitors=attach_lemma_monitors())
+@pytest.mark.parametrize("name, placed", STALLS, ids=[s[0] for s in STALLS])
+def test_stall_ends_at_its_fixed_point(name, placed):
+    bots = [Robot(i, Point(*pos), 1.0, frame) for i, (pos, frame) in enumerate(placed)]
+    outcome, _ = run(bots, SchedulerSpec(SYNCHRONOUS, 1), monitors=attach_lemma_monitors())
     assert outcome.status == FIXED_POINT
-    assert outcome.final_t == steps
+    assert outcome.final_t == 1
     assert len(outcome.final_config.occupied) > 1
-    # At eps = 0 the robot near the center is already misjudged in step 0.
-    expected = [("inside_stays_inside", 0)] if eps == 0.0 else []
-    assert [(v.monitor, v.step) for v in outcome.monitor_violations] == expected
+    assert outcome.monitor_violations == []
+
+
+@pytest.mark.parametrize(
+    "strategy, steps", [(BOUNDARY_ONLY, 2), (RANDOM_SUBSET, 3)], ids=["boundary", "random"]
+)
+def test_start_that_stalled_at_eps_zero_gathers(strategy, steps):
+    # At eps = 0 robot 0, within rounding of the center, counted as interior
+    # and its move to the center landed back on itself, so the boundary froze.
+    bots = random_robots(random.Random("pin:3:1"), 3)
+    outcome, _ = run(bots, SchedulerSpec(strategy, 1), monitors=attach_lemma_monitors())
+    assert outcome.status == GATHERED
+    assert outcome.final_t == steps
+    assert outcome.monitor_violations == []
 
 
 def test_fixed_point_waits_until_every_robot_has_woken():
@@ -411,10 +410,10 @@ def test_fixed_point_waits_until_every_robot_has_woken():
     # it but sleeps until the fairness bound forces it awake at t = 49.
     bots = _line([(0, 0), (0, 0), (3, 0)])
     spec = SchedulerSpec(SCRIPTED, fairness_bound=50, script=((0,),))
-    outcome, _ = run(bots, spec, tol=TOL, max_steps=20)
+    outcome, _ = run(bots, spec, max_steps=20)
     assert outcome.status == STEP_LIMIT_REACHED
     assert outcome.final_t == 20
-    outcome, _ = run(bots, spec, tol=TOL)
+    outcome, _ = run(bots, spec)
     assert outcome.status == GATHERED
     assert outcome.final_t > 50
 
@@ -425,8 +424,8 @@ def test_fixed_point_never_declared_with_refreshed_frames():
     bots = _line([(0, 0), (0, 0), (1, 0), (1, 0)])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        fixed, _ = run(bots, SchedulerSpec(SYNCHRONOUS), tol=TOL, max_steps=30)
-        refreshed, _ = run(bots, SchedulerSpec(SYNCHRONOUS), tol=TOL, max_steps=30, refresh_frames=True)
+        fixed, _ = run(bots, SchedulerSpec(SYNCHRONOUS), max_steps=30)
+        refreshed, _ = run(bots, SchedulerSpec(SYNCHRONOUS), max_steps=30, refresh_frames=True)
     assert (fixed.status, fixed.final_t) == (FIXED_POINT, 1)
     assert (refreshed.status, refreshed.final_t) == (STEP_LIMIT_REACHED, 30)
     assert len(refreshed.final_config.occupied) == 2
@@ -438,7 +437,6 @@ def test_fairness_window_covers_every_robot():
     outcome, trace = run(
         bots,
         SchedulerSpec(RANDOM_SUBSET, seed=3, fairness_bound=bound),
-        tol=TOL,
         max_steps=120,
         stop_on_gather=False,
         record_trace=True,
@@ -458,7 +456,7 @@ def test_fairness_window_covers_every_robot():
 
 def test_boundary_adversary_cannot_prevent_gathering():
     bots = _line([(1, 0), (0, 1), (-1, 0), (0, -1), (0.3, 0.2)])
-    outcome, trace = run(bots, SchedulerSpec(BOUNDARY_ONLY), tol=TOL, record_trace=True)
+    outcome, trace = run(bots, SchedulerSpec(BOUNDARY_ONLY), record_trace=True)
     assert outcome.status == GATHERED
     # the interior robot slept until the fairness bound (3n = 15) forced it
     first_active = min(r["t"] for r in _records(trace) if r["robot_id"] == 4 and r["activated"])
@@ -473,7 +471,7 @@ def test_trace_is_deterministic():
             Robot(2, Point(1, 4), 0.8),
         ]
         outcome, trace = run(
-            bots, SchedulerSpec(RANDOM_SUBSET, seed=42), tol=TOL, record_trace=True,
+            bots, SchedulerSpec(RANDOM_SUBSET, seed=42), record_trace=True,
             refresh_frames=True,
         )
         return outcome, "\n".join(trace)
@@ -487,7 +485,7 @@ def test_trace_is_deterministic():
 
 def test_trace_events_respect_stay_invariant():
     bots = _line([(0, 0), (2, 0), (4, 0), (1, 3), (5, 2)], sigma=0.4)
-    _, trace = run(bots, SchedulerSpec(RANDOM_SUBSET, seed=9), tol=TOL, record_trace=True)
+    _, trace = run(bots, SchedulerSpec(RANDOM_SUBSET, seed=9), record_trace=True)
     pos = {i: (float(p[0]), float(p[1])) for i, p in enumerate([(0, 0), (2, 0), (4, 0), (1, 3), (5, 2)])}
     for r in _records(trace):
         new_pos = (r["new_x"], r["new_y"])
@@ -500,7 +498,7 @@ def test_trace_events_respect_stay_invariant():
 
 def test_trace_line_format():
     bots = _line([(0, 0), (2, 0), (4, 0)])
-    _, trace = run(bots, SchedulerSpec(SYNCHRONOUS), tol=TOL, record_trace=True)
+    _, trace = run(bots, SchedulerSpec(SYNCHRONOUS), record_trace=True)
     line = trace[0]
     assert line.startswith('{"t":0,"robot_id":0,"activated":true,')
     record = json.loads(line)
@@ -522,7 +520,6 @@ def test_robot_count_conserved_every_step():
     outcome, _ = run(
         bots,
         SchedulerSpec(RANDOM_SUBSET, seed=2),
-        tol=TOL,
         monitors={"count": lambda before, after: counts.append(after.config.robot_count)},
     )
     assert outcome.status == GATHERED
@@ -536,7 +533,6 @@ def test_run_reports_each_rule_message_with_step_and_configuration():
     outcome, _ = run(
         _line([(0, 0), (2, 0), (4, 0)]),
         SchedulerSpec(SYNCHRONOUS),
-        tol=TOL,
         monitors={"quiet": lambda before, after: None, "gathering": on_gathering},
     )
     assert outcome.final_t == 2
@@ -550,7 +546,6 @@ def test_after_snapshot_of_a_step_is_the_before_snapshot_of_the_next():
     outcome, _ = run(
         _line([(0, 0), (2, 0), (4, 0), (0, 3), (3, 3)], sigma=0.6),
         SchedulerSpec(BOUNDARY_ONLY),
-        tol=TOL,
         monitors={"pairs": lambda before, after: pairs.append((before, after))},
     )
     assert len(pairs) == outcome.final_t > 1
@@ -572,7 +567,6 @@ def test_each_configuration_is_normalized_once(strategy, monkeypatch):
     outcome, _ = run(
         _line([(0, 0), (2, 0), (4, 0), (0, 3), (3, 3)], sigma=0.6),
         SchedulerSpec(strategy, seed=3, script=script),
-        tol=TOL,
         monitors=attach_lemma_monitors(),
     )
     assert outcome.status == GATHERED and outcome.final_t > 1
@@ -582,7 +576,7 @@ def test_each_configuration_is_normalized_once(strategy, monkeypatch):
 def test_scripted_run_follows_script_until_forced():
     bots = _line([(0, 0), (2, 0), (4, 0)])
     spec = SchedulerSpec(SCRIPTED, script=((0,), (1,), (2,)))
-    outcome, trace = run(bots, spec, tol=TOL, max_steps=6, record_trace=True)
+    outcome, trace = run(bots, spec, max_steps=6, record_trace=True)
     assert len(trace) == 3 * outcome.final_t
     for r in _records(trace):
         # default bound 3n = 9 never kicks in within 6 steps
