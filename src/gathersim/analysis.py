@@ -316,7 +316,10 @@ def _careful_separation_rule(before: Snapshot, after: Snapshot) -> Optional[str]
     after_pos = [bot.pos for bot in after.state.robots]
     # Two robots that both stayed put coincide after the step exactly when
     # they did before it, so every offending pair holds a robot that moved.
-    moved = [i for i, p in enumerate(after_pos) if p != bots_b[i].pos]
+    # A pair holding a robot exactly on a maximum is exempt, so movers that
+    # landed on one need no check.
+    maxima_set = set(maxima)
+    moved = [i for i, p in enumerate(after_pos) if p != bots_b[i].pos and p not in maxima_set]
     if not moved:
         return None
     grid = PointGrid(after_pos + list(maxima), EPS)

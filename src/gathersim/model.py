@@ -10,10 +10,25 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .geometry import EPS, Point, PointGrid
+
+
+class Clustering(NamedTuple):
+    """How normalize grouped robot positions, kept to derive the next configuration.
+
+    ``grid`` indexes every key normalize created by its creation rank, and
+    ``keys`` maps a rank back to its key.  A key that a later ``successor``
+    drops stays in both, so a lookup keeps only the keys still occupied.
+    ``creators`` maps each occupied key to the index of the robot that
+    created it: the lowest-index robot standing exactly on that point.
+    """
+
+    grid: PointGrid
+    keys: list[Point]
+    creators: dict[Point, int]
 
 
 @dataclass
@@ -22,10 +37,13 @@ class Configuration:
 
     The dict preserves insertion order, which normalize() makes deterministic
     (first-encounter representative per cluster), so iteration order is stable
-    across runs with identical input.
+    across runs with identical input.  A configuration that normalize or
+    successor built from robot positions also carries their ``clustering``;
+    it takes no part in ``==`` or ``repr``.
     """
 
     occupied: dict[Point, int]
+    clustering: Optional[Clustering] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.occupied:
@@ -43,6 +61,18 @@ class Configuration:
 
     def is_gathered(self) -> bool:
         return len(self.occupied) == 1
+
+    def key_near(self, p: Point) -> Optional[Point]:
+        """The first occupied point within eps of p, in dict order, or None.
+
+        Only a configuration that carries its clustering can answer: the
+        query goes through its neighbour index.
+        """
+        assert self.clustering is not None, "key_near needs a normalized configuration"
+        keys, occupied = self.clustering.keys, self.occupied
+        # Creation rank is dict order, and a dropped key is no longer occupied.
+        live = [rank for rank in self.clustering.grid.within(p) if keys[rank] in occupied]
+        return keys[min(live)] if live else None
 
 
 @dataclass(frozen=True)
@@ -111,16 +141,24 @@ def observe(config: Configuration, frame: Frame) -> Configuration:
 
     Each point maps exactly as to_local maps it, with the same operations in
     the same order; the rotation's cosine and sine are computed once for the
-    whole view.
+    whole view.  Two occupied points that round to one local point become
+    one point holding both counts, so the view keeps every robot.
     """
     c, s = _cos_sin(frame)
     scale, reflected = frame.scale, frame.reflected
     tx, ty = frame.translation
-    local: dict[Point, int] = {}
-    for (x, y), count in config.occupied.items():
+    occupied = config.occupied
+    points = []
+    for x, y in occupied:
         if reflected:
             y = -y
-        local[Point(scale * (c * x - s * y) + tx, scale * (s * x + c * y) + ty)] = count
+        points.append(Point(scale * (c * x - s * y) + tx, scale * (s * x + c * y) + ty))
+    local = dict(zip(points, occupied.values()))
+    if len(local) < len(points):
+        # Occupied points rounded to one local point; it holds all their robots.
+        local = {}
+        for q, count in zip(points, occupied.values()):
+            local[q] = local.get(q, 0) + count
     return Configuration(local)
 
 
@@ -148,7 +186,8 @@ def normalize(raw_positions: Iterable[Point]) -> Configuration:
     Positions within eps of an already-seen representative join the earliest
     such representative; the representative is always the first position
     encountered, so the result is deterministic in the input order.
-    A non-finite coordinate raises ValueError.
+    The result carries its Clustering.  A non-finite coordinate raises
+    ValueError.
     """
     # Points pass through as they are: building a Point costs more than the
     # rest of the loop does per position.
@@ -156,7 +195,8 @@ def normalize(raw_positions: Iterable[Point]) -> Configuration:
     grid = PointGrid(points, EPS)
     occupied: dict[Point, int] = {}
     reps: list[Point] = []
-    for p in points:
+    creators: dict[Point, int] = {}
+    for i, p in enumerate(points):
         # Representatives are pairwise more than eps apart, so one equal to p
         # is the only one within eps of it.
         if p in occupied:
@@ -169,4 +209,50 @@ def normalize(raw_positions: Iterable[Point]) -> Configuration:
             grid.add(p, len(reps))
             reps.append(p)
             occupied[p] = 1
-    return Configuration(occupied)
+            creators[p] = i
+    return Configuration(occupied, Clustering(grid, reps, creators))
+
+
+def successor(config: Configuration, positions: Sequence[Point], moved: Mapping[int, Point]) -> Configuration:
+    """normalize(positions), derived from the configuration before a move.
+
+    ``config`` is normalize of the positions before, or derived from it by
+    earlier calls.  ``moved`` maps, in ascending index order, every robot
+    whose position changed in any bit to where it stood; it may hold robots
+    that did not move.  Bits matter because a key is its creator's point: a
+    creator that went from -0.0 to 0.0 still equals its old point, but
+    normalize would key on the new one.
+
+    Beyond copying the counts, the work is in the number of movers whenever
+    the move keeps every key and its creation order: a key loses only
+    robots, or all of them with its creator, and each mover lands exactly on
+    a key whose creator stayed and has a lower index than the mover.
+    normalize, walking the positions in index order, then makes the same
+    keys in the same order.  Any other move calls normalize.
+    """
+    clustering = config.clustering
+    assert clustering is not None, "successor needs a normalized configuration"
+    grid, keys, creators = clustering
+    occupied = dict(config.occupied)
+    vacated = []
+    for i, old in moved.items():
+        # A robot standing exactly on a key belongs to it.  Any other has not
+        # moved since normalize built the grid, for movers here land on keys,
+        # so the earliest key within eps of it is still the one it joined.
+        key = old if old in occupied else keys[min(grid.within(old))]
+        occupied[key] -= 1
+        if creators[key] == i:
+            vacated.append(key)
+    for i in moved:
+        new = positions[i]
+        if new in occupied and creators[new] < i:
+            occupied[new] += 1
+        else:
+            return normalize(positions)
+    if vacated:
+        creators = dict(creators)
+        for key in vacated:
+            if occupied[key]:
+                return normalize(positions)
+            del occupied[key], creators[key]
+    return Configuration(occupied, Clustering(grid, keys, creators))

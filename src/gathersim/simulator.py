@@ -9,6 +9,12 @@ honest: any robot left asleep for too long gets force-included.
 Motion is capped per robot: a move covers min(distance, sigma) along the
 straight line to the target, so a single activation may fall short but never
 overshoots and never veers.
+
+The configuration and the views need not be rebuilt from all n robots.
+Each snapshot after the first is derived from the one before and the
+robots that moved (model.successor, which falls back to normalize when a
+key must be created or reordered), and with one or two maxima a woken
+robot observes only the maxima, the only points the rule then reads.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
-from .geometry import Circle, Point, dist, on_circle, points_coincide, smallest_enclosing_circle
+from .geometry import Circle, Point, dist, on_circle, smallest_enclosing_circle
 from .model import (
     Configuration,
     Frame,
@@ -28,6 +34,7 @@ from .model import (
     normalize,
     observe,
     random_frame,
+    successor,
     to_global,
 )
 from .protocol import (
@@ -142,13 +149,22 @@ class Snapshot:
 
     ``run`` builds one snapshot per configuration, and the snapshot after a
     step is the one before the next, so the scheduler, ``step`` and every
-    monitor share one normalization, one branch classification and one
-    enclosing circle.
+    monitor share one configuration, one branch classification and one
+    enclosing circle.  Only the first snapshot of a run normalizes every
+    position; each later one is derived by ``after`` from the robots that
+    moved, and equals normalize of its positions item for item.
     """
 
-    def __init__(self, state: SimState) -> None:
+    def __init__(self, state: SimState, config: Optional[Configuration] = None) -> None:
         self.state = state
-        self.config = normalize(state.positions())
+        self.config = normalize(state.positions()) if config is None else config
+
+    def after(self, state: SimState, moved: Sequence[int]) -> Snapshot:
+        """The snapshot of ``state``, whose robots differ from this one's only
+        at the indices ``moved``, in ascending order."""
+        robots = self.state.robots
+        origins = {i: robots[i].pos for i in moved}
+        return Snapshot(state, successor(self.config, state.positions(), origins))
 
     @cached_property
     def branch(self) -> BranchInfo:
@@ -196,8 +212,11 @@ def next_active(spec: SchedulerSpec, snap: Snapshot) -> list[int]:
             if not (0 <= i < n):
                 raise ValueError(f"scripted activation names unknown robot index {i}")
     bound = _fairness_bound(spec, n)
-    forced = {i for i in range(n) if t - state.last_active[i] >= bound}
-    active = sorted(chosen | forced)
+    last_active = state.last_active
+    # No robot is due while the longest asleep has slept less than the bound.
+    if t - min(last_active) >= bound:
+        chosen |= {i for i in range(n) if t - last_active[i] >= bound}
+    active = sorted(chosen)
     assert active, "scheduler produced an empty activation set"
     return active
 
@@ -251,19 +270,6 @@ def trace_line(t: int, robot: Robot, action: Optional[Action]) -> str:
     )
 
 
-def _snap_to_occupied(target: Point, config: Configuration) -> Point:
-    """Replace a target within eps of an occupied point by that exact point.
-
-    Local-to-global roundtrips leave crumbs of rounding; snapping makes sure
-    a robot aiming at an occupied point lands exactly on it, so multiplicity
-    actually grows instead of producing eps-separated dust.
-    """
-    for p in config.occupied:
-        if points_coincide(target, p):
-            return p
-    return target
-
-
 def step(snap: Snapshot, active: Sequence[int]) -> tuple[SimState, dict[int, Action]]:
     """Execute one semi-synchronous step for the given activation set.
 
@@ -273,10 +279,22 @@ def step(snap: Snapshot, active: Sequence[int]) -> tuple[SimState, dict[int, Act
     snapshot; positions update only at the end.  The careful-move veto also
     runs on the snapshot: the protocol asked under local coordinates, but
     blocking is a fact about the shared world, so it is re-checked globally.
+
+    A target within eps of an occupied point is replaced by that exact
+    point: local-to-global roundtrips leave crumbs of rounding, and snapping
+    makes a robot aiming at an occupied point land exactly on it, so
+    multiplicity grows instead of producing eps-separated dust.
     """
     state, config = snap.state, snap.config
     if not active:
         raise ValueError("activation set must be non-empty")
+    # With one or two maxima the rule reads only the maxima and the robot's
+    # own position, so each robot observes just those points.  That view
+    # decides exactly as the full one whenever observe keeps the occupied
+    # points apart, the only case in which the two views could differ.
+    top = max(config.occupied.values())
+    maxima = {p: top for p, count in config.occupied.items() if count == top}
+    seen = Configuration(maxima) if len(maxima) <= 2 else config
     robots = list(state.robots)
     last_active = list(state.last_active)
     actions: dict[int, Action] = {}
@@ -286,10 +304,11 @@ def step(snap: Snapshot, active: Sequence[int]) -> tuple[SimState, dict[int, Act
         robot = robots[i]
         last_active[i] = state.t
         frame = ego_frame(robot.frame, robot.pos)
-        action = compute_action(observe(config, frame), Point(0.0, 0.0))
+        action = compute_action(observe(seen, frame), Point(0.0, 0.0))
         if action.kind != STAY:
             assert action.target is not None
-            target = _snap_to_occupied(to_global(frame, action.target), config)
+            target = to_global(frame, action.target)
+            target = config.key_near(target) or target
             if action.kind == MOVE_CAREFUL and not path_is_clear(config.occupied, robot.pos, target):
                 action = Action(STAY, branch=action.branch)
             else:
@@ -375,7 +394,9 @@ def run(
             rng = random.Random(f"{scheduler.seed}:frames:{snap.state.t}")
             snap.state.robots = [replace(r, frame=random_frame(rng)) for r in snap.state.robots]
         state, actions = step(snap, next_active(scheduler, snap))
-        before, snap = snap, Snapshot(state)
+        # step keeps every robot that did not move as the same object.
+        moved = [i for i in actions if state.robots[i] is not snap.state.robots[i]]
+        before, snap = snap, snap.after(state, moved)
         if record_trace:
             t = before.state.t
             trace.extend(trace_line(t, r, actions.get(i)) for i, r in enumerate(state.robots))
@@ -384,7 +405,7 @@ def run(
             if message is not None:
                 violations.append(MonitorReport(name, before.state.t, message, snap.config))
         # Positions, not action kinds: a move that rounds to no motion is no move.
-        if any(state.robots[i].pos != before.state.robots[i].pos for i in actions):
+        if any(state.robots[i].pos != before.state.robots[i].pos for i in moved):
             last_move = before.state.t
         elif not (refresh_frames or snap.config.is_gathered()) and min(state.last_active) > last_move:
             status = FIXED_POINT

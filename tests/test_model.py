@@ -176,8 +176,23 @@ def test_observe_quarter_turn():
 )
 def test_observe_maps_every_point_exactly_as_to_local(frame, pts):
     config = Configuration({p: k + 1 for k, p in enumerate(pts)})
-    expected = {to_local(frame, p): count for p, count in config.occupied.items()}
+    expected = {}
+    for p, count in config.occupied.items():
+        q = to_local(frame, p)
+        expected[q] = expected.get(q, 0) + count
     assert list(observe(config, frame).occupied.items()) == list(expected.items())
+
+
+def test_observe_adds_the_counts_of_points_that_map_to_one_local_point():
+    # Two keys one ulp apart at 1e8 round to one local point in this frame.
+    config = normalize(
+        [Point(1e8, 0.0), Point(math.nextafter(1e8, math.inf), 0.0), Point(0.0, 0.0), Point(0.0, 0.0)]
+    )
+    assert config.occupied == {Point(1e8, 0.0): 1, Point(math.nextafter(1e8, math.inf), 0.0): 1, Point(0.0, 0.0): 2}
+    frame = ego_frame(Frame(rotation=4.5220379111216165, scale=0.8277059073373241), Point(0.0, 0.0))
+    view = observe(config, frame)
+    assert len(view.occupied) == 2
+    assert view.robot_count == 4
 
 
 @settings(max_examples=150)

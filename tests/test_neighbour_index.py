@@ -9,6 +9,7 @@ The package runs at the fixed geometry.EPS; at_eps checks the other values.
 
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -131,6 +132,23 @@ def test_careful_separation_matches_quadratic_reference(data):
     )
     with at_eps(eps):
         assert MONITOR_RULES["careful_separation"](*snaps) == _reference_careful_separation(tr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_careful_separation_skips_movers_that_land_exactly_on_a_maximum(data):
+    # Every robot stays or lands exactly on a maximum, as under round robin
+    # in the one- and two-maxima branches: no pair can offend, and the rule
+    # must say so without building a grid.
+    eps = data.draw(st.sampled_from(EPSILONS), label="eps")
+    pool = data.draw(_positions(eps), label="pool")
+    spot = st.sampled_from(pool)
+    maxima = data.draw(st.lists(spot, min_size=1, max_size=2), label="maxima")
+    before = data.draw(st.lists(spot, min_size=2, max_size=12), label="before")
+    after = [data.draw(st.sampled_from([p] + maxima)) for p in before]
+    snaps, tr = _transition(before, after, maxima)
+    with at_eps(eps), mock.patch("gathersim.analysis.PointGrid", side_effect=AssertionError):
+        assert MONITOR_RULES["careful_separation"](*snaps) is _reference_careful_separation(tr) is None
 
 
 def test_careful_separation_tests_only_the_first_robot_against_the_maxima():

@@ -9,7 +9,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gathersim.geometry import Point, dist, smallest_enclosing_circle
@@ -272,3 +272,37 @@ def test_similarity_equivariance(occupied):
             if global_act.target is not None:
                 expected = to_local(frame, global_act.target)
                 assert dist(local_act.target, expected) <= 1e-8 * max(1.0, frame.scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        ).map(lambda t: Point(*t)),
+        min_size=1,
+        max_size=8,
+        unique=True,
+    ),
+    st.integers(min_value=1, max_value=2),
+    st.data(),
+)
+def test_a_view_of_only_the_maxima_decides_as_the_full_view(points, n_max, data):
+    """With one or two maxima the rule reads nothing but them and the robot's
+    own position, so observing only the maxima gives the same action, bit for
+    bit, wherever observe keeps the occupied points apart."""
+    n_max = min(n_max, len(points))
+    top = data.draw(st.integers(min_value=1 if len(points) == n_max else 2, max_value=5), label="top")
+    lower = st.integers(min_value=1, max_value=top - 1) if top > 1 else st.nothing()
+    occupied = {p: top if k < n_max else data.draw(lower) for k, p in enumerate(points)}
+    full = Configuration(occupied)
+    only_maxima = Configuration({p: top for p in points[:n_max]})
+    own = data.draw(st.sampled_from(points), label="own")
+    frame = ego_frame(random_frame(random.Random(data.draw(st.integers(0, 2**32)))), own)
+    full_view = observe(full, frame)
+    assume(len(full_view.occupied) == len(occupied))
+    want = compute_action(full_view, Point(0.0, 0.0))
+    got = compute_action(observe(only_maxima, frame), Point(0.0, 0.0))
+    assert want.branch in (BRANCH_UNIQUE_MAX, BRANCH_TWO_MAX)
+    assert repr(got) == repr(want)

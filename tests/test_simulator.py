@@ -13,6 +13,7 @@ import warnings
 
 import pytest
 
+import gathersim.model as model
 import gathersim.simulator as simulator
 from gathersim.analysis import attach_lemma_monitors, random_robots
 from gathersim.geometry import Point, dist
@@ -555,14 +556,19 @@ def test_after_snapshot_of_a_step_is_the_before_snapshot_of_the_next():
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_each_configuration_is_normalized_once(strategy, monkeypatch):
+    """At most once: the first snapshot normalizes every position, and a
+    later one only when it cannot be derived from the one before."""
     calls = []
-    real_normalize = simulator.normalize
+    real_normalize = model.normalize
 
     def counting_normalize(*args, **kwargs):
         calls.append(args)
         return real_normalize(*args, **kwargs)
 
+    # simulator binds normalize for the first snapshot; model.successor
+    # calls it when a snapshot cannot be derived.
     monkeypatch.setattr(simulator, "normalize", counting_normalize)
+    monkeypatch.setattr(model, "normalize", counting_normalize)
     script = ((0,), (1, 2), (3, 4)) if strategy == SCRIPTED else None
     outcome, _ = run(
         _line([(0, 0), (2, 0), (4, 0), (0, 3), (3, 3)], sigma=0.6),
@@ -570,7 +576,7 @@ def test_each_configuration_is_normalized_once(strategy, monkeypatch):
         monitors=attach_lemma_monitors(),
     )
     assert outcome.status == GATHERED and outcome.final_t > 1
-    assert len(calls) == outcome.final_t + 1
+    assert 1 <= len(calls) <= outcome.final_t + 1
 
 
 def test_scripted_run_follows_script_until_forced():
