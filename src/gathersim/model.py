@@ -153,12 +153,9 @@ def observe(config: Configuration, frame: Frame) -> Configuration:
         if reflected:
             y = -y
         points.append(Point(scale * (c * x - s * y) + tx, scale * (s * x + c * y) + ty))
-    local = dict(zip(points, occupied.values()))
-    if len(local) < len(points):
-        # Occupied points rounded to one local point; it holds all their robots.
-        local = {}
-        for q, count in zip(points, occupied.values()):
-            local[q] = local.get(q, 0) + count
+    local: dict[Point, int] = {}
+    for q, count in zip(points, occupied.values()):
+        local[q] = local.get(q, 0) + count
     return Configuration(local)
 
 

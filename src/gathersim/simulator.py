@@ -31,6 +31,7 @@ from .model import (
     Configuration,
     Frame,
     ego_frame,
+    max_points,
     normalize,
     observe,
     random_frame,
@@ -292,9 +293,8 @@ def step(snap: Snapshot, active: Sequence[int]) -> tuple[SimState, dict[int, Act
     # own position, so each robot observes just those points.  That view
     # decides exactly as the full one whenever observe keeps the occupied
     # points apart, the only case in which the two views could differ.
-    top = max(config.occupied.values())
-    maxima = {p: top for p, count in config.occupied.items() if count == top}
-    seen = Configuration(maxima) if len(maxima) <= 2 else config
+    maxima = max_points(config.occupied)
+    seen = Configuration({p: config.occupied[p] for p in maxima}) if len(maxima) <= 2 else config
     robots = list(state.robots)
     last_active = list(state.last_active)
     actions: dict[int, Action] = {}
