@@ -34,7 +34,7 @@ from .analysis import (
     run_sweep,
 )
 from .geometry import COORD_LIMIT, Point
-from .model import Frame
+from .model import Configuration, Frame
 from .simulator import (
     FIXED_POINT,
     GATHERED,
@@ -290,11 +290,17 @@ def _removed_if_left_empty(handle: Optional[TextIO], path: Optional[str]) -> Ite
     except BaseException:
         if handle is not None:
             with contextlib.suppress(OSError):
+                handle.flush()  # bytes still buffered would read as an empty file
+            with contextlib.suppress(OSError):  # a close whose flush fails still closes
                 opened = os.fstat(handle.fileno())
                 handle.close()
                 if stat.S_ISREG(opened.st_mode) and opened.st_size == 0:
                     os.remove(path)
         raise
+
+
+def _occupied(config: Configuration) -> list[dict]:
+    return [{"x": p.x, "y": p.y, "count": k} for p, k in sorted(config.occupied.items())]
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -310,31 +316,30 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"cannot write trace to {args.trace}: {err}", file=sys.stderr)
         return 1
     with handle or contextlib.nullcontext():
-        with _removed_if_left_empty(handle, args.trace):
-            outcome, trace = run(
-                config.robots,
-                config.scheduler,
-                max_steps=config.max_steps,
-                monitors=attach_lemma_monitors(config.monitors),
-                record_trace=handle is not None,
-                refresh_frames=config.refresh_frames,
-            )
-        if handle is not None:
-            try:
-                handle.writelines(line + "\n" for line in trace)
-                handle.flush()
-            except OSError as err:
-                print(f"cannot write trace to {args.trace}: {err}", file=sys.stderr)
-                return 1
+        try:
+            with _removed_if_left_empty(handle, args.trace):
+                outcome, _ = run(
+                    config.robots,
+                    config.scheduler,
+                    max_steps=config.max_steps,
+                    monitors=attach_lemma_monitors(config.monitors),
+                    trace=handle,
+                    refresh_frames=config.refresh_frames,
+                )
+            if handle is not None:
+                handle.close()  # closes even if its flush fails; the with's close is then a no-op
+        except OSError as err:
+            if handle is None:  # run does no I/O but the trace's
+                raise
+            print(f"cannot write trace to {args.trace}: {err}", file=sys.stderr)
+            return 1
     record = {
         "status": outcome.status,
         "final_t": outcome.final_t,
-        "occupied": [
-            {"x": p.x, "y": p.y, "count": k}
-            for p, k in sorted(outcome.final_config.occupied.items())
-        ],
+        "occupied": _occupied(outcome.final_config),
         "violations": [
-            {"monitor": v.monitor, "step": v.step, "description": v.description}
+            {"monitor": v.monitor, "step": v.step, "description": v.description,
+             "occupied": _occupied(v.snapshot)}
             for v in outcome.monitor_violations
         ],
     }
@@ -355,7 +360,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         try:
             for record in records:
                 handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
-            handle.flush()
+            handle.close()  # closes even if its flush fails; the with's close is then a no-op
         except OSError as err:
             print(f"cannot write records to {args.out}: {err}", file=sys.stderr)
             return 1

@@ -15,6 +15,8 @@ Each snapshot after the first is derived from the one before and the
 robots that moved (model.successor, which falls back to normalize when a
 key must be created or reordered), and with one or two maxima a woken
 robot observes only the maxima, the only points the rule then reads.
+The trace streams to a text sink, one write per step, from a record per
+robot that changes only for the robots woken in that step or the one before.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import random
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence, TextIO
 
 from .geometry import Circle, Point, dist, on_circle, smallest_enclosing_circle
 from .model import (
@@ -79,20 +81,6 @@ class Robot:
             raise ValueError(f"robot {self.ident}: sigma must be positive and finite")
         if not (math.isfinite(self.pos.x) and math.isfinite(self.pos.y)):
             raise ValueError(f"robot {self.ident}: position must be finite")
-
-    @cached_property
-    def asleep_record(self) -> str:
-        """This robot's trace record of a step it slept through, minus its opening ``{"t":<t>``.
-
-        Cached in the instance ``__dict__``, which a frozen dataclass still
-        allows; fields, ``==``, ``hash`` and ``repr`` never see it.  A robot
-        that moves is rebuilt by ``replace``, so the cache always shows the
-        current position, and a robot asleep for many steps is formatted once.
-        """
-        return (
-            f',"robot_id":{self.ident},"activated":false,"branch":null,"action":null,'
-            f'"target_x":null,"target_y":null,"new_x":{self.pos.x!r},"new_y":{self.pos.y!r}}}'
-        )
 
 
 @dataclass
@@ -178,10 +166,6 @@ class Snapshot:
         return smallest_enclosing_circle(self.config.points())
 
 
-def _fairness_bound(spec: SchedulerSpec, n: int) -> int:
-    return spec.fairness_bound if spec.fairness_bound is not None else 3 * n
-
-
 def next_active(spec: SchedulerSpec, snap: Snapshot) -> list[int]:
     """Indices of the robots woken at snap.state.t, sorted ascending.
 
@@ -212,7 +196,7 @@ def next_active(spec: SchedulerSpec, snap: Snapshot) -> list[int]:
         for i in chosen:
             if not (0 <= i < n):
                 raise ValueError(f"scripted activation names unknown robot index {i}")
-    bound = _fairness_bound(spec, n)
+    bound = spec.fairness_bound if spec.fairness_bound is not None else 3 * n
     last_active = state.last_active
     # No robot is due while the longest asleep has slept less than the bound.
     if t - min(last_active) >= bound:
@@ -245,6 +229,20 @@ def apply_motion(robot: Robot, target: Point) -> Point:
                  robot.pos.y + f * (target.y - robot.pos.y))
 
 
+def _record_tail(robot: Robot, action: Optional[Action]) -> str:
+    """A robot's record of a step minus its opening ``{"t":<t>``; ``run`` keeps one per robot."""
+    if action is None:
+        woke, branch, kind, tx, ty = "false", "null", "null", "null", "null"
+    else:
+        woke, kind = "true", f'"{action.kind}"'
+        branch = "null" if action.branch is None else f'"{action.branch}"'
+        tx, ty = ("null", "null") if action.target is None else map(repr, action.target)
+    return (
+        f',"robot_id":{robot.ident},"activated":{woke},"branch":{branch},"action":{kind},'
+        f'"target_x":{tx},"target_y":{ty},"new_x":{robot.pos.x!r},"new_y":{robot.pos.y!r}}}'
+    )
+
+
 def trace_line(t: int, robot: Robot, action: Optional[Action]) -> str:
     """One robot's record of step t as a JSON line with a fixed key order.
 
@@ -256,19 +254,9 @@ def trace_line(t: int, robot: Robot, action: Optional[Action]) -> str:
     over the keys t, robot_id, activated, branch, action, target_x,
     target_y, new_x and new_y.  They are written directly: ``Robot`` and
     ``Action`` admit only finite coordinates, whose ``repr`` is JSON's
-    number text, and kinds and branches are fixed ASCII labels.  A sleeping
-    robot's record comes from ``Robot.asleep_record``, built once per
-    position.
+    number text, and kinds and branches are fixed ASCII labels.
     """
-    if action is None:
-        return f'{{"t":{t}{robot.asleep_record}'
-    branch = "null" if action.branch is None else f'"{action.branch}"'
-    tx, ty = ("null", "null") if action.target is None else map(repr, action.target)
-    return (
-        f'{{"t":{t},"robot_id":{robot.ident},"activated":true,"branch":{branch},'
-        f'"action":"{action.kind}","target_x":{tx},"target_y":{ty},'
-        f'"new_x":{robot.pos.x!r},"new_y":{robot.pos.y!r}}}'
-    )
+    return f'{{"t":{t}' + _record_tail(robot, action)
 
 
 def step(snap: Snapshot, active: Sequence[int]) -> tuple[SimState, dict[int, Action]]:
@@ -348,9 +336,9 @@ def run(
     max_steps: Optional[int] = None,
     monitors: Optional[Mapping[str, Rule]] = None,
     stop_on_gather: bool = True,
-    record_trace: bool = False,
+    trace: Optional[TextIO] = None,
     refresh_frames: bool = False,
-) -> tuple[RunOutcome, list[str]]:
+) -> tuple[RunOutcome, int]:
     """Drive a full run: schedule, step, monitor, repeat.
 
     Stops as soon as the configuration collapses to one point (unless
@@ -364,8 +352,10 @@ def run(
     snapshots around each step; a message it returns becomes a
     ``MonitorReport``.  Findings are collected, never raised; a violated
     invariant is data, and stopping the run would hide what happens next.
-    With ``record_trace`` the second item returned is the trace, one
-    ``trace_line`` per robot per step; without it the list is empty.
+    Given a text sink, ``trace``, each step is written to it as it is taken,
+    one ``trace_line`` per robot in one ``write``, and a run that raises
+    leaves the steps before the failure there.  The second item returned is
+    the number of lines written, or 0 without a sink.
 
     ``refresh_frames`` redraws every robot's frame each step from the
     scheduler seed, an adversarial stress mode; the rule is supposed to be
@@ -383,7 +373,9 @@ def run(
         max_steps = 10000 * n
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    trace: list[str] = []
+    # Each robot's record after {"t":<t>; only robots woken now or a step ago change it.
+    tails = [_record_tail(r, None) for r in snap.state.robots] if trace is not None else []
+    woken: dict[int, Action] = {}
     violations: list[MonitorReport] = []
     status = STEP_LIMIT_REACHED
     last_move = -1
@@ -397,9 +389,12 @@ def run(
         # step keeps every robot that did not move as the same object.
         moved = [i for i in actions if state.robots[i] is not snap.state.robots[i]]
         before, snap = snap, snap.after(state, moved)
-        if record_trace:
-            t = before.state.t
-            trace.extend(trace_line(t, r, actions.get(i)) for i, r in enumerate(state.robots))
+        if trace is not None:
+            for i in woken.keys() | actions.keys():
+                tails[i] = _record_tail(state.robots[i], actions.get(i))
+            woken = actions
+            head = f'{{"t":{before.state.t}'
+            trace.write(head + ("\n" + head).join(tails) + "\n")
         for name, rule in (monitors or {}).items():
             message = rule(before, snap)
             if message is not None:
@@ -412,4 +407,4 @@ def run(
             break
     if snap.config.is_gathered():
         status = GATHERED
-    return RunOutcome(status, snap.state.t, snap.config, violations), trace
+    return RunOutcome(status, snap.state.t, snap.config, violations), len(tails) * snap.state.t

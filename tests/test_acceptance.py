@@ -27,6 +27,7 @@ from gathersim.simulator import (
     SchedulerSpec,
     run,
 )
+from streamed import traced_run
 
 
 ODD_SIZES = (1, 3, 5, 7, 9, 11)
@@ -160,7 +161,7 @@ def test_criterion_6_even_witness_never_gathers():
 
 
 def test_criterion_7_reruns_are_identical(sweeps):
-    def traced_run():
+    def replay():
         rng = random.Random("acceptance7")
         robots = [
             Robot(
@@ -171,16 +172,15 @@ def test_criterion_7_reruns_are_identical(sweeps):
             )
             for j in range(7)
         ]
-        outcome, trace = run(
+        outcome, trace = traced_run(
             robots,
             SchedulerSpec(RANDOM_SUBSET, 1234),
-            record_trace=True,
             refresh_frames=True,
         )
         return outcome.status, "\n".join(trace)
 
-    status_a, text_a = traced_run()
-    status_b, text_b = traced_run()
+    status_a, text_a = replay()
+    status_b, text_b = replay()
     trace_same = text_a == text_b and status_a == status_b and len(text_a) > 0
 
     n, strategy = 5, "random_subset"

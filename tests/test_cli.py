@@ -6,6 +6,7 @@ tests grep the diagnostics, not just the exit codes.
 """
 
 import json
+import math
 import os
 import stat
 
@@ -390,6 +391,100 @@ def test_run_that_raises_keeps_its_error_when_the_removal_fails(tmp_path, monkey
     assert trace.read_bytes() == b""
 
 
+def _ring_config(n, strategy="round_robin"):
+    robots = [
+        {"x": math.cos(2 * math.pi * i / n), "y": math.sin(2 * math.pi * i / n), "sigma": 0.3}
+        for i in range(n)
+    ]
+    return {"robots": robots, "scheduler": {"strategy": strategy, "seed": 5}}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "cfg, fails_inside_run",
+    # Three short records stay in the write buffer until the trace is closed;
+    # 31 robots fill it within the run's first steps.
+    [(_line_config(), False), (_ring_config(31), True)],
+    ids=["at-close", "inside-run"],
+)
+def test_run_to_a_full_device_fails_cleanly(tmp_path, capsys, monkeypatch, cfg, fails_inside_run):
+    raised = []
+    real_run = cli.run
+
+    def watched_run(*args, **kwargs):
+        try:
+            return real_run(*args, **kwargs)
+        except OSError as err:
+            raised.append(err)
+            raise
+
+    monkeypatch.setattr(cli, "run", watched_run)
+    path = _write(tmp_path, cfg)
+    assert main(["run", "--config", path, "--trace", "/dev/full"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot write trace to /dev/full: [Errno 28]")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert bool(raised) == fails_inside_run
+
+
+def _raising_on_call(k):
+    calls = []
+
+    def rule(before, after):
+        calls.append(before.state.t)
+        if len(calls) == k:
+            raise RuntimeError(f"rule raised at step {before.state.t}")
+        return None
+
+    return rule
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_run_that_raises_keeps_the_steps_it_wrote(tmp_path, monkeypatch, k):
+    cfg = _ring_config(5, "random_subset")
+    path = _write(tmp_path, cfg)
+    full = tmp_path / "full.jsonl"
+    assert main(["run", "--config", path, "--trace", str(full)]) == 0
+    whole = full.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(whole) > 5 * k
+
+    monkeypatch.setattr(cli, "attach_lemma_monitors", lambda toggles: {"raising": _raising_on_call(k)})
+    partial = tmp_path / "partial.jsonl"
+    with pytest.raises(RuntimeError, match=f"rule raised at step {k - 1}"):
+        main(["run", "--config", path, "--trace", str(partial)])
+    # The step a rule raised in was written before the rule ran.
+    assert partial.read_text(encoding="utf-8").splitlines(keepends=True) == whole[: 5 * k]
+
+
+def test_run_reports_the_configuration_of_each_finding(tmp_path, capsys, monkeypatch):
+    def probe(before, after):
+        return "probe" if before.state.t in (0, 2) else None
+
+    real_attach = cli.attach_lemma_monitors
+    monkeypatch.setattr(cli, "attach_lemma_monitors", lambda toggles: {**real_attach(toggles), "probe": probe})
+    path = _write(tmp_path, _ring_config(5, "random_subset"))
+    trace = tmp_path / "t.jsonl"
+    assert main(["run", "--config", path, "--trace", str(trace)]) == 1
+    record = json.loads(capsys.readouterr().out)
+    counts = {}
+    for line in trace.read_text(encoding="utf-8").splitlines():
+        event = json.loads(line)
+        step = counts.setdefault(event["t"], {})
+        point = (event["new_x"], event["new_y"])
+        step[point] = step.get(point, 0) + 1
+    assert record["violations"] == [
+        {
+            "monitor": "probe",
+            "step": t,
+            "description": "probe",
+            "occupied": [{"x": x, "y": y, "count": k} for (x, y), k in sorted(counts[t].items())],
+        }
+        for t in (0, 2)
+    ]
+    assert record["violations"][0]["occupied"] != record["occupied"]
+
+
 # -- sweep subcommand ---------------------------------------------------------
 
 
@@ -443,6 +538,15 @@ def test_sweep_unwritable_out_fails_before_the_sweep(tmp_path, capsys, monkeypat
     assert "cannot write records" in captured.err
     assert captured.out == ""
     assert calls == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_sweep_to_a_full_device_fails_cleanly(capsys):
+    assert main(["sweep", "--n", "3", "--runs", "2", "--seed", "1", "--scheduler", "synchronous",
+                 "--out", "/dev/full"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot write records to /dev/full: [Errno 28]")
+    assert captured.out == ""
 
 
 def test_sweep_that_raises_leaves_no_records_file(tmp_path, monkeypatch):

@@ -21,7 +21,8 @@ import warnings
 
 from gathersim import cli
 from gathersim.analysis import attach_lemma_monitors, random_robots, run_sweep
-from gathersim.simulator import SchedulerSpec, run
+from gathersim.simulator import SchedulerSpec
+from streamed import traced_run
 
 # (n, strategy, refresh_frames, seed)
 RUN_CASES = (
@@ -84,12 +85,11 @@ def _run_lines(n, strategy, refresh, seed):
     robots = random_robots(random.Random(f"pin:{n}:{seed}"), n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        outcome, trace = run(
+        outcome, trace = traced_run(
             robots,
             SchedulerSpec(strategy, seed),
             max_steps=300,
             monitors=attach_lemma_monitors(),
-            record_trace=True,
             refresh_frames=refresh,
         )
     yield from trace

@@ -46,6 +46,7 @@ from gathersim.simulator import (
     step,
     trace_line,
 )
+from streamed import traced_run
 
 
 
@@ -87,11 +88,8 @@ def test_initial_state_copies_robots():
 
 def test_robots_are_frozen():
     robot = Robot(0, Point(0, 0), 1)
-    trace_line(0, robot, None)  # fills the cached record
     with pytest.raises(dataclasses.FrozenInstanceError):
         robot.pos = Point(9, 9)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        robot.asleep_record = ""
     assert robot.pos == Point(0, 0)
 
 
@@ -312,9 +310,7 @@ def test_round_robin_step_touches_only_the_woken_robot():
 
 
 def test_single_robot_is_gathered_immediately():
-    outcome, trace = run(
-        [Robot(0, Point(5, 5), 1)], SchedulerSpec(SYNCHRONOUS), record_trace=True
-    )
+    outcome, trace = traced_run([Robot(0, Point(5, 5), 1)], SchedulerSpec(SYNCHRONOUS))
     assert outcome.status == GATHERED
     assert outcome.final_t == 0
     assert outcome.final_config.occupied == {Point(5, 5): 1}
@@ -338,12 +334,11 @@ def test_three_collinear_fast_sigma_gathers_in_one():
 
 def test_gathered_start_stays_gathered_without_stopping():
     bots = [Robot(i, Point(-3, 7), 2) for i in range(5)]
-    outcome, trace = run(
+    outcome, trace = traced_run(
         bots,
         SchedulerSpec(RANDOM_SUBSET, seed=5),
         max_steps=200,
         stop_on_gather=False,
-        record_trace=True,
     )
     assert outcome.status == GATHERED
     assert outcome.final_t == 200
@@ -435,12 +430,11 @@ def test_fixed_point_never_declared_with_refreshed_frames():
 def test_fairness_window_covers_every_robot():
     bots = _line([(i * 1.0, (i * i) % 3 * 1.0) for i in range(5)], sigma=0.05)
     bound = 4
-    outcome, trace = run(
+    outcome, trace = traced_run(
         bots,
         SchedulerSpec(RANDOM_SUBSET, seed=3, fairness_bound=bound),
         max_steps=120,
         stop_on_gather=False,
-        record_trace=True,
     )
     by_step = {}
     for r in _records(trace):
@@ -457,7 +451,7 @@ def test_fairness_window_covers_every_robot():
 
 def test_boundary_adversary_cannot_prevent_gathering():
     bots = _line([(1, 0), (0, 1), (-1, 0), (0, -1), (0.3, 0.2)])
-    outcome, trace = run(bots, SchedulerSpec(BOUNDARY_ONLY), record_trace=True)
+    outcome, trace = traced_run(bots, SchedulerSpec(BOUNDARY_ONLY))
     assert outcome.status == GATHERED
     # the interior robot slept until the fairness bound (3n = 15) forced it
     first_active = min(r["t"] for r in _records(trace) if r["robot_id"] == 4 and r["activated"])
@@ -471,10 +465,7 @@ def test_trace_is_deterministic():
             Robot(1, Point(3, 1), 0.9, Frame(reflected=True)),
             Robot(2, Point(1, 4), 0.8),
         ]
-        outcome, trace = run(
-            bots, SchedulerSpec(RANDOM_SUBSET, seed=42), record_trace=True,
-            refresh_frames=True,
-        )
+        outcome, trace = traced_run(bots, SchedulerSpec(RANDOM_SUBSET, seed=42), refresh_frames=True)
         return outcome, "\n".join(trace)
 
     first_outcome, first_text = go()
@@ -486,7 +477,7 @@ def test_trace_is_deterministic():
 
 def test_trace_events_respect_stay_invariant():
     bots = _line([(0, 0), (2, 0), (4, 0), (1, 3), (5, 2)], sigma=0.4)
-    _, trace = run(bots, SchedulerSpec(RANDOM_SUBSET, seed=9), record_trace=True)
+    _, trace = traced_run(bots, SchedulerSpec(RANDOM_SUBSET, seed=9))
     pos = {i: (float(p[0]), float(p[1])) for i, p in enumerate([(0, 0), (2, 0), (4, 0), (1, 3), (5, 2)])}
     for r in _records(trace):
         new_pos = (r["new_x"], r["new_y"])
@@ -499,7 +490,7 @@ def test_trace_events_respect_stay_invariant():
 
 def test_trace_line_format():
     bots = _line([(0, 0), (2, 0), (4, 0)])
-    _, trace = run(bots, SchedulerSpec(SYNCHRONOUS), record_trace=True)
+    _, trace = traced_run(bots, SchedulerSpec(SYNCHRONOUS))
     line = trace[0]
     assert line.startswith('{"t":0,"robot_id":0,"activated":true,')
     record = json.loads(line)
@@ -582,7 +573,7 @@ def test_each_configuration_is_normalized_once(strategy, monkeypatch):
 def test_scripted_run_follows_script_until_forced():
     bots = _line([(0, 0), (2, 0), (4, 0)])
     spec = SchedulerSpec(SCRIPTED, script=((0,), (1,), (2,)))
-    outcome, trace = run(bots, spec, max_steps=6, record_trace=True)
+    outcome, trace = traced_run(bots, spec, max_steps=6)
     assert len(trace) == 3 * outcome.final_t
     for r in _records(trace):
         # default bound 3n = 9 never kicks in within 6 steps

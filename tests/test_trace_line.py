@@ -1,23 +1,37 @@
-"""trace_line against the json.dumps writer it replaced, and the record it caches.
+"""trace_line against the json.dumps writer it replaced, and run's stream against trace_line.
 
 trace_line once built a dict and handed it to json.dumps.  That writer is
 kept here, verbatim, as the oracle: the records written now must equal it
 byte for byte, for sleeping and woken robots, every action kind and branch
-label, and every finite coordinate.  A sleeping robot's record is cached on
-the frozen Robot, so the last tests check that the cache never shows an old
-position and never shows in fields, equality, hashing or repr.
+label, and every finite coordinate.  ``run`` does not call trace_line: it
+keeps one record per robot and writes each step in one piece.  The last
+tests check that stream against trace_line, line by line, for the actions
+``step`` actually returned.
 """
 
 import dataclasses
+import io
 import json
+import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gathersim.simulator as simulator
 from gathersim.geometry import Point
 from gathersim.model import Frame
-from gathersim.protocol import BRANCHES, MOVE_CAREFUL, MOVE_DIRECT, STAY, Action
-from gathersim.simulator import Robot, trace_line
+from gathersim.analysis import attach_lemma_monitors, random_robots
+from gathersim.protocol import BRANCH_UNIQUE_MAX, BRANCHES, MOVE_CAREFUL, MOVE_DIRECT, STAY, Action
+from gathersim.simulator import (
+    RANDOM_SUBSET,
+    ROUND_ROBIN,
+    SCRIPTED,
+    SYNCHRONOUS,
+    Robot,
+    SchedulerSpec,
+    trace_line,
+)
 
 EDGE_COORDINATES = (0.0, -0.0, 5e-324, -5e-324, 1e-05, 1e16, 1e308, -1e308, 0.1, 1.0 / 3.0, 7, -3)
 
@@ -80,22 +94,59 @@ def test_every_kind_and_branch_label():
 
 def test_the_sleeping_record_follows_the_robot_it_is_built_from():
     robot = Robot(3, Point(0.5, -2.0), 1.0)
-    trace_line(0, robot, None)
     moved = dataclasses.replace(robot, pos=Point(1e308, -0.0))
     reframed = dataclasses.replace(robot, frame=Frame(rotation=1.0, reflected=True))
-    assert "asleep_record" not in vars(moved) and "asleep_record" not in vars(reframed)
-    for other in (moved, reframed):
+    for other in (robot, moved, reframed):
         assert trace_line(1, other, None) == _reference_trace_line(1, other, None)
     assert json.loads(trace_line(1, moved, None))["new_x"] == 1e308
-    assert trace_line(2, robot, None) == _reference_trace_line(2, robot, None)
 
 
-def test_the_cached_record_is_invisible_to_equality_hash_and_repr():
-    cached, fresh = Robot(5, Point(0.25, 4.0), 1.0), Robot(5, Point(0.25, 4.0), 1.0)
-    trace_line(0, cached, None)
-    assert "asleep_record" in vars(cached) and "asleep_record" not in vars(fresh)
-    assert cached == fresh
-    assert hash(cached) == hash(fresh)
-    assert repr(cached) == repr(fresh)
-    assert dataclasses.astuple(cached) == dataclasses.astuple(fresh)
-    assert [f.name for f in dataclasses.fields(Robot)] == ["ident", "pos", "sigma", "frame"]
+def _streamed_and_per_robot(monkeypatch, robots, spec, **kwargs):
+    """The bytes run streams, and the same steps written with trace_line per robot per step."""
+    steps = []
+    real_step = simulator.step
+
+    def recording_step(snap, active):
+        state, actions = real_step(snap, active)
+        steps.append((snap.state.t, state.robots, actions))
+        return state, actions
+
+    monkeypatch.setattr(simulator, "step", recording_step)
+    sink = io.StringIO()
+    outcome, written = simulator.run(robots, spec, trace=sink, **kwargs)
+    expected = "".join(
+        trace_line(t, robot, actions.get(i)) + "\n"
+        for t, after, actions in steps
+        for i, robot in enumerate(after)
+    )
+    assert outcome.final_t == len(steps) > 1
+    assert written == len(robots) * len(steps)
+    return sink.getvalue(), expected, steps
+
+
+@pytest.mark.parametrize(
+    "strategy, refresh",
+    [(SYNCHRONOUS, False), (RANDOM_SUBSET, False), (ROUND_ROBIN, True)],
+    ids=["synchronous", "random_subset", "round_robin-refresh_frames"],
+)
+def test_a_run_streams_what_trace_line_writes_for_each_step(monkeypatch, strategy, refresh):
+    robots = random_robots(random.Random(f"stream:{strategy}"), 7)
+    streamed, expected, _ = _streamed_and_per_robot(
+        monkeypatch, robots, SchedulerSpec(strategy, 3), monitors=attach_lemma_monitors(),
+        refresh_frames=refresh,
+    )
+    assert streamed == expected
+
+
+def test_a_scripted_run_with_a_vetoed_careful_move_streams_what_trace_line_writes(monkeypatch):
+    # Two robots make a unique maximum at the origin; robot 2 stands on the
+    # way of robots 3 and 4 to it, so their careful moves are vetoed.
+    robots = [Robot(i, Point(x, 0.0), 1.0, Frame(rotation=x, reflected=i % 2 == 1))
+              for i, x in enumerate((0.0, 0.0, 2.0, 4.0, 6.0))]
+    spec = SchedulerSpec(SCRIPTED, script=((3, 4), (2,), (3, 4), (0, 1, 2, 3, 4)))
+    streamed, expected, steps = _streamed_and_per_robot(monkeypatch, robots, spec)
+    assert streamed == expected
+    vetoed = [(t, i) for t, after, actions in steps for i, action in actions.items()
+              if action.kind == STAY and action.branch == BRANCH_UNIQUE_MAX
+              and after[i].pos != Point(0.0, 0.0)]
+    assert vetoed[:2] == [(0, 3), (0, 4)]
