@@ -130,9 +130,20 @@ def path_is_clear(occupied: Sequence[Point] | dict[Point, int], start: Point, go
     """No occupied point blocks the open segment from start to goal.
 
     Points coincident with either endpoint do not block; anything else on
-    the segment does.
+    the segment does.  Only the points in the segment's bounding box widened
+    by m = 2*EPS + 2**-50 * V, V = max(|gx - sx|, |gy - sy|) in floats, are
+    settled; no point outside it can block.  Such a point lies at least m
+    beyond the box on one axis (a float past a rounded-to-nearest edge is
+    past the exact edge), so with u = 2**-53 that axis's term in
+    _segment_distance is, for any t in [0, 1], at least
+    (1 - u)**2 * m - 4u * V less 2**-1075 of underflow: over EPS after
+    hypot rounds, or else inf or NaN.  An infinite V makes the box the plane.
     """
-    for q in occupied:
+    (sx, sy), (gx, gy) = start, goal
+    m = 2.0 * EPS + max(abs(gx - sx), abs(gy - sy)) * 2.0**-50
+    x0, x1 = (sx - m, gx + m) if sx <= gx else (gx - m, sx + m)
+    y0, y1 = (sy - m, gy + m) if sy <= gy else (gy - m, sy + m)
+    for q in [q for q in occupied if x0 <= q[0] <= x1 and y0 <= q[1] <= y1]:
         if points_coincide(q, start) or points_coincide(q, goal):
             continue
         if point_on_segment(q, start, goal):
