@@ -15,6 +15,8 @@ Each snapshot after the first is derived from the one before and the
 robots that moved (model.successor, which falls back to normalize when a
 key must be created or reordered), and with one or two maxima a woken
 robot observes only the maxima, the only points the rule then reads.
+The careful-move veto settles only the occupied points in the segment's
+widened bounding box (protocol.path_is_clear).
 The trace streams to a text sink, one write per step, from a record per
 robot that changes only for the robots woken in that step or the one before.
 """

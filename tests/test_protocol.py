@@ -7,12 +7,20 @@ random similarity frames and demand the decision survives the trip.
 
 import math
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gathersim.geometry import Point, dist, smallest_enclosing_circle
+from gathersim.geometry import (
+    EPS,
+    Point,
+    dist,
+    point_on_segment,
+    points_coincide,
+    smallest_enclosing_circle,
+)
 from gathersim.model import (
     IDENTITY_FRAME,
     Configuration,
@@ -36,6 +44,7 @@ from gathersim.protocol import (
     compute_action,
     path_is_clear,
 )
+from gathersim.simulator import Robot, Snapshot, initial_state, step
 
 
 SQUARE = [Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -1)]
@@ -206,6 +215,95 @@ def test_path_ignores_off_segment_robot():
 def test_path_accepts_occupancy_map():
     occupied = {Point(0, 0): 2, Point(2, 0): 1, Point(4, 0): 1}
     assert not path_is_clear(occupied, Point(4, 0), Point(0, 0))
+
+
+def _unpruned_path_is_clear(occupied, start, goal):
+    """The veto as it was before it skipped points outside the segment's
+    widened box, kept verbatim as the oracle."""
+    for q in occupied:
+        if points_coincide(q, start) or points_coincide(q, goal):
+            continue
+        if point_on_segment(q, start, goal):
+            return False
+    return True
+
+
+# Zeros of both signs, subnormals, the smallest normal, 2**53 (where the
+# float grid is 2 wide) and coordinates whose differences overflow.
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-320, 2.2250738585072014e-308, 1.0, -1.0, 2.0**53, 1.7e308, -1.7e308]
+_COORDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.sampled_from(_SPECIAL_FLOATS),
+)
+
+
+@st.composite
+def _veto_cases(draw):
+    """A segment and occupied points placed near its endpoints, along it and
+    on the edges of its bounding box: a few EPS, a few margin units
+    (2**-50 times the longer side) or a few ulps away."""
+    start = Point(draw(_COORDS), draw(_COORDS))
+    goal = draw(st.one_of(st.just(start), st.builds(Point, _COORDS, _COORDS)))
+    (sx, sy), (gx, gy) = start, goal
+    side = max(abs(gx - sx), abs(gy - sy))
+
+    def near(x):
+        unit = draw(st.sampled_from([EPS, 2.0**-50 * side, math.ulp(x)]))
+        return x + draw(st.integers(-4, 4)) * unit
+
+    def edge(a, b, t):
+        return draw(st.sampled_from([min(a, b), max(a, b), (1.0 - t) * a + t * b]))
+
+    occupied = []
+    for _ in range(draw(st.integers(1, 6))):
+        t = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(-0.5, 1.5)))
+        q = draw(
+            st.sampled_from(
+                [
+                    Point(near(edge(sx, gx, t)), near(edge(sy, gy, t))),
+                    Point(near((1.0 - t) * sx + t * gx), near((1.0 - t) * sy + t * gy)),
+                    Point(draw(_COORDS), draw(_COORDS)),
+                ]
+            )
+        )
+        occupied.append(q if math.isfinite(q.x) and math.isfinite(q.y) else start)
+    return start, goal, occupied
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_veto_cases())
+# q lies 1 outside the box, yet the rounded distance to the segment is 0:
+# gx - sx rounds from -(2**53 + 3) to -(2**53 + 4), so t = 1 exactly.  A
+# margin of EPS alone lets the veto miss it.
+@example((Point(9007199254740996.0, 0.0), Point(1.0, 0.0), [Point(0.0, 0.0)]))
+@example((Point(1.7e308, -1.7e308), Point(-1.7e308, 1.7e308), [Point(0.0, 0.0), Point(-0.0, 5e-324)]))
+@example((Point(-0.0, 0.0), Point(0.0, -0.0), [Point(5e-324, -5e-324), Point(2 * EPS, 0.0)]))
+def test_the_boxed_veto_decides_as_the_unpruned_scan(case):
+    """Skipping the points outside the segment's widened box changes no verdict,
+    one point at a time or all together."""
+    start, goal, occupied = case
+    for q in occupied:
+        assert path_is_clear([q], start, goal) == _unpruned_path_is_clear([q], start, goal), q
+    assert path_is_clear(occupied, start, goal) == _unpruned_path_is_clear(occupied, start, goal)
+
+
+def test_the_veto_settles_only_points_near_the_segment():
+    """On 101 robots with a unique maximum every other robot is a careful
+    mover; each veto must settle a few nearby points, not scan all of them."""
+    rng = random.Random(101)
+    points = [Point(rng.random(), rng.random()) for _ in range(100)]
+    state = initial_state([Robot(i, p, 1.0) for i, p in enumerate([points[0], *points])])
+    n = len(state.robots)
+    everyone = range(n)
+    with mock.patch("gathersim.simulator.path_is_clear", wraps=path_is_clear) as veto, mock.patch(
+        "gathersim.protocol.point_on_segment", wraps=point_on_segment
+    ) as settled:
+        boxed = step(Snapshot(state), everyone)
+    with mock.patch("gathersim.simulator.path_is_clear", _unpruned_path_is_clear):
+        assert step(Snapshot(state), everyone) == boxed
+    assert veto.call_count == 99
+    assert settled.call_count / veto.call_count < n / 4
 
 
 # -- determinism, totality, equivariance --------------------------------------
