@@ -415,15 +415,13 @@ class SweepSummary:
     max_steps_to_gather: int
     violations: dict[str, int] = field(default_factory=dict)
 
+    @property
+    def clean(self) -> bool:
+        """Every run gathered and no monitor fired."""
+        return self.gathered == self.runs and not any(self.violations.values())
 
-def run_sweep(
-    n: int,
-    runs: int,
-    seed: int,
-    strategy: str,
-    max_steps: Optional[int] = None,
-    fairness_bound: Optional[int] = None,
-) -> tuple[SweepSummary, list[dict]]:
+
+def run_sweep(n: int, runs: int, seed: int, strategy: str) -> tuple[SweepSummary, list[dict]]:
     """Randomized batch driver: fresh initial conditions per run, all
     monitors on, one record per run plus an aggregate summary.
 
@@ -441,8 +439,7 @@ def run_sweep(
         init_rng = random.Random(f"{seed}:init:{index}")
         robots = random_robots(init_rng, n)
         sched_seed = random.Random(f"{seed}:sched:{index}").getrandbits(63)
-        spec = SchedulerSpec(strategy, sched_seed, fairness_bound)
-        outcome, _ = run(robots, spec, max_steps=max_steps, monitors=monitors)
+        outcome, _ = run(robots, SchedulerSpec(strategy, sched_seed), monitors=monitors)
         per_run: dict[str, int] = {}
         for report in outcome.monitor_violations:
             per_run[report.monitor] = per_run.get(report.monitor, 0) + 1
@@ -517,11 +514,10 @@ def _probe_for(points: list[Point], hull: Polygon, rng: random.Random) -> Point:
     return Point(x, y)
 
 
-def check_geometry_suite(
-    sets: int = 1000, seed: str = "check:geometry"
-) -> list[tuple[str, bool, str]]:
+def check_geometry_suite() -> list[tuple[str, bool, str]]:
     """Fast smallest enclosing circle against the brute-force oracle."""
-    rng = random.Random(seed)
+    rng = random.Random("check:geometry")
+    sets = 1000
     worst = 0.0
     support_ok = True
     support_note = ""
@@ -551,11 +547,10 @@ def check_geometry_suite(
     ]
 
 
-def check_properties_suite(
-    sets: int = 500, seed: str = "check:properties"
-) -> list[tuple[str, bool, str]]:
+def check_properties_suite() -> list[tuple[str, bool, str]]:
     """The sector, hull and shrink properties on random point sets."""
-    rng = random.Random(seed)
+    rng = random.Random("check:properties")
+    sets = 500
     concave_bad = 0
     equivalence_bad = 0
     on_hull_bad = 0
@@ -582,17 +577,16 @@ def check_properties_suite(
     ]
 
 
-def check_lemmas_suite(seed: int = 7) -> list[tuple[str, bool, str]]:
+def check_lemmas_suite() -> list[tuple[str, bool, str]]:
     """Small monitored sweeps; every run must gather with silent monitors."""
     results = []
     for n in (3, 5):
         for strategy in ("synchronous", "random_subset"):
-            summary, _ = run_sweep(n, 20, seed, strategy)
-            ok = summary.gathered == summary.runs and not any(summary.violations.values())
+            summary, _ = run_sweep(n, 20, 7, strategy)
             results.append(
                 (
                     f"monitored_sweep_n{n}_{strategy}",
-                    ok,
+                    summary.clean,
                     f"{summary.gathered}/{summary.runs} gathered, "
                     f"{sum(summary.violations.values())} monitor violations",
                 )

@@ -9,7 +9,9 @@ field.  The coincidence tolerance is the fixed geometry.EPS; no config key or
 environment variable sets it.  A robot coordinate, and a frame's scale times
 the largest coordinate magnitude, may not exceed geometry.COORD_LIMIT = 2**300
 in magnitude: a robot's view must stay inside the domain where the smallest
-enclosing circle is exact.
+enclosing circle is exact.  run --trace and sweep --out share one output rule,
+_output.  Only main turns errors into exit codes: a ConfigError into 2 and an
+OutputError, a file that could not be written, into 1.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 import os
 import stat
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Iterator, Optional, Sequence, TextIO
 
 from .analysis import (
@@ -51,6 +53,10 @@ SWEEP_STRATEGIES = tuple(s for s in STRATEGIES if s != SCRIPTED)
 
 class ConfigError(ValueError):
     """Rejected configuration; the message names the offending field."""
+
+
+class OutputError(Exception):
+    """An output file could not be opened, written or closed; the message names it."""
 
 
 @dataclass
@@ -278,25 +284,34 @@ def dump_config(config: RunConfig) -> dict:
 
 
 @contextlib.contextmanager
-def _removed_if_left_empty(handle: Optional[TextIO], path: Optional[str]) -> Iterator[None]:
-    """If the body raises, remove the file ``handle`` opened at ``path`` while it is empty.
+def _output(path: Optional[str], what: str) -> Iterator[Optional[TextIO]]:
+    """Yield ``path`` opened for the body to write ``what`` to, or None without a path.
 
-    An empty file would read as the output of work that never ran.  Only an
-    empty regular file is removed, never a device or pipe, and a failed
-    removal never hides the body's own error.
+    The file is opened before the body runs, so an unwritable path fails
+    before any work is done.  If the body raises while the file is still an
+    empty regular file, the file is removed: it would read as the output of
+    work that never ran.  A device or pipe is never removed, and a failed
+    removal never hides the body's own error.  An OSError from the open, the
+    body or the close becomes an OutputError.
     """
+    if path is None:
+        yield None
+        return
     try:
-        yield
-    except BaseException:
-        if handle is not None:
-            with contextlib.suppress(OSError):
-                handle.flush()  # bytes still buffered would read as an empty file
-            with contextlib.suppress(OSError):  # a close whose flush fails still closes
-                opened = os.fstat(handle.fileno())
-                handle.close()
-                if stat.S_ISREG(opened.st_mode) and opened.st_size == 0:
-                    os.remove(path)
-        raise
+        with open(path, "w", encoding="utf-8") as handle:
+            try:
+                yield handle
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    handle.flush()  # bytes still buffered would read as an empty file
+                with contextlib.suppress(OSError):  # a close whose flush fails still closes
+                    opened = os.fstat(handle.fileno())
+                    handle.close()
+                    if stat.S_ISREG(opened.st_mode) and opened.st_size == 0:
+                        os.remove(path)
+                raise
+    except OSError as err:
+        raise OutputError(f"cannot write {what} to {path}: {err}") from err
 
 
 def _occupied(config: Configuration) -> list[dict]:
@@ -304,35 +319,17 @@ def _occupied(config: Configuration) -> list[dict]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        config = load_config(args.config)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    # Opened first, so an unwritable path fails before the run, not after.
-    try:
-        handle = open(args.trace, "w", encoding="utf-8") if args.trace else None
-    except OSError as err:
-        print(f"cannot write trace to {args.trace}: {err}", file=sys.stderr)
-        return 1
-    with handle or contextlib.nullcontext():
-        try:
-            with _removed_if_left_empty(handle, args.trace):
-                outcome, _ = run(
-                    config.robots,
-                    config.scheduler,
-                    max_steps=config.max_steps,
-                    monitors=attach_lemma_monitors(config.monitors),
-                    trace=handle,
-                    refresh_frames=config.refresh_frames,
-                )
-            if handle is not None:
-                handle.close()  # closes even if its flush fails; the with's close is then a no-op
-        except OSError as err:
-            if handle is None:  # run does no I/O but the trace's
-                raise
-            print(f"cannot write trace to {args.trace}: {err}", file=sys.stderr)
-            return 1
+    config = load_config(args.config)
+    # An empty --trace, like none, writes no trace.
+    with _output(args.trace or None, "trace") as handle:
+        outcome, _ = run(
+            config.robots,
+            config.scheduler,
+            max_steps=config.max_steps,
+            monitors=attach_lemma_monitors(config.monitors),
+            trace=handle,
+            refresh_frames=config.refresh_frames,
+        )
     record = {
         "status": outcome.status,
         "final_t": outcome.final_t,
@@ -348,37 +345,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    # Opened first, so an unwritable path fails before the sweep, not after.
-    try:
-        handle = open(args.out, "w", encoding="utf-8")
-    except OSError as err:
-        print(f"cannot write records to {args.out}: {err}", file=sys.stderr)
-        return 1
-    with handle:
-        with _removed_if_left_empty(handle, args.out):
-            summary, records = run_sweep(args.n, args.runs, args.seed, args.scheduler)
-        try:
-            for record in records:
-                handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
-            handle.close()  # closes even if its flush fails; the with's close is then a no-op
-        except OSError as err:
-            print(f"cannot write records to {args.out}: {err}", file=sys.stderr)
-            return 1
-    print(
-        json.dumps(
-            {
-                "runs": summary.runs,
-                "gathered": summary.gathered,
-                "step_limit": summary.step_limit,
-                "max_steps_to_gather": summary.max_steps_to_gather,
-                "violations": summary.violations,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-    )
-    clean = summary.gathered == summary.runs and not any(summary.violations.values())
-    return 0 if clean else 1
+    with _output(args.out, "records") as handle:
+        summary, records = run_sweep(args.n, args.runs, args.seed, args.scheduler)
+        for record in records:
+            handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+    print(json.dumps(asdict(summary), sort_keys=True, separators=(",", ":")))
+    return 0 if summary.clean else 1
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -461,6 +433,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
+    except OutputError as err:
+        print(err, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

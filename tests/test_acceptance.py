@@ -124,7 +124,7 @@ def test_criterion_3_lemma_monitors_silent(sweeps):
 
 
 def test_criterion_4_circle_oracle_agreement():
-    checks = check_geometry_suite(sets=1000)
+    checks = check_geometry_suite()
     failed = [detail for _, ok, detail in checks if not ok]
     agreement_detail = checks[0][2]
     _verdict(
@@ -135,7 +135,7 @@ def test_criterion_4_circle_oracle_agreement():
 
 
 def test_criterion_5_geometry_property_checks():
-    checks = check_properties_suite(sets=500)
+    checks = check_properties_suite()
     failed = [f"{name}: {detail}" for name, ok, detail in checks if not ok]
     _verdict(
         5,

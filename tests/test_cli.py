@@ -2,16 +2,28 @@
 
 main() is exercised in-process with argv lists; file traffic goes through
 tmp_path.  Every rejected config must name the offending field, so these
-tests grep the diagnostics, not just the exit codes.
+tests grep the diagnostics, not just the exit codes.  The last tests run
+``python -m gathersim.cli`` as a process, so that main's result is seen as
+the exit status.
 """
 
 import json
 import math
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
+import gathersim
 from gathersim import cli
 from gathersim.cli import (
     ConfigError,
@@ -349,83 +361,12 @@ def test_run_that_raises_leaves_no_trace_file(tmp_path, monkeypatch):
     assert not trace.exists()
 
 
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_run_that_raises_keeps_a_trace_path_that_is_no_regular_file(tmp_path, monkeypatch):
-    # A named pipe stands in for any device or pipe given as --trace, /dev/null among them.
-    monkeypatch.setattr(cli, "run", _failing_run)
-    path = _write(tmp_path, _line_config())
-    pipe = tmp_path / "pipe"
-    os.mkfifo(pipe)
-    reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)  # so the writer's open does not block
-    try:
-        with pytest.raises(RuntimeError, match="run failed"):
-            main(["run", "--config", path, "--trace", str(pipe)])
-    finally:
-        os.close(reader)
-    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
-
-
-def test_run_that_raises_keeps_a_trace_file_that_is_no_longer_empty(tmp_path, monkeypatch):
-    def writing_run(*args, **kwargs):
-        trace.write_text("written elsewhere\n", encoding="utf-8")
-        raise RuntimeError("run failed")
-
-    monkeypatch.setattr(cli, "run", writing_run)
-    path = _write(tmp_path, _line_config())
-    trace = tmp_path / "t.jsonl"
-    with pytest.raises(RuntimeError, match="run failed"):
-        main(["run", "--config", path, "--trace", str(trace)])
-    assert trace.read_text(encoding="utf-8") == "written elsewhere\n"
-
-
-def test_run_that_raises_keeps_its_error_when_the_removal_fails(tmp_path, monkeypatch):
-    def refusing_remove(target):
-        raise PermissionError(target)
-
-    monkeypatch.setattr(cli, "run", _failing_run)
-    monkeypatch.setattr(cli.os, "remove", refusing_remove)
-    path = _write(tmp_path, _line_config())
-    trace = tmp_path / "t.jsonl"
-    with pytest.raises(RuntimeError, match="run failed"):
-        main(["run", "--config", path, "--trace", str(trace)])
-    assert trace.read_bytes() == b""
-
-
 def _ring_config(n, strategy="round_robin"):
     robots = [
         {"x": math.cos(2 * math.pi * i / n), "y": math.sin(2 * math.pi * i / n), "sigma": 0.3}
         for i in range(n)
     ]
     return {"robots": robots, "scheduler": {"strategy": strategy, "seed": 5}}
-
-
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize(
-    "cfg, fails_inside_run",
-    # Three short records stay in the write buffer until the trace is closed;
-    # 31 robots fill it within the run's first steps.
-    [(_line_config(), False), (_ring_config(31), True)],
-    ids=["at-close", "inside-run"],
-)
-def test_run_to_a_full_device_fails_cleanly(tmp_path, capsys, monkeypatch, cfg, fails_inside_run):
-    raised = []
-    real_run = cli.run
-
-    def watched_run(*args, **kwargs):
-        try:
-            return real_run(*args, **kwargs)
-        except OSError as err:
-            raised.append(err)
-            raise
-
-    monkeypatch.setattr(cli, "run", watched_run)
-    path = _write(tmp_path, cfg)
-    assert main(["run", "--config", path, "--trace", "/dev/full"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("cannot write trace to /dev/full: [Errno 28]")
-    assert "Traceback" not in captured.err
-    assert captured.out == ""
-    assert bool(raised) == fails_inside_run
 
 
 def _raising_on_call(k):
@@ -540,15 +481,6 @@ def test_sweep_unwritable_out_fails_before_the_sweep(tmp_path, capsys, monkeypat
     assert calls == []
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_sweep_to_a_full_device_fails_cleanly(capsys):
-    assert main(["sweep", "--n", "3", "--runs", "2", "--seed", "1", "--scheduler", "synchronous",
-                 "--out", "/dev/full"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("cannot write records to /dev/full: [Errno 28]")
-    assert captured.out == ""
-
-
 def test_sweep_that_raises_leaves_no_records_file(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_sweep", _failing_run)
     out = tmp_path / "records.jsonl"
@@ -574,6 +506,99 @@ def test_sweep_ignores_GATHERSIM_EPS(tmp_path, capsys, monkeypatch):
     with_env = _sweep_output(tmp_path / "env.jsonl"), capsys.readouterr()
     assert plain[0][0] == 0
     assert with_env == plain
+
+
+# -- output files: run --trace and sweep --out ---------------------------------
+
+
+class Writer(NamedTuple):
+    """A subcommand that writes an output file."""
+
+    work: str  # the cli binding that does the work the file records
+    what: str  # how error messages name the file
+
+    def argv(self, tmp_path, target, large=False):
+        """Small output stays in the write buffer until the close; large fills it during the work."""
+        if self.work == "run":
+            cfg = _ring_config(31) if large else _line_config()
+            return ["run", "--config", _write(tmp_path, cfg), "--trace", str(target)]
+        runs = "100" if large else "2"
+        return ["sweep", "--n", "3", "--runs", runs, "--seed", "1",
+                "--scheduler", "synchronous", "--out", str(target)]
+
+
+RUN = Writer("run", "trace")
+SWEEP = Writer("run_sweep", "records")
+both_writers = pytest.mark.parametrize("writer", [RUN, SWEEP], ids=["run", "sweep"])
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@both_writers
+def test_work_that_raises_keeps_an_output_path_that_is_no_regular_file(tmp_path, monkeypatch, writer):
+    # A named pipe stands in for any device or pipe given as the path, /dev/null among them.
+    monkeypatch.setattr(cli, writer.work, _failing_run)
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)  # so the writer's open does not block
+    try:
+        with pytest.raises(RuntimeError, match="run failed"):
+            main(writer.argv(tmp_path, pipe))
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+
+
+@both_writers
+def test_work_that_raises_keeps_an_output_file_that_is_no_longer_empty(tmp_path, monkeypatch, writer):
+    def writing_work(*args, **kwargs):
+        out.write_text("written elsewhere\n", encoding="utf-8")
+        raise RuntimeError("run failed")
+
+    monkeypatch.setattr(cli, writer.work, writing_work)
+    out = tmp_path / "out.jsonl"
+    with pytest.raises(RuntimeError, match="run failed"):
+        main(writer.argv(tmp_path, out))
+    assert out.read_text(encoding="utf-8") == "written elsewhere\n"
+
+
+@both_writers
+def test_work_that_raises_keeps_its_error_when_the_removal_fails(tmp_path, monkeypatch, writer):
+    def refusing_remove(target):
+        raise PermissionError(target)
+
+    monkeypatch.setattr(cli, writer.work, _failing_run)
+    monkeypatch.setattr(cli.os, "remove", refusing_remove)
+    out = tmp_path / "out.jsonl"
+    with pytest.raises(RuntimeError, match="run failed"):
+        main(writer.argv(tmp_path, out))
+    assert out.read_bytes() == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "writer, large",
+    [(RUN, False), (RUN, True), (SWEEP, False)],
+    ids=["at-close", "inside-run", "sweep"],
+)
+def test_run_to_a_full_device_fails_cleanly(tmp_path, capsys, monkeypatch, writer, large):
+    raised = []
+    real_work = getattr(cli, writer.work)
+
+    def watched_work(*args, **kwargs):
+        try:
+            return real_work(*args, **kwargs)
+        except OSError as err:
+            raised.append(err)
+            raise
+
+    monkeypatch.setattr(cli, writer.work, watched_work)
+    assert main(writer.argv(tmp_path, "/dev/full", large)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"cannot write {writer.what} to /dev/full: [Errno 28]")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    # Only run writes while it works; a sweep writes its records after its runs.
+    assert bool(raised) == (writer is RUN and large)
 
 
 # -- check subcommand ---------------------------------------------------------
@@ -631,3 +656,44 @@ def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["conquer"])
     assert excinfo.value.code == 2
+
+
+# -- the module run as a program ------------------------------------------------
+
+
+def _program(argv, **kwargs):
+    """Run ``python -m gathersim.cli`` on the package these tests import."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gathersim.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "gathersim.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120, **kwargs,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (lambda tmp_path: ["demo-even", "--n", "4"], 0),
+        (lambda tmp_path: RUN.argv(tmp_path, tmp_path / "no" / "dir" / "t.jsonl"), 1),
+        (lambda tmp_path: SWEEP.argv(tmp_path, tmp_path / "no" / "dir" / "r.jsonl"), 1),
+        (lambda tmp_path: ["run", "--config", _write(tmp_path, _gathered_config(eps=1e-9))], 2),
+    ],
+    ids=["demo-even", "unwritable-trace", "unwritable-out", "rejected-config"],
+)
+def test_program_exit_status_is_mains_result(tmp_path, argv, code):
+    result = _program(argv(tmp_path))
+    assert result.returncode == code, result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.skipif(resource is None, reason="needs setrlimit")
+@both_writers
+def test_a_write_that_fails_during_the_work_leaves_no_empty_file(tmp_path, writer):
+    def no_file_may_grow():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (0, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+    out = tmp_path / "out.jsonl"
+    result = _program(writer.argv(tmp_path, out, large=True), preexec_fn=no_file_may_grow)
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"cannot write {writer.what} to {out}: [Errno 27]")
+    assert not out.exists()
