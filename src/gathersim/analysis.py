@@ -253,12 +253,12 @@ def _two_max_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
 def _inside_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
     if len(before.branch.maxima) < 3 or len(after.branch.maxima) < 3:
         return None
-    for before_bot, after_bot in zip(before.state.robots, after.state.robots):
+    for i, (before_bot, after_bot) in enumerate(zip(before.robots, after.robots)):
         if not strictly_inside_circle(before_bot.pos, before.sec):
             continue
         if not strictly_inside_circle(after_bot.pos, after.sec):
             return (
-                f"robot {before_bot.ident} was strictly inside the circle "
+                f"robot {i} was strictly inside the circle "
                 f"and ended on or outside the new one"
             )
     return None
@@ -270,7 +270,7 @@ def _center_containment_rule(before: Snapshot, after: Snapshot) -> Optional[str]
         return None
     assert info.sec is not None
     center = info.sec.center
-    bots_b, bots_a = before.state.robots, after.state.robots
+    bots_b, bots_a = before.robots, after.robots
     # Hypothesis 1: some robot standing on the circle actually moved.
     moved_from_boundary = False
     boundary_set = set(info.boundary)
@@ -302,7 +302,7 @@ def _radius_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
         return f"enclosing radius grew from {before_r} to {after_r}"
     # When every robot has left the old circle's rim, the new circle must be
     # strictly smaller; everything now sits measurably deeper than the rim.
-    vacated = all(not on_circle(bot.pos, before.sec) for bot in after.state.robots)
+    vacated = all(not on_circle(bot.pos, before.sec) for bot in after.robots)
     if vacated and not (after_r < before_r):
         return f"rim fully vacated but radius held at {after_r}"
     return None
@@ -312,8 +312,8 @@ def _careful_separation_rule(before: Snapshot, after: Snapshot) -> Optional[str]
     maxima = before.branch.maxima
     if len(maxima) > 2:
         return None
-    bots_b = before.state.robots
-    after_pos = [bot.pos for bot in after.state.robots]
+    bots_b = before.robots
+    after_pos = [bot.pos for bot in after.robots]
     # Two robots that both stayed put coincide after the step exactly when
     # they did before it, so every offending pair holds a robot that moved.
     # A pair holding a robot exactly on a maximum is exempt, so movers that
@@ -331,7 +331,7 @@ def _careful_separation_rule(before: Snapshot, after: Snapshot) -> Optional[str]
     for i, j in sorted(merged):
         if i not in on_max and not points_coincide(bots_b[i].pos, bots_b[j].pos):
             return (
-                f"robots {bots_b[i].ident} and {bots_b[j].ident} merged at "
+                f"robots {i} and {j} merged at "
                 f"{after_pos[i]}, which is not a maximum point"
             )
     return None
@@ -397,13 +397,9 @@ def random_robots(rng: random.Random, n: int) -> list[Robot]:
     cuts = sorted(rng.sample(range(1, n), k - 1))
     counts = [b - a for a, b in zip([0] + cuts, cuts + [n])]
     robots: list[Robot] = []
-    ident = 0
     for p, count in zip(points, counts):
         for _ in range(count):
-            robots.append(
-                Robot(ident, p, sigma=rng.uniform(0.1, 2.0), frame=random_frame(rng))
-            )
-            ident += 1
+            robots.append(Robot(p, sigma=rng.uniform(0.1, 2.0), frame=random_frame(rng)))
     return robots
 
 
@@ -476,13 +472,8 @@ def even_livelock_demo(n_even: int) -> RunOutcome:
     if n_even < 2 or n_even % 2 != 0:
         raise ValueError("the witness needs an even robot count >= 2")
     half = n_even // 2
-    left = Point(0.0, 0.0)
-    right = Point(1.0, 0.0)
-    robots = []
-    for i in range(half):
-        robots.append(Robot(i, left, sigma=1.0, frame=Frame()))
-    for i in range(half, n_even):
-        robots.append(Robot(i, right, sigma=1.0, frame=Frame(rotation=math.pi)))
+    robots = [Robot(Point(0.0, 0.0), sigma=1.0, frame=Frame())] * half
+    robots += [Robot(Point(1.0, 0.0), sigma=1.0, frame=Frame(rotation=math.pi))] * half
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         outcome, _ = run(

@@ -151,7 +151,7 @@ def _parse_robot(raw: Any, index: int) -> Robot:
     if sigma <= 0.0:
         raise ConfigError(f"{where}.sigma: must be > 0")
     frame = _parse_frame(data.get("frame", {}), f"{where}.frame")
-    return Robot(index, Point(x, y), sigma, frame)
+    return Robot(Point(x, y), sigma, frame)
 
 
 def _parse_scheduler(raw: Any, n: int) -> SchedulerSpec:
@@ -244,40 +244,6 @@ def load_config(path: str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     return parse_config(data)
-
-
-def dump_config(config: RunConfig) -> dict:
-    """Inverse of parse_config; parse_config(dump_config(c)) == c."""
-    robots = []
-    for robot in config.robots:
-        robots.append(
-            {
-                "x": robot.pos.x,
-                "y": robot.pos.y,
-                "sigma": robot.sigma,
-                "frame": {
-                    "rotation": robot.frame.rotation,
-                    "scale": robot.frame.scale,
-                    "tx": robot.frame.translation[0],
-                    "ty": robot.frame.translation[1],
-                    "reflected": robot.frame.reflected,
-                },
-            }
-        )
-    scheduler: dict[str, Any] = {
-        "strategy": config.scheduler.strategy,
-        "seed": config.scheduler.seed,
-        "fairness_bound": config.scheduler.fairness_bound,
-    }
-    if config.scheduler.script is not None:
-        scheduler["script"] = [list(entry) for entry in config.scheduler.script]
-    return {
-        "robots": robots,
-        "scheduler": scheduler,
-        "max_steps": config.max_steps,
-        "monitors": None if config.monitors is None else dict(config.monitors),
-        "refresh_frames": config.refresh_frames,
-    }
 
 
 # -- subcommands ------------------------------------------------------------

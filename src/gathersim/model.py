@@ -52,13 +52,6 @@ class Configuration:
             if count < 1:
                 raise ValueError(f"multiplicity at {p} must be >= 1, got {count}")
 
-    @property
-    def robot_count(self) -> int:
-        return sum(self.occupied.values())
-
-    def points(self) -> list[Point]:
-        return list(self.occupied)
-
     def is_gathered(self) -> bool:
         return len(self.occupied) == 1
 
@@ -81,7 +74,9 @@ class Frame:
 
     local = scale * R(rotation) * M * global + translation, where M mirrors
     the y axis when ``reflected`` is set.  Inverses exist because scale must
-    be positive.
+    be positive.  A robot's own translation changes no decision: a robot
+    observes through ``ego_frame``, which replaces it, so the config keys
+    ``tx`` and ``ty`` are accepted and have no effect.
     """
 
     rotation: float = 0.0
@@ -92,9 +87,6 @@ class Frame:
     def __post_init__(self) -> None:
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise ValueError("frame scale must be positive and finite")
-
-
-IDENTITY_FRAME = Frame()
 
 
 def _cos_sin(frame: Frame) -> tuple[float, float]:

@@ -68,43 +68,21 @@ STEP_LIMIT_REACHED = "step_limit_reached"
 
 @dataclass(frozen=True)
 class Robot:
-    """One robot: identity, true position, motion cap, and its private frame.
+    """One robot: true position, motion cap, and its private frame.
 
-    Frozen, because consecutive states share the robots that did not move.
+    Robots are anonymous: a robot is named only by its index in a run's list.
+    Frozen, because consecutive snapshots share the robots that did not move.
     """
 
-    ident: int
     pos: Point
     sigma: float
     frame: Frame = Frame()
 
     def __post_init__(self) -> None:
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise ValueError(f"robot {self.ident}: sigma must be positive and finite")
+            raise ValueError("robot sigma must be positive and finite")
         if not (math.isfinite(self.pos.x) and math.isfinite(self.pos.y)):
-            raise ValueError(f"robot {self.ident}: position must be finite")
-
-
-@dataclass
-class SimState:
-    """World state between steps.  last_active[i] is -1 until robot i wakes."""
-
-    t: int
-    robots: list[Robot]
-    last_active: list[int]
-
-    def positions(self) -> list[Point]:
-        return [r.pos for r in self.robots]
-
-
-def initial_state(robots: Sequence[Robot]) -> SimState:
-    bots = list(robots)
-    if not bots:
-        raise ValueError("need at least one robot")
-    idents = {r.ident for r in bots}
-    if len(idents) != len(bots):
-        raise ValueError("robot identifiers must be unique")
-    return SimState(0, bots, [-1] * len(bots))
+            raise ValueError("robot position must be finite")
 
 
 @dataclass(frozen=True)
@@ -136,26 +114,31 @@ class SchedulerSpec:
 
 
 class Snapshot:
-    """One configuration: the world state and its geometry, each computed once.
+    """The world between two steps and its geometry, each computed once.
 
-    ``run`` builds one snapshot per configuration, and the snapshot after a
-    step is the one before the next, so the scheduler, ``step`` and every
-    monitor share one configuration, one branch classification and one
-    enclosing circle.  Only the first snapshot of a run normalizes every
-    position; each later one is derived by ``after`` from the robots that
-    moved, and equals normalize of its positions item for item.
+    ``t`` is the next step, ``robots`` a copy of the robots given, and
+    ``last_active[i]`` the last step robot i woke in, -1 until it wakes.
+    ``step`` returns the snapshot after it, and ``run`` keeps that as the one
+    before the next step, so the scheduler, ``step`` and every monitor share
+    one configuration, one branch classification and one enclosing circle.
+    Only the first snapshot of a run normalizes every position; ``step``
+    derives each later configuration from the robots that moved, equal to
+    normalize of its positions item for item.
     """
 
-    def __init__(self, state: SimState, config: Optional[Configuration] = None) -> None:
-        self.state = state
-        self.config = normalize(state.positions()) if config is None else config
-
-    def after(self, state: SimState, moved: Sequence[int]) -> Snapshot:
-        """The snapshot of ``state``, whose robots differ from this one's only
-        at the indices ``moved``, in ascending order."""
-        robots = self.state.robots
-        origins = {i: robots[i].pos for i in moved}
-        return Snapshot(state, successor(self.config, state.positions(), origins))
+    def __init__(
+        self,
+        robots: Sequence[Robot],
+        t: int = 0,
+        last_active: Optional[list[int]] = None,
+        config: Optional[Configuration] = None,
+    ) -> None:
+        self.robots = list(robots)
+        if not self.robots:
+            raise ValueError("need at least one robot")
+        self.t = t
+        self.last_active = [-1] * len(self.robots) if last_active is None else last_active
+        self.config = normalize([r.pos for r in self.robots]) if config is None else config
 
     @cached_property
     def branch(self) -> BranchInfo:
@@ -165,19 +148,18 @@ class Snapshot:
     def sec(self) -> Circle:
         if self.branch.sec is not None:
             return self.branch.sec
-        return smallest_enclosing_circle(self.config.points())
+        return smallest_enclosing_circle(self.config.occupied)
 
 
 def next_active(spec: SchedulerSpec, snap: Snapshot) -> list[int]:
-    """Indices of the robots woken at snap.state.t, sorted ascending.
+    """Indices of the robots woken at snap.t, sorted ascending.
 
     Always non-empty.  The random strategy draws from a stream derived only
-    from (seed, t), so replaying a state gives the same set without any
+    from (seed, t), so replaying a snapshot gives the same set without any
     shared RNG object to keep in sync.
     """
-    state = snap.state
-    n = len(state.robots)
-    t = state.t
+    n = len(snap.robots)
+    t = snap.t
     if spec.strategy == SYNCHRONOUS:
         chosen = set(range(n))
     elif spec.strategy == ROUND_ROBIN:
@@ -190,7 +172,7 @@ def next_active(spec: SchedulerSpec, snap: Snapshot) -> list[int]:
     elif spec.strategy == BOUNDARY_ONLY:
         # Adversary that starves the interior: only robots currently on the
         # enclosing circle wake up (fairness forcing aside).
-        chosen = {i for i, r in enumerate(state.robots) if on_circle(r.pos, snap.sec)}
+        chosen = {i for i, r in enumerate(snap.robots) if on_circle(r.pos, snap.sec)}
     else:
         assert spec.script is not None
         step_ids = spec.script[t % len(spec.script)]
@@ -199,7 +181,7 @@ def next_active(spec: SchedulerSpec, snap: Snapshot) -> list[int]:
             if not (0 <= i < n):
                 raise ValueError(f"scripted activation names unknown robot index {i}")
     bound = spec.fairness_bound if spec.fairness_bound is not None else 3 * n
-    last_active = state.last_active
+    last_active = snap.last_active
     # No robot is due while the longest asleep has slept less than the bound.
     if t - min(last_active) >= bound:
         chosen |= {i for i in range(n) if t - last_active[i] >= bound}
@@ -231,8 +213,8 @@ def apply_motion(robot: Robot, target: Point) -> Point:
                  robot.pos.y + f * (target.y - robot.pos.y))
 
 
-def _record_tail(robot: Robot, action: Optional[Action]) -> str:
-    """A robot's record of a step minus its opening ``{"t":<t>``; ``run`` keeps one per robot."""
+def _record_tail(i: int, robot: Robot, action: Optional[Action]) -> str:
+    """Robot i's record of a step minus its opening ``{"t":<t>``; ``run`` keeps one per robot."""
     if action is None:
         woke, branch, kind, tx, ty = "false", "null", "null", "null", "null"
     else:
@@ -240,17 +222,18 @@ def _record_tail(robot: Robot, action: Optional[Action]) -> str:
         branch = "null" if action.branch is None else f'"{action.branch}"'
         tx, ty = ("null", "null") if action.target is None else map(repr, action.target)
     return (
-        f',"robot_id":{robot.ident},"activated":{woke},"branch":{branch},"action":{kind},'
+        f',"robot_id":{i},"activated":{woke},"branch":{branch},"action":{kind},'
         f'"target_x":{tx},"target_y":{ty},"new_x":{robot.pos.x!r},"new_y":{robot.pos.y!r}}}'
     )
 
 
-def trace_line(t: int, robot: Robot, action: Optional[Action]) -> str:
-    """One robot's record of step t as a JSON line with a fixed key order.
+def trace_line(t: int, i: int, robot: Robot, action: Optional[Action]) -> str:
+    """Robot i's record of step t as a JSON line with a fixed key order.
 
     ``robot`` is the robot after the step and ``action`` what it did, or
-    None if it slept.  A careful move vetoed by the clear-path rule is a
-    "stay" with no target; the branch still tells you what was attempted.
+    None if it slept; the record's ``robot_id`` is the index i.  A careful
+    move vetoed by the clear-path rule is a "stay" with no target; the
+    branch still tells you what was attempted.
 
     The bytes are those of ``json.dumps(record, separators=(",", ":"))``
     over the keys t, robot_id, activated, branch, action, target_x,
@@ -258,25 +241,27 @@ def trace_line(t: int, robot: Robot, action: Optional[Action]) -> str:
     ``Action`` admit only finite coordinates, whose ``repr`` is JSON's
     number text, and kinds and branches are fixed ASCII labels.
     """
-    return f'{{"t":{t}' + _record_tail(robot, action)
+    return f'{{"t":{t}' + _record_tail(i, robot, action)
 
 
-def step(snap: Snapshot, active: Sequence[int]) -> tuple[SimState, dict[int, Action]]:
+def step(snap: Snapshot, active: Sequence[int]) -> tuple[Snapshot, dict[int, Action]]:
     """Execute one semi-synchronous step for the given activation set.
 
-    Returns the next state and, for each woken robot, the action it took in
-    global coordinates; a robot that did not move is the same object in both
-    states.  All observations and the clear-path gate read the entry
-    snapshot; positions update only at the end.  The careful-move veto also
-    runs on the snapshot: the protocol asked under local coordinates, but
-    blocking is a fact about the shared world, so it is re-checked globally.
+    Returns the next snapshot and, for each woken robot, the action it took
+    in global coordinates; a robot that did not move is the same object in
+    both snapshots, and the next configuration is derived from this one and
+    the robots that moved (model.successor).  All observations and the
+    clear-path gate read the entry snapshot; positions update only at the
+    end.  The careful-move veto also runs on the snapshot: the protocol
+    asked under local coordinates, but blocking is a fact about the shared
+    world, so it is re-checked globally.
 
     A target within eps of an occupied point is replaced by that exact
     point: local-to-global roundtrips leave crumbs of rounding, and snapping
     makes a robot aiming at an occupied point land exactly on it, so
     multiplicity grows instead of producing eps-separated dust.
     """
-    state, config = snap.state, snap.config
+    config = snap.config
     if not active:
         raise ValueError("activation set must be non-empty")
     # With one or two maxima the rule reads only the maxima and the robot's
@@ -285,14 +270,15 @@ def step(snap: Snapshot, active: Sequence[int]) -> tuple[SimState, dict[int, Act
     # points apart, the only case in which the two views could differ.
     maxima = max_points(config.occupied)
     seen = Configuration({p: config.occupied[p] for p in maxima}) if len(maxima) <= 2 else config
-    robots = list(state.robots)
-    last_active = list(state.last_active)
+    robots = list(snap.robots)
+    last_active = list(snap.last_active)
     actions: dict[int, Action] = {}
+    origins: dict[int, Point] = {}
     for i in sorted(set(active)):
         if not (0 <= i < len(robots)):
             raise ValueError(f"activation set names unknown robot index {i}")
         robot = robots[i]
-        last_active[i] = state.t
+        last_active[i] = snap.t
         frame = ego_frame(robot.frame, robot.pos)
         action = compute_action(observe(seen, frame), Point(0.0, 0.0))
         if action.kind != STAY:
@@ -303,9 +289,11 @@ def step(snap: Snapshot, active: Sequence[int]) -> tuple[SimState, dict[int, Act
                 action = Action(STAY, branch=action.branch)
             else:
                 action = Action(action.kind, target, action.branch)
+                origins[i] = robot.pos
                 robots[i] = replace(robot, pos=apply_motion(robot, target))
         actions[i] = action
-    return SimState(state.t + 1, robots, last_active), actions
+    positions = [r.pos for r in robots]
+    return Snapshot(robots, snap.t + 1, last_active, successor(config, positions, origins)), actions
 
 
 # A monitor rule reads the snapshots around one step and returns a message
@@ -363,8 +351,8 @@ def run(
     scheduler seed, an adversarial stress mode; the rule is supposed to be
     indifferent to frames, and this flag lets runs prove it.
     """
-    snap = Snapshot(initial_state(robots))
-    n = len(snap.state.robots)
+    snap = Snapshot(robots)
+    n = len(snap.robots)
     if n % 2 == 0:
         warnings.warn(
             f"{n} robots: gathering is not guaranteed for even counts",
@@ -376,7 +364,7 @@ def run(
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     # Each robot's record after {"t":<t>; only robots woken now or a step ago change it.
-    tails = [_record_tail(r, None) for r in snap.state.robots] if trace is not None else []
+    tails = [_record_tail(i, r, None) for i, r in enumerate(snap.robots)] if trace is not None else []
     woken: dict[int, Action] = {}
     violations: list[MonitorReport] = []
     status = STEP_LIMIT_REACHED
@@ -385,28 +373,26 @@ def run(
         if stop_on_gather and snap.config.is_gathered():
             break
         if refresh_frames:
-            rng = random.Random(f"{scheduler.seed}:frames:{snap.state.t}")
-            snap.state.robots = [replace(r, frame=random_frame(rng)) for r in snap.state.robots]
-        state, actions = step(snap, next_active(scheduler, snap))
-        # step keeps every robot that did not move as the same object.
-        moved = [i for i in actions if state.robots[i] is not snap.state.robots[i]]
-        before, snap = snap, snap.after(state, moved)
+            rng = random.Random(f"{scheduler.seed}:frames:{snap.t}")
+            snap.robots = [replace(r, frame=random_frame(rng)) for r in snap.robots]
+        before = snap
+        snap, actions = step(before, next_active(scheduler, before))
         if trace is not None:
             for i in woken.keys() | actions.keys():
-                tails[i] = _record_tail(state.robots[i], actions.get(i))
+                tails[i] = _record_tail(i, snap.robots[i], actions.get(i))
             woken = actions
-            head = f'{{"t":{before.state.t}'
+            head = f'{{"t":{before.t}'
             trace.write(head + ("\n" + head).join(tails) + "\n")
         for name, rule in (monitors or {}).items():
             message = rule(before, snap)
             if message is not None:
-                violations.append(MonitorReport(name, before.state.t, message, snap.config))
+                violations.append(MonitorReport(name, before.t, message, snap.config))
         # Positions, not action kinds: a move that rounds to no motion is no move.
-        if any(state.robots[i].pos != before.state.robots[i].pos for i in moved):
-            last_move = before.state.t
-        elif not (refresh_frames or snap.config.is_gathered()) and min(state.last_active) > last_move:
+        if any(snap.robots[i].pos != before.robots[i].pos for i in actions):
+            last_move = before.t
+        elif not (refresh_frames or snap.config.is_gathered()) and min(snap.last_active) > last_move:
             status = FIXED_POINT
             break
     if snap.config.is_gathered():
         status = GATHERED
-    return RunOutcome(status, snap.state.t, snap.config, violations), len(tails) * snap.state.t
+    return RunOutcome(status, snap.t, snap.config, violations), len(tails) * snap.t

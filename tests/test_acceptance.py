@@ -77,7 +77,7 @@ def test_criterion_2_gathered_runs_stay_gathered():
         n = rng.choice([1, 3, 5, 7, 9])
         spot = Point(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
         robots = [
-            Robot(j, spot, rng.uniform(0.1, 2.0), random_frame(rng)) for j in range(n)
+            Robot(spot, rng.uniform(0.1, 2.0), random_frame(rng)) for _ in range(n)
         ]
         spec = SchedulerSpec(rng.choice(STRATEGIES), rng.getrandbits(32))
         steps_gathered = []
@@ -165,12 +165,11 @@ def test_criterion_7_reruns_are_identical(sweeps):
         rng = random.Random("acceptance7")
         robots = [
             Robot(
-                j,
                 Point(rng.uniform(0, 1), rng.uniform(0, 1)),
                 rng.uniform(0.1, 2.0),
                 random_frame(rng),
             )
-            for j in range(7)
+            for _ in range(7)
         ]
         outcome, trace = traced_run(
             robots,

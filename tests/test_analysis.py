@@ -30,7 +30,6 @@ from gathersim.simulator import (
     FIXED_POINT,
     GATHERED,
     Robot,
-    SimState,
     Snapshot,
 )
 from other_eps import at_eps
@@ -43,9 +42,9 @@ def _transition(before_pts, after_pts):
     """Hand-built (before, after) snapshots; positions given as coordinate pairs."""
     n = len(before_pts)
     assert len(after_pts) == n
-    before = SimState(0, [Robot(i, Point(*p), 5.0) for i, p in enumerate(before_pts)], [-1] * n)
-    after = SimState(1, [Robot(i, Point(*p), 5.0) for i, p in enumerate(after_pts)], [0] * n)
-    return Snapshot(before), Snapshot(after)
+    before = Snapshot([Robot(Point(*p), 5.0) for p in before_pts])
+    after = Snapshot([Robot(Point(*p), 5.0) for p in after_pts], 1, [0] * n)
+    return before, after
 
 
 def _check(name, transition):
@@ -371,7 +370,6 @@ def test_random_robots_shape():
     for n in (1, 4, 9):
         bots = random_robots(rng, n)
         assert len(bots) == n
-        assert sorted(b.ident for b in bots) == list(range(n))
         assert all(0.1 <= b.sigma <= 2.0 for b in bots)
     with pytest.raises(ValueError):
         random_robots(rng, 0)

@@ -28,7 +28,6 @@ from gathersim import cli
 from gathersim.cli import (
     ConfigError,
     RunConfig,
-    dump_config,
     load_config,
     main,
     parse_config,
@@ -162,26 +161,43 @@ def test_parse_defaults():
     assert config.refresh_frames is False
 
 
-def test_config_round_trip():
-    original = RunConfig(
+def test_parse_config_reads_every_field():
+    config = parse_config(
+        {
+            "robots": [
+                {"x": 0.25, "y": -1.5, "sigma": 0.7,
+                 "frame": {"rotation": 0.3, "scale": 1.2, "tx": 0.1, "ty": -0.2, "reflected": True}},
+                {"x": 2.0, "y": 3.0, "sigma": 1.1},
+            ],
+            "scheduler": {"strategy": "random_subset", "seed": 99, "fairness_bound": 6},
+            "max_steps": 500,
+            "monitors": {"closure": True, "radius_progress": False},
+            "refresh_frames": True,
+        }
+    )
+    assert config == RunConfig(
         robots=[
-            Robot(0, Point(0.25, -1.5), 0.7, Frame(0.3, 1.2, (0.1, -0.2), True)),
-            Robot(1, Point(2.0, 3.0), 1.1),
+            Robot(Point(0.25, -1.5), 0.7, Frame(0.3, 1.2, (0.1, -0.2), True)),
+            Robot(Point(2.0, 3.0), 1.1),
         ],
         scheduler=SchedulerSpec("random_subset", 99, 6),
         max_steps=500,
         monitors={"closure": True, "radius_progress": False},
         refresh_frames=True,
     )
-    assert parse_config(dump_config(original)) == original
 
 
-def test_config_round_trip_scripted():
-    original = RunConfig(
-        robots=[Robot(0, Point(0, 0), 1.0)],
+def test_parse_config_reads_a_script():
+    config = parse_config(
+        {
+            "robots": [{"x": 0, "y": 0, "sigma": 1.0}],
+            "scheduler": {"strategy": "scripted", "fairness_bound": 2, "script": [[0], [0, 0]]},
+        }
+    )
+    assert config == RunConfig(
+        robots=[Robot(Point(0, 0), 1.0)],
         scheduler=SchedulerSpec("scripted", 0, 2, ((0,), (0, 0))),
     )
-    assert parse_config(dump_config(original)) == original
 
 
 def test_load_config_io_errors(tmp_path):
@@ -373,9 +389,9 @@ def _raising_on_call(k):
     calls = []
 
     def rule(before, after):
-        calls.append(before.state.t)
+        calls.append(before.t)
         if len(calls) == k:
-            raise RuntimeError(f"rule raised at step {before.state.t}")
+            raise RuntimeError(f"rule raised at step {before.t}")
         return None
 
     return rule
@@ -400,7 +416,7 @@ def test_run_that_raises_keeps_the_steps_it_wrote(tmp_path, monkeypatch, k):
 
 def test_run_reports_the_configuration_of_each_finding(tmp_path, capsys, monkeypatch):
     def probe(before, after):
-        return "probe" if before.state.t in (0, 2) else None
+        return "probe" if before.t in (0, 2) else None
 
     real_attach = cli.attach_lemma_monitors
     monkeypatch.setattr(cli, "attach_lemma_monitors", lambda toggles: {**real_attach(toggles), "probe": probe})

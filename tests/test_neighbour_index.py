@@ -52,7 +52,7 @@ def _reference_careful_separation(tr):
             if any(points_coincide(bots_a[i].pos, m) for m in maxima):
                 continue
             return (
-                f"robots {bots_b[i].ident} and {bots_b[j].ident} merged at "
+                f"robots {i} and {j} merged at "
                 f"{bots_a[i].pos}, which is not a maximum point"
             )
     return None
@@ -61,11 +61,11 @@ def _reference_careful_separation(tr):
 def _transition(before, after, maxima):
     """The parts of the (before, after) snapshots the separation rule reads,
     and the same step as the reference reads it."""
-    state_b = SimpleNamespace(robots=[Robot(i, p, 1.0) for i, p in enumerate(before)])
-    state_a = SimpleNamespace(robots=[Robot(i, p, 1.0) for i, p in enumerate(after)])
-    snap_b = SimpleNamespace(state=state_b, branch=SimpleNamespace(maxima=tuple(maxima)))
-    snap_a = SimpleNamespace(state=state_a)
-    tr = SimpleNamespace(maxima_before=tuple(maxima), before=state_b, after=state_a)
+    robots_b = [Robot(p, 1.0) for p in before]
+    robots_a = [Robot(p, 1.0) for p in after]
+    snap_b = SimpleNamespace(robots=robots_b, branch=SimpleNamespace(maxima=tuple(maxima)))
+    snap_a = SimpleNamespace(robots=robots_a)
+    tr = SimpleNamespace(maxima_before=tuple(maxima), before=snap_b, after=snap_a)
     return (snap_b, snap_a), tr
 
 

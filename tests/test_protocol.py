@@ -22,8 +22,8 @@ from gathersim.geometry import (
     smallest_enclosing_circle,
 )
 from gathersim.model import (
-    IDENTITY_FRAME,
     Configuration,
+    Frame,
     ego_frame,
     observe,
     random_frame,
@@ -44,7 +44,7 @@ from gathersim.protocol import (
     compute_action,
     path_is_clear,
 )
-from gathersim.simulator import Robot, Snapshot, initial_state, step
+from gathersim.simulator import Robot, Snapshot, step
 
 
 SQUARE = [Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -1)]
@@ -293,15 +293,16 @@ def test_the_veto_settles_only_points_near_the_segment():
     mover; each veto must settle a few nearby points, not scan all of them."""
     rng = random.Random(101)
     points = [Point(rng.random(), rng.random()) for _ in range(100)]
-    state = initial_state([Robot(i, p, 1.0) for i, p in enumerate([points[0], *points])])
-    n = len(state.robots)
+    snap = Snapshot([Robot(p, 1.0) for p in [points[0], *points]])
+    n = len(snap.robots)
     everyone = range(n)
     with mock.patch("gathersim.simulator.path_is_clear", wraps=path_is_clear) as veto, mock.patch(
         "gathersim.protocol.point_on_segment", wraps=point_on_segment
     ) as settled:
-        boxed = step(Snapshot(state), everyone)
+        boxed, boxed_actions = step(snap, everyone)
     with mock.patch("gathersim.simulator.path_is_clear", _unpruned_path_is_clear):
-        assert step(Snapshot(state), everyone) == boxed
+        unpruned, unpruned_actions = step(snap, everyone)
+    assert (unpruned.robots, unpruned_actions) == (boxed.robots, boxed_actions)
     assert veto.call_count == 99
     assert settled.call_count / veto.call_count < n / 4
 
@@ -360,7 +361,7 @@ def test_similarity_equivariance(occupied):
     cfg = Configuration(occupied)
     rng = random.Random(20240817)
     for own in occupied:
-        global_act = compute_action(observe(cfg, IDENTITY_FRAME), own)
+        global_act = compute_action(observe(cfg, Frame()), own)
         for _ in range(8):
             frame = ego_frame(random_frame(rng), own)
             local_view = observe(cfg, frame)

@@ -40,54 +40,51 @@ from gathersim.simulator import (
     SchedulerSpec,
     Snapshot,
     apply_motion,
-    initial_state,
     next_active,
     run,
     step,
     trace_line,
 )
 from streamed import traced_run
+from test_snapshot_successor import _assert_is_normalize_of
 
 
 
 def _line(robot_positions, sigma=1.0):
-    return [
-        Robot(i, Point(*pos), sigma) for i, pos in enumerate(robot_positions)
-    ]
+    return [Robot(Point(*pos), sigma) for pos in robot_positions]
 
 
 def _records(trace):
     return [json.loads(line) for line in trace]
 
 
-# -- robots and state ---------------------------------------------------------
+# -- robots and snapshots -----------------------------------------------------
 
 
 def test_robot_validation():
     with pytest.raises(ValueError):
-        Robot(0, Point(0, 0), 0.0)
+        Robot(Point(0, 0), 0.0)
     with pytest.raises(ValueError):
-        Robot(0, Point(0, 0), -1.0)
+        Robot(Point(0, 0), -1.0)
     with pytest.raises(ValueError):
-        Robot(0, Point(math.nan, 0), 1.0)
+        Robot(Point(math.nan, 0), 1.0)
 
 
-def test_initial_state_validation():
+def test_snapshot_validation():
     with pytest.raises(ValueError):
-        initial_state([])
-    with pytest.raises(ValueError):
-        initial_state([Robot(1, Point(0, 0), 1), Robot(1, Point(1, 0), 1)])
+        Snapshot([])
 
 
-def test_initial_state_copies_robots():
-    bots = [Robot(0, Point(0, 0), 1)]
-    state = initial_state(bots)
-    state.robots[0] = Robot(0, Point(9, 9), 1)
+def test_snapshot_copies_robots():
+    bots = [Robot(Point(0, 0), 1)]
+    snap = Snapshot(bots)
+    snap.robots[0] = Robot(Point(9, 9), 1)
     assert bots[0].pos == Point(0, 0)
+    assert (snap.t, snap.last_active) == (0, [-1])
 
 
 def test_robots_are_frozen():
-    robot = Robot(0, Point(0, 0), 1)
+    robot = Robot(Point(0, 0), 1)
     with pytest.raises(dataclasses.FrozenInstanceError):
         robot.pos = Point(9, 9)
     assert robot.pos == Point(0, 0)
@@ -97,35 +94,28 @@ def test_robots_are_frozen():
 
 
 def test_synchronous_wakes_everyone():
-    state = initial_state(_line([(i, 0) for i in range(5)]))
-    snap = Snapshot(state)
+    snap = Snapshot(_line([(i, 0) for i in range(5)]))
     assert next_active(SchedulerSpec(SYNCHRONOUS), snap) == [0, 1, 2, 3, 4]
 
 
 def test_round_robin_cycles_by_step():
-    state = initial_state(_line([(0, 0), (1, 0), (2, 0)]))
-    snap = Snapshot(state)
-    state.t = 4
+    snap = Snapshot(_line([(0, 0), (1, 0), (2, 0)]), t=4)
     assert next_active(SchedulerSpec(ROUND_ROBIN), snap) == [1]
 
 
 def test_random_subset_forces_starved_robot():
     # With seed 0 the raw draw at t=10 is {3}; robot 2 has been idle for the
     # whole fairness window, so the post-filter must add it.
-    state = initial_state(_line([(i, 0) for i in range(4)]))
-    snap = Snapshot(state)
-    state.t = 10
-    state.last_active = [9, 9, 7, 9]
+    snap = Snapshot(_line([(i, 0) for i in range(4)]), t=10, last_active=[9, 9, 7, 9])
     spec = SchedulerSpec(RANDOM_SUBSET, seed=0, fairness_bound=3)
     assert next_active(spec, snap) == [2, 3]
 
 
 def test_random_subset_never_empty_and_replayable():
-    state = initial_state(_line([(0, 0), (1, 0), (2, 0)]))
-    snap = Snapshot(state)
+    snap = Snapshot(_line([(0, 0), (1, 0), (2, 0)]))
     spec = SchedulerSpec(RANDOM_SUBSET, seed=11)
     for t in range(200):
-        state.t = t
+        snap.t = t
         active = next_active(spec, snap)
         assert active
         assert active == sorted(set(active))
@@ -134,22 +124,18 @@ def test_random_subset_never_empty_and_replayable():
 
 
 def test_boundary_only_starves_interior():
-    state = initial_state(
-        _line([(1, 0), (0, 1), (-1, 0), (0, -1), (0.3, 0.2)])
-    )
-    snap = Snapshot(state)
+    snap = Snapshot(_line([(1, 0), (0, 1), (-1, 0), (0, -1), (0.3, 0.2)]))
     active = next_active(SchedulerSpec(BOUNDARY_ONLY), snap)
     assert active == [0, 1, 2, 3]
 
 
 def test_scripted_cycles_and_validates():
-    state = initial_state(_line([(0, 0), (1, 0), (2, 0)]))
-    snap = Snapshot(state)
+    snap = Snapshot(_line([(0, 0), (1, 0), (2, 0)]))
     spec = SchedulerSpec(SCRIPTED, script=((0,), (1, 2)))
     assert next_active(spec, snap) == [0]
-    state.t = 1
+    snap.t = 1
     assert next_active(spec, snap) == [1, 2]
-    state.t = 2
+    snap.t = 2
     assert next_active(spec, snap) == [0]
     bad = SchedulerSpec(SCRIPTED, script=((7,),))
     with pytest.raises(ValueError):
@@ -171,20 +157,20 @@ def test_scheduler_spec_validation():
 
 
 def test_motion_within_cap_is_bit_exact():
-    r = Robot(0, Point(0, 0), 1.0)
+    r = Robot(Point(0, 0), 1.0)
     assert apply_motion(r, Point(0.5, 0)) == Point(0.5, 0)
     messy = Point(0.1 + 0.2, -0.3)
-    assert apply_motion(Robot(0, Point(1, 1), 5.0), messy) == messy
+    assert apply_motion(Robot(Point(1, 1), 5.0), messy) == messy
 
 
 def test_motion_caps_at_sigma():
-    r = Robot(0, Point(0, 0), 1.0)
+    r = Robot(Point(0, 0), 1.0)
     got = apply_motion(r, Point(3, 0))
     assert dist(got, Point(1, 0)) <= 1e-12
 
 
 def test_motion_follows_unit_vector():
-    r = Robot(0, Point(0, 0), 1.0)
+    r = Robot(Point(0, 0), 1.0)
     got = apply_motion(r, Point(3, 4))
     assert dist(got, Point(0.6, 0.8)) <= 1e-12
 
@@ -202,7 +188,7 @@ def test_motion_survives_an_overflowing_distance(start, target, sigma):
     # dist(start, target) is inf; the robot still takes a finite capped step
     # toward the target.
     assert math.isinf(dist(start, target))
-    got = apply_motion(Robot(0, start, sigma), target)
+    got = apply_motion(Robot(start, sigma), target)
     assert math.isfinite(got.x) and math.isfinite(got.y)
     assert dist(start, got) <= sigma * (1.0 + 1e-15)
     if sigma > 1.0:
@@ -216,16 +202,15 @@ def test_motion_survives_an_overflowing_distance(start, target, sigma):
 
 
 def test_step_requires_valid_active_set():
-    state = initial_state(_line([(0, 0), (1, 0)]))
+    snap = Snapshot(_line([(0, 0), (1, 0)]))
     with pytest.raises(ValueError):
-        step(Snapshot(state), [])
+        step(snap, [])
     with pytest.raises(ValueError):
-        step(Snapshot(state), [5])
+        step(snap, [5])
 
 
 def test_step_gathered_fixed_point():
-    state = initial_state([Robot(i, Point(2, 3), 1) for i in range(5)])
-    after, actions = step(Snapshot(state), range(5))
+    after, actions = step(Snapshot([Robot(Point(2, 3), 1)] * 5), range(5))
     assert after.t == 1
     assert [r.pos for r in after.robots] == [Point(2, 3)] * 5
     assert sorted(actions) == [0, 1, 2, 3, 4]
@@ -236,8 +221,7 @@ def test_step_three_collinear_hand_trace():
     # Singletons at 0, 2, 4 on the x axis: the enclosing circle is centered
     # at (2,0), the middle robot is interior and already central, so the two
     # rim robots head inward and the cap stops them after one unit.
-    state = initial_state(_line([(0, 0), (2, 0), (4, 0)]))
-    after, actions = step(Snapshot(state), [0, 1, 2])
+    after, actions = step(Snapshot(_line([(0, 0), (2, 0), (4, 0)])), [0, 1, 2])
     assert [r.pos for r in after.robots] == [Point(1, 0), Point(2, 0), Point(3, 0)]
     assert [actions[i].kind for i in range(3)] == [MOVE_DIRECT, STAY, MOVE_DIRECT]
     assert all(a.branch == BRANCH_BOUNDARY_TO_CENTER for a in actions.values())
@@ -245,21 +229,13 @@ def test_step_three_collinear_hand_trace():
 
 
 def test_step_blocked_careful_move_keeps_branch():
-    state = initial_state(
-        [
-            Robot(0, Point(0, 0), 1),
-            Robot(1, Point(0, 0), 1),
-            Robot(2, Point(2, 0), 1),
-            Robot(3, Point(4, 0), 1),
-        ]
-    )
-    before = Snapshot(state)
+    before = Snapshot(_line([(0, 0), (0, 0), (2, 0), (4, 0)]))
     after, actions = step(before, [0, 1, 2, 3])
     blocked = actions[3]
     assert blocked.kind == STAY
     assert blocked.branch == BRANCH_UNIQUE_MAX
     assert blocked.target is None
-    assert after.robots[3] is before.state.robots[3]
+    assert after.robots[3] is before.robots[3]
     assert after.robots[3].pos == Point(4, 0)
     # the robot in front walked; the one behind still judged the old snapshot
     mover = actions[2]
@@ -269,48 +245,70 @@ def test_step_blocked_careful_move_keeps_branch():
 
 
 def test_step_inactive_robots_untouched():
-    state = initial_state(_line([(0, 0), (2, 0), (4, 0)]))
-    after, actions = step(Snapshot(state), [0])
+    before = Snapshot(_line([(0, 0), (2, 0), (4, 0)]))
+    after, actions = step(before, [0])
     assert after.robots[1].pos == Point(2, 0)
     assert after.robots[2].pos == Point(4, 0)
     assert list(actions) == [0]
     assert after.last_active == [0, -1, -1]
-    assert state.last_active == [-1, -1, -1]
+    assert before.last_active == [-1, -1, -1]
 
 
 def test_step_snapshot_single_activation_matches_full():
     # A lone activated robot must decide exactly as it would have in the
     # synchronous step, because both read the same frozen snapshot.
-    mk = lambda: initial_state(_line([(0, 0), (2, 0), (4, 0)]))
-    solo_after, solo_actions = step(Snapshot(mk()), [0])
-    full_after, full_actions = step(Snapshot(mk()), [0, 1, 2])
+    snap = Snapshot(_line([(0, 0), (2, 0), (4, 0)]))
+    solo_after, solo_actions = step(snap, [0])
+    full_after, full_actions = step(snap, [0, 1, 2])
     assert solo_actions[0] == full_actions[0]
     assert solo_after.robots[0].pos == full_after.robots[0].pos
 
 
-def test_round_robin_step_touches_only_the_woken_robot():
-    snap = Snapshot(initial_state(_line([(0, 0), (2, 0), (4, 0), (1, 3), (5, 2)], sigma=0.6)))
+def test_round_robin_step_touches_only_the_woken_robot(monkeypatch):
+    """Chained outside run, step still returns snapshots whose configuration
+    is normalize of their positions, whether derived or recomputed."""
+    calls = []
+    real_normalize = model.normalize
+
+    def counting_normalize(positions):
+        calls.append(positions)
+        return real_normalize(positions)
+
+    # model.successor calls normalize when a configuration cannot be derived.
+    monkeypatch.setattr(model, "normalize", counting_normalize)
+    # Float coordinates, so that the configurations compare bit for bit.
+    snap = Snapshot(_line([(0.0, 0.0), (2.0, 0.0), (4.0, 0.0), (1.0, 3.0), (5.0, 2.0)], sigma=2.0))
     spec = SchedulerSpec(ROUND_ROBIN)
     kinds = set()
+    derived_moves = 0
     for _ in range(10):
         active = next_active(spec, snap)
-        state, actions = step(snap, active)
+        calls_before = len(calls)
+        after, actions = step(snap, active)
         assert list(actions) == active
-        for i, (old, new) in enumerate(zip(snap.state.robots, state.robots)):
+        assert after.t == snap.t + 1
+        assert after.last_active == [snap.t if i in active else t for i, t in enumerate(snap.last_active)]
+        for i, (old, new) in enumerate(zip(snap.robots, after.robots)):
             if i not in actions or actions[i].kind == STAY:
                 assert new is old
             else:
                 assert new.pos != old.pos
             kinds.add(actions[i].kind if i in actions else None)
-        snap = Snapshot(state)
+        _assert_is_normalize_of(after.config, [r.pos for r in after.robots])
+        moved = any(after.robots[i] is not snap.robots[i] for i in actions)
+        derived_moves += moved and len(calls) == calls_before
+        snap = after
     assert {None, STAY, MOVE_DIRECT} <= kinds
+    # Both paths ran: moves derived without normalize, and moves that fell back to it.
+    assert derived_moves > 0
+    assert calls
 
 
 # -- full runs ----------------------------------------------------------------
 
 
 def test_single_robot_is_gathered_immediately():
-    outcome, trace = traced_run([Robot(0, Point(5, 5), 1)], SchedulerSpec(SYNCHRONOUS))
+    outcome, trace = traced_run([Robot(Point(5, 5), 1)], SchedulerSpec(SYNCHRONOUS))
     assert outcome.status == GATHERED
     assert outcome.final_t == 0
     assert outcome.final_config.occupied == {Point(5, 5): 1}
@@ -333,7 +331,7 @@ def test_three_collinear_fast_sigma_gathers_in_one():
 
 
 def test_gathered_start_stays_gathered_without_stopping():
-    bots = [Robot(i, Point(-3, 7), 2) for i in range(5)]
+    bots = [Robot(Point(-3, 7), 2)] * 5
     outcome, trace = traced_run(
         bots,
         SchedulerSpec(RANDOM_SUBSET, seed=5),
@@ -349,7 +347,7 @@ def test_gathered_start_stays_gathered_without_stopping():
 
 def test_run_validates_max_steps():
     with pytest.raises(ValueError):
-        run([Robot(0, Point(0, 0), 1)], SchedulerSpec(SYNCHRONOUS), max_steps=0)
+        run([Robot(Point(0, 0), 1)], SchedulerSpec(SYNCHRONOUS), max_steps=0)
 
 
 def test_even_robot_count_warns():
@@ -380,7 +378,7 @@ STALLS = (
 
 @pytest.mark.parametrize("name, placed", STALLS, ids=[s[0] for s in STALLS])
 def test_stall_ends_at_its_fixed_point(name, placed):
-    bots = [Robot(i, Point(*pos), 1.0, frame) for i, (pos, frame) in enumerate(placed)]
+    bots = [Robot(Point(*pos), 1.0, frame) for pos, frame in placed]
     outcome, _ = run(bots, SchedulerSpec(SYNCHRONOUS, 1), monitors=attach_lemma_monitors())
     assert outcome.status == FIXED_POINT
     assert outcome.final_t == 1
@@ -458,12 +456,33 @@ def test_boundary_adversary_cannot_prevent_gathering():
     assert first_active == 14
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_frame_translation_changes_no_byte_of_the_trace(strategy):
+    # A robot observes through ego_frame, which replaces its frame's
+    # translation, so the config's tx and ty reach no decision.
+    robots = random_robots(random.Random("translation"), 9)
+    script = tuple((i,) for i in range(9)) if strategy == SCRIPTED else None
+    spec = SchedulerSpec(strategy, seed=5, script=script)
+    rng = random.Random("translation:offsets")
+    traces = []
+    for draw in range(4):
+        offsets = [(rng.uniform(-1e6, 1e6), rng.uniform(-1e6, 1e6)) if draw else (0.0, 0.0) for _ in robots]
+        shifted = [
+            dataclasses.replace(r, frame=dataclasses.replace(r.frame, translation=offset))
+            for r, offset in zip(robots, offsets)
+        ]
+        outcome, trace = traced_run(shifted, spec, monitors=attach_lemma_monitors())
+        assert outcome.status == GATHERED and not outcome.monitor_violations
+        traces.append(trace)
+    assert traces[0] and all(trace == traces[0] for trace in traces[1:])
+
+
 def test_trace_is_deterministic():
     def go():
         bots = [
-            Robot(0, Point(0, 0), 0.7, Frame(rotation=1.0, scale=1.5)),
-            Robot(1, Point(3, 1), 0.9, Frame(reflected=True)),
-            Robot(2, Point(1, 4), 0.8),
+            Robot(Point(0, 0), 0.7, Frame(rotation=1.0, scale=1.5)),
+            Robot(Point(3, 1), 0.9, Frame(reflected=True)),
+            Robot(Point(1, 4), 0.8),
         ]
         outcome, trace = traced_run(bots, SchedulerSpec(RANDOM_SUBSET, seed=42), refresh_frames=True)
         return outcome, "\n".join(trace)
@@ -500,7 +519,7 @@ def test_trace_line_format():
     ]
     stay_line = next(r for r in _records(trace) if r["action"] == STAY)
     assert stay_line["target_x"] is None and stay_line["target_y"] is None
-    assert trace_line(3, Robot(7, Point(0.5, -2.0), 1), None) == (
+    assert trace_line(3, 7, Robot(Point(0.5, -2.0), 1), None) == (
         '{"t":3,"robot_id":7,"activated":false,"branch":null,"action":null,'
         '"target_x":null,"target_y":null,"new_x":0.5,"new_y":-2.0}'
     )
@@ -512,7 +531,7 @@ def test_robot_count_conserved_every_step():
     outcome, _ = run(
         bots,
         SchedulerSpec(RANDOM_SUBSET, seed=2),
-        monitors={"count": lambda before, after: counts.append(after.config.robot_count)},
+        monitors={"count": lambda before, after: counts.append(sum(after.config.occupied.values()))},
     )
     assert outcome.status == GATHERED
     assert counts and all(c == 5 for c in counts)
@@ -520,7 +539,7 @@ def test_robot_count_conserved_every_step():
 
 def test_run_reports_each_rule_message_with_step_and_configuration():
     def on_gathering(before, after):
-        return f"gathered from t={before.state.t}" if after.config.is_gathered() else None
+        return f"gathered from t={before.t}" if after.config.is_gathered() else None
 
     outcome, _ = run(
         _line([(0, 0), (2, 0), (4, 0)]),
@@ -541,7 +560,7 @@ def test_after_snapshot_of_a_step_is_the_before_snapshot_of_the_next():
         monitors={"pairs": lambda before, after: pairs.append((before, after))},
     )
     assert len(pairs) == outcome.final_t > 1
-    assert [b.state.t for b, _ in pairs] == list(range(outcome.final_t))
+    assert [b.t for b, _ in pairs] == list(range(outcome.final_t))
     assert all(prev_after is before for (_, prev_after), (before, _) in zip(pairs, pairs[1:]))
 
 

@@ -55,7 +55,7 @@ def test_every_snapshot_of_a_monitored_run_equals_normalize(strategy, normalize_
 
     def check(before, after):
         nonlocal checked
-        _assert_is_normalize_of(after.config, after.state.positions())
+        _assert_is_normalize_of(after.config, [r.pos for r in after.robots])
         checked += 1
         return None
 

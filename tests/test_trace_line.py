@@ -36,12 +36,12 @@ from gathersim.simulator import (
 EDGE_COORDINATES = (0.0, -0.0, 5e-324, -5e-324, 1e-05, 1e16, 1e308, -1e308, 0.1, 1.0 / 3.0, 7, -3)
 
 
-def _reference_trace_line(t, robot, action):
+def _reference_trace_line(t, i, robot, action):
     target = None if action is None else action.target
     return json.dumps(
         {
             "t": t,
-            "robot_id": robot.ident,
+            "robot_id": i,
             "activated": action is not None,
             "branch": None if action is None else action.branch,
             "action": None if action is None else action.kind,
@@ -59,9 +59,9 @@ _COORDINATE = st.one_of(
     st.sampled_from(EDGE_COORDINATES),
 )
 _POINT = st.builds(Point, _COORDINATE, _COORDINATE)
-_IDENT = st.one_of(st.integers(min_value=0, max_value=1000), st.integers(min_value=-(2**100), max_value=2**100))
+_INDEX = st.one_of(st.integers(min_value=0, max_value=1000), st.integers(min_value=-(2**100), max_value=2**100))
 _STEP = st.one_of(st.integers(min_value=0, max_value=1000), st.integers(min_value=0, max_value=2**70))
-_ROBOT = st.builds(Robot, _IDENT, _POINT, st.sampled_from([1.0, 0.02, 1e308]))
+_ROBOT = st.builds(Robot, _POINT, st.sampled_from([1.0, 0.02, 1e308]))
 _BRANCH = st.sampled_from((None,) + BRANCHES)
 _ACTION = st.one_of(
     st.none(),
@@ -70,35 +70,35 @@ _ACTION = st.one_of(
 )
 
 
-@given(_STEP, _ROBOT, _ACTION)
-def test_trace_line_matches_json_dumps(t, robot, action):
-    assert trace_line(t, robot, action) == _reference_trace_line(t, robot, action)
+@given(_STEP, _INDEX, _ROBOT, _ACTION)
+def test_trace_line_matches_json_dumps(t, i, robot, action):
+    assert trace_line(t, i, robot, action) == _reference_trace_line(t, i, robot, action)
 
 
-@given(_STEP, _ROBOT)
-def test_a_sleeping_robot_keeps_matching_step_after_step(t, robot):
+@given(_STEP, _INDEX, _ROBOT)
+def test_a_sleeping_robot_keeps_matching_step_after_step(t, i, robot):
     for step in (t, t + 1, t + 2):
-        assert trace_line(step, robot, None) == _reference_trace_line(step, robot, None)
+        assert trace_line(step, i, robot, None) == _reference_trace_line(step, i, robot, None)
 
 
 def test_every_kind_and_branch_label():
-    robot = Robot(12, Point(-0.0, 1e-05), 1.0)
+    robot = Robot(Point(-0.0, 1e-05), 1.0)
     for branch in (None,) + BRANCHES:
         actions = [Action(STAY, branch=branch)]
         actions += [Action(kind, Point(1e16, -5e-324), branch) for kind in (MOVE_CAREFUL, MOVE_DIRECT)]
         for action in actions:
-            line = trace_line(4, robot, action)
-            assert line == _reference_trace_line(4, robot, action)
+            line = trace_line(4, 12, robot, action)
+            assert line == _reference_trace_line(4, 12, robot, action)
             assert json.loads(line)["branch"] == branch
 
 
 def test_the_sleeping_record_follows_the_robot_it_is_built_from():
-    robot = Robot(3, Point(0.5, -2.0), 1.0)
+    robot = Robot(Point(0.5, -2.0), 1.0)
     moved = dataclasses.replace(robot, pos=Point(1e308, -0.0))
     reframed = dataclasses.replace(robot, frame=Frame(rotation=1.0, reflected=True))
     for other in (robot, moved, reframed):
-        assert trace_line(1, other, None) == _reference_trace_line(1, other, None)
-    assert json.loads(trace_line(1, moved, None))["new_x"] == 1e308
+        assert trace_line(1, 3, other, None) == _reference_trace_line(1, 3, other, None)
+    assert json.loads(trace_line(1, 3, moved, None))["new_x"] == 1e308
 
 
 def _streamed_and_per_robot(monkeypatch, robots, spec, **kwargs):
@@ -107,15 +107,15 @@ def _streamed_and_per_robot(monkeypatch, robots, spec, **kwargs):
     real_step = simulator.step
 
     def recording_step(snap, active):
-        state, actions = real_step(snap, active)
-        steps.append((snap.state.t, state.robots, actions))
-        return state, actions
+        after, actions = real_step(snap, active)
+        steps.append((snap.t, after.robots, actions))
+        return after, actions
 
     monkeypatch.setattr(simulator, "step", recording_step)
     sink = io.StringIO()
     outcome, written = simulator.run(robots, spec, trace=sink, **kwargs)
     expected = "".join(
-        trace_line(t, robot, actions.get(i)) + "\n"
+        trace_line(t, i, robot, actions.get(i)) + "\n"
         for t, after, actions in steps
         for i, robot in enumerate(after)
     )
@@ -141,7 +141,7 @@ def test_a_run_streams_what_trace_line_writes_for_each_step(monkeypatch, strateg
 def test_a_scripted_run_with_a_vetoed_careful_move_streams_what_trace_line_writes(monkeypatch):
     # Two robots make a unique maximum at the origin; robot 2 stands on the
     # way of robots 3 and 4 to it, so their careful moves are vetoed.
-    robots = [Robot(i, Point(x, 0.0), 1.0, Frame(rotation=x, reflected=i % 2 == 1))
+    robots = [Robot(Point(x, 0.0), 1.0, Frame(rotation=x, reflected=i % 2 == 1))
               for i, x in enumerate((0.0, 0.0, 2.0, 4.0, 6.0))]
     spec = SchedulerSpec(SCRIPTED, script=((3, 4), (2,), (3, 4), (0, 1, 2, 3, 4)))
     streamed, expected, steps = _streamed_and_per_robot(monkeypatch, robots, spec)
