@@ -15,6 +15,10 @@ Each snapshot after the first is derived from the one before and the
 robots that moved (model.successor, which falls back to normalize when a
 key must be created or reordered), and with one or two maxima a woken
 robot observes only the maxima, the only points the rule then reads.
+A step in which no robot moves keeps the configuration, the geometry already
+computed on it and the stays already decided on it: a decision is a pure
+function of the configuration and the robot's position and frame, so a robot
+woken again on an unchanged configuration reuses its action.
 The careful-move veto settles only the occupied points in the segment's
 widened bounding box (protocol.path_is_clear).
 The trace streams to a text sink, one write per step, from a record per
@@ -123,7 +127,12 @@ class Snapshot:
     one configuration, one branch classification and one enclosing circle.
     Only the first snapshot of a run normalizes every position; ``step``
     derives each later configuration from the robots that moved, equal to
-    normalize of its positions item for item.
+    normalize of its positions item for item.  A step that moves no robot
+    keeps the configuration object, the computed ``branch`` and ``sec``, and
+    ``stays``: for each robot index, the ``Robot`` that decided on this
+    configuration and the stay it took, a vetoed careful move included.  The
+    rule, the veto and the snapping read only the configuration and that
+    robot's position and frame, so the same robot decides the same again.
     """
 
     def __init__(
@@ -139,6 +148,7 @@ class Snapshot:
         self.t = t
         self.last_active = [-1] * len(self.robots) if last_active is None else last_active
         self.config = normalize([r.pos for r in self.robots]) if config is None else config
+        self.stays: dict[int, tuple[Robot, Action]] = {}
 
     @cached_property
     def branch(self) -> BranchInfo:
@@ -250,11 +260,12 @@ def step(snap: Snapshot, active: Sequence[int]) -> tuple[Snapshot, dict[int, Act
     Returns the next snapshot and, for each woken robot, the action it took
     in global coordinates; a robot that did not move is the same object in
     both snapshots, and the next configuration is derived from this one and
-    the robots that moved (model.successor).  All observations and the
-    clear-path gate read the entry snapshot; positions update only at the
-    end.  The careful-move veto also runs on the snapshot: the protocol
-    asked under local coordinates, but blocking is a fact about the shared
-    world, so it is re-checked globally.
+    the robots that moved (model.successor).  A robot that already stayed on
+    this configuration reuses that action (``Snapshot.stays``).  All
+    observations and the clear-path gate read the entry snapshot; positions
+    update only at the end.  The careful-move veto also runs on the
+    snapshot: the protocol asked under local coordinates, but blocking is a
+    fact about the shared world, so it is re-checked globally.
 
     A target within eps of an occupied point is replaced by that exact
     point: local-to-global roundtrips leave crumbs of rounding, and snapping
@@ -264,12 +275,7 @@ def step(snap: Snapshot, active: Sequence[int]) -> tuple[Snapshot, dict[int, Act
     config = snap.config
     if not active:
         raise ValueError("activation set must be non-empty")
-    # With one or two maxima the rule reads only the maxima and the robot's
-    # own position, so each robot observes just those points.  That view
-    # decides exactly as the full one whenever observe keeps the occupied
-    # points apart, the only case in which the two views could differ.
-    maxima = max_points(config.occupied)
-    seen = Configuration({p: config.occupied[p] for p in maxima}) if len(maxima) <= 2 else config
+    seen: Optional[Configuration] = None
     robots = list(snap.robots)
     last_active = list(snap.last_active)
     actions: dict[int, Action] = {}
@@ -279,6 +285,17 @@ def step(snap: Snapshot, active: Sequence[int]) -> tuple[Snapshot, dict[int, Act
             raise ValueError(f"activation set names unknown robot index {i}")
         robot = robots[i]
         last_active[i] = snap.t
+        kept = snap.stays.get(i)
+        if kept is not None and kept[0] is robot:
+            actions[i] = kept[1]
+            continue
+        if seen is None:
+            # With one or two maxima the rule reads only the maxima and the
+            # robot's own position, so each robot observes just those points.
+            # That view decides exactly as the full one whenever observe keeps
+            # the occupied points apart, the only case in which they could differ.
+            maxima = max_points(config.occupied)
+            seen = Configuration({p: config.occupied[p] for p in maxima}) if len(maxima) <= 2 else config
         frame = ego_frame(robot.frame, robot.pos)
         action = compute_action(observe(seen, frame), Point(0.0, 0.0))
         if action.kind != STAY:
@@ -291,9 +308,15 @@ def step(snap: Snapshot, active: Sequence[int]) -> tuple[Snapshot, dict[int, Act
                 action = Action(action.kind, target, action.branch)
                 origins[i] = robot.pos
                 robots[i] = replace(robot, pos=apply_motion(robot, target))
+        if i not in origins:
+            snap.stays[i] = (robot, action)
         actions[i] = action
-    positions = [r.pos for r in robots]
-    return Snapshot(robots, snap.t + 1, last_active, successor(config, positions, origins)), actions
+    after = Snapshot(robots, snap.t + 1, last_active,
+                     successor(config, [r.pos for r in robots], origins) if origins else config)
+    if not origins:
+        # Nobody moved: share the configuration, its computed geometry and its stays.
+        after.__dict__.update((k, v) for k, v in vars(snap).items() if k in ("branch", "sec", "stays"))
+    return after, actions
 
 
 # A monitor rule reads the snapshots around one step and returns a message
