@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .geometry import EPS, Point, PointGrid
@@ -101,15 +102,18 @@ def _linear_part(frame: Frame, c: float, s: float, x: float, y: float) -> tuple[
 
 
 def to_local(frame: Frame, p: Point) -> Point:
-    lx, ly = _linear_part(frame, *_cos_sin(frame), p.x, p.y)
-    return Point(lx + frame.translation[0], ly + frame.translation[1])
+    return _images(frame, *_cos_sin(frame), *frame.translation, (p,))[0]
 
 
 def to_global(frame: Frame, p: Point) -> Point:
     """Inverse of to_local; to_global(f, to_local(f, p)) == p up to rounding."""
-    x = (p.x - frame.translation[0]) / frame.scale
-    y = (p.y - frame.translation[1]) / frame.scale
-    c, s = _cos_sin(frame)
+    return _preimage(frame, *_cos_sin(frame), *frame.translation, p)
+
+
+def _preimage(frame: Frame, c: float, s: float, tx: float, ty: float, p: Point) -> Point:
+    """The inverse of _images's map with the same arguments, on one point."""
+    x = (p.x - tx) / frame.scale
+    y = (p.y - ty) / frame.scale
     gx = c * x + s * y
     gy = -s * x + c * y
     if frame.reflected:
@@ -136,19 +140,26 @@ def observe(config: Configuration, frame: Frame) -> Configuration:
     whole view.  Two occupied points that round to one local point become
     one point holding both counts, so the view keeps every robot.
     """
-    c, s = _cos_sin(frame)
-    scale, reflected = frame.scale, frame.reflected
-    tx, ty = frame.translation
     occupied = config.occupied
-    points = []
-    for x, y in occupied:
-        if reflected:
-            y = -y
-        points.append(Point(scale * (c * x - s * y) + tx, scale * (s * x + c * y) + ty))
     local: dict[Point, int] = {}
-    for q, count in zip(points, occupied.values()):
+    for q, count in zip(_images(frame, *_cos_sin(frame), *frame.translation, occupied), occupied.values()):
         local[q] = local.get(q, 0) + count
     return Configuration(local)
+
+
+def _images(frame: Frame, c: float, s: float, tx: float, ty: float, points: Iterable[Point]) -> list[Point]:
+    """scale * R * M, then + (tx, ty), on each point, given c, s = _cos_sin(frame)."""
+    # Multiplying by m = -1.0 negates exactly, as _linear_part's mirror does.
+    scale, m = frame.scale, -1.0 if frame.reflected else 1.0
+    return [Point(scale * (c * x - s * (m * y)) + tx, scale * (s * x + c * (m * y)) + ty) for x, y in points]
+
+
+def ego_images(frame: Frame, pos: Point, points: Iterable[Point]) -> tuple[list[Point], partial[Point]]:
+    """What observe makes of points under ego_frame(frame, pos), merging aside, and to_global
+    under it: the same operations, with no Frame built and cosine and sine computed once."""
+    c, s = _cos_sin(frame)
+    lx, ly = _linear_part(frame, c, s, pos.x, pos.y)
+    return _images(frame, c, s, -lx, -ly, points), partial(_preimage, frame, c, s, -lx, -ly)
 
 
 def max_points(occupied: dict[Point, int]) -> list[Point]:

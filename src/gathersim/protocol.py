@@ -9,7 +9,11 @@ The rule branches on how many points carry the maximal multiplicity:
 * one maximum: everyone else heads there, but only while the segment to it
   is free of other occupied points (a careful move).
 * two maxima: robots standing on neither maximum walk carefully to the
-  closer of the two; robots on a maximum hold still.
+  closer of the two; robots on a maximum hold still.  An exact tie goes to
+  the lexicographically first in local coordinates, the rule's one frame
+  dependence, as a view symmetric about the robot has no frame-free
+  tie-break: from (1, 1) between camps at (0, 0) and (2, 0), a half turn
+  picks (2, 0), and the identity, a reflection or a quarter turn (0, 0).
 * three or more: the smallest enclosing circle of the occupied points is
   shrunk.  If its interior is empty, everyone heads straight for the center.
   If all interior points already sit at the center, the maximal boundary
@@ -155,6 +159,13 @@ def _standing_on(own: Point, candidates: Sequence[Point]) -> bool:
     return any(points_coincide(own, p) for p in candidates)
 
 
+def maxima_target(own: Point, maxima: Sequence[Point]) -> Optional[Point]:
+    """The rule under one or two maxima, in lexicographic order: where to walk carefully, or None."""
+    if _standing_on(own, maxima):
+        return None
+    return maxima[0] if len(maxima) == 1 else choose_closest_position(own, *maxima)
+
+
 def compute_action(view: Configuration, own_position: Point) -> Action:
     """Run the decision rule on one robot's view.
 
@@ -163,16 +174,10 @@ def compute_action(view: Configuration, own_position: Point) -> Action:
     """
     info = classify_branch(view.occupied)
 
-    if info.label == BRANCH_UNIQUE_MAX:
-        target = info.maxima[0]
-        if points_coincide(own_position, target):
+    if len(info.maxima) <= 2:
+        target = maxima_target(own_position, info.maxima)
+        if target is None:
             return Action(STAY, branch=info.label)
-        return Action(MOVE_CAREFUL, target, info.label)
-
-    if info.label == BRANCH_TWO_MAX:
-        if _standing_on(own_position, info.maxima):
-            return Action(STAY, branch=info.label)
-        target = choose_closest_position(own_position, info.maxima[0], info.maxima[1])
         return Action(MOVE_CAREFUL, target, info.label)
 
     assert info.sec is not None

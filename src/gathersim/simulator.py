@@ -13,8 +13,8 @@ overshoots and never veers.
 The configuration and the views need not be rebuilt from all n robots.
 Each snapshot after the first is derived from the one before and the
 robots that moved (model.successor, which falls back to normalize when a
-key must be created or reordered), and with one or two maxima a woken
-robot observes only the maxima, the only points the rule then reads.
+key must be created or reordered).  With one or two maxima, all the rule
+then reads, a woken robot maps just those into its frame (decide).
 A step in which no robot moves keeps the configuration, the geometry already
 computed on it and the stays already decided on it: a decision is a pure
 function of the configuration and the robot's position and frame, so a robot
@@ -39,6 +39,7 @@ from .model import (
     Configuration,
     Frame,
     ego_frame,
+    ego_images,
     max_points,
     normalize,
     observe,
@@ -47,12 +48,15 @@ from .model import (
     to_global,
 )
 from .protocol import (
+    BRANCH_TWO_MAX,
+    BRANCH_UNIQUE_MAX,
     MOVE_CAREFUL,
     STAY,
     Action,
     BranchInfo,
     classify_branch,
     compute_action,
+    maxima_target,
     path_is_clear,
 )
 
@@ -128,11 +132,12 @@ class Snapshot:
     Only the first snapshot of a run normalizes every position; ``step``
     derives each later configuration from the robots that moved, equal to
     normalize of its positions item for item.  A step that moves no robot
-    keeps the configuration object, the computed ``branch`` and ``sec``, and
-    ``stays``: for each robot index, the ``Robot`` that decided on this
-    configuration and the stay it took, a vetoed careful move included.  The
-    rule, the veto and the snapping read only the configuration and that
-    robot's position and frame, so the same robot decides the same again.
+    keeps the configuration object, the computed ``maxima``, ``branch`` and
+    ``sec``, and ``stays``: for each robot index, the ``Robot`` that decided
+    on this configuration and the stay it took, a vetoed careful move
+    included.  The rule, the veto and the snapping read only the
+    configuration and that robot's position and frame, so the same robot
+    decides the same again.
     """
 
     def __init__(
@@ -149,6 +154,10 @@ class Snapshot:
         self.last_active = [-1] * len(self.robots) if last_active is None else last_active
         self.config = normalize([r.pos for r in self.robots]) if config is None else config
         self.stays: dict[int, tuple[Robot, Action]] = {}
+
+    @cached_property
+    def maxima(self) -> list[Point]:
+        return max_points(self.config.occupied)
 
     @cached_property
     def branch(self) -> BranchInfo:
@@ -254,6 +263,39 @@ def trace_line(t: int, i: int, robot: Robot, action: Optional[Action]) -> str:
     return f'{{"t":{t}' + _record_tail(i, robot, action)
 
 
+def decide(snap: Snapshot, robot: Robot) -> Action:
+    """The rule's action for a robot woken on snap, in global coordinates,
+    before the careful-move veto.
+
+    With one or two maxima only they are mapped into the robot's ego frame,
+    by observe's operations (model.ego_images), and compute_action's rule
+    decides (protocol.maxima_target); a robot exactly on the unique maximum
+    maps it to its own (0, 0), so it stays at once.  Otherwise the robot
+    observes the whole configuration.  A target within eps of an occupied
+    point becomes that exact point, so robots aiming at one land on it and
+    multiplicity grows instead of leaving eps-separated dust.
+    """
+    maxima = snap.maxima
+    if len(maxima) > 2:
+        frame = ego_frame(robot.frame, robot.pos)
+        action = compute_action(observe(snap.config, frame), Point(0.0, 0.0))
+        if action.target is None:
+            return action
+        kind, target, branch = action.kind, to_global(frame, action.target), action.branch
+    elif len(maxima) == 1 and robot.pos == maxima[0]:
+        return Action(STAY, branch=BRANCH_UNIQUE_MAX)
+    else:
+        images, to_global_ = ego_images(robot.frame, robot.pos, maxima)
+        # Images that round to one point merge; a set keeps the first, as observe's dict does.
+        local = sorted(set(images))
+        branch = BRANCH_UNIQUE_MAX if len(local) == 1 else BRANCH_TWO_MAX
+        chosen = maxima_target(Point(0.0, 0.0), local)
+        if chosen is None:
+            return Action(STAY, branch=branch)
+        kind, target = MOVE_CAREFUL, to_global_(chosen)
+    return Action(kind, snap.config.key_near(target) or target, branch)
+
+
 def step(snap: Snapshot, active: Sequence[int]) -> tuple[Snapshot, dict[int, Action]]:
     """Execute one semi-synchronous step for the given activation set.
 
@@ -261,21 +303,14 @@ def step(snap: Snapshot, active: Sequence[int]) -> tuple[Snapshot, dict[int, Act
     in global coordinates; a robot that did not move is the same object in
     both snapshots, and the next configuration is derived from this one and
     the robots that moved (model.successor).  A robot that already stayed on
-    this configuration reuses that action (``Snapshot.stays``).  All
-    observations and the clear-path gate read the entry snapshot; positions
-    update only at the end.  The careful-move veto also runs on the
-    snapshot: the protocol asked under local coordinates, but blocking is a
-    fact about the shared world, so it is re-checked globally.
-
-    A target within eps of an occupied point is replaced by that exact
-    point: local-to-global roundtrips leave crumbs of rounding, and snapping
-    makes a robot aiming at an occupied point land exactly on it, so
-    multiplicity grows instead of producing eps-separated dust.
+    this configuration reuses that action (``Snapshot.stays``); any other is
+    decided on the entry snapshot (``decide``), and positions update only at
+    the end.  The careful-move veto also reads the snapshot: the rule asked in
+    local coordinates, but blocking is a fact about the shared world.
     """
     config = snap.config
     if not active:
         raise ValueError("activation set must be non-empty")
-    seen: Optional[Configuration] = None
     robots = list(snap.robots)
     last_active = list(snap.last_active)
     actions: dict[int, Action] = {}
@@ -289,25 +324,12 @@ def step(snap: Snapshot, active: Sequence[int]) -> tuple[Snapshot, dict[int, Act
         if kept is not None and kept[0] is robot:
             actions[i] = kept[1]
             continue
-        if seen is None:
-            # With one or two maxima the rule reads only the maxima and the
-            # robot's own position, so each robot observes just those points.
-            # That view decides exactly as the full one whenever observe keeps
-            # the occupied points apart, the only case in which they could differ.
-            maxima = max_points(config.occupied)
-            seen = Configuration({p: config.occupied[p] for p in maxima}) if len(maxima) <= 2 else config
-        frame = ego_frame(robot.frame, robot.pos)
-        action = compute_action(observe(seen, frame), Point(0.0, 0.0))
-        if action.kind != STAY:
-            assert action.target is not None
-            target = to_global(frame, action.target)
-            target = config.key_near(target) or target
-            if action.kind == MOVE_CAREFUL and not path_is_clear(config.occupied, robot.pos, target):
-                action = Action(STAY, branch=action.branch)
-            else:
-                action = Action(action.kind, target, action.branch)
-                origins[i] = robot.pos
-                robots[i] = replace(robot, pos=apply_motion(robot, target))
+        action = decide(snap, robot)
+        if action.kind == MOVE_CAREFUL and not path_is_clear(config.occupied, robot.pos, action.target):
+            action = Action(STAY, branch=action.branch)
+        elif action.target is not None:
+            origins[i] = robot.pos
+            robots[i] = replace(robot, pos=apply_motion(robot, action.target))
         if i not in origins:
             snap.stays[i] = (robot, action)
         actions[i] = action
@@ -315,7 +337,7 @@ def step(snap: Snapshot, active: Sequence[int]) -> tuple[Snapshot, dict[int, Act
                      successor(config, [r.pos for r in robots], origins) if origins else config)
     if not origins:
         # Nobody moved: share the configuration, its computed geometry and its stays.
-        after.__dict__.update((k, v) for k, v in vars(snap).items() if k in ("branch", "sec", "stays"))
+        vars(after).update((k, v) for k, v in vars(snap).items() if k in ("maxima", "branch", "sec", "stays"))
     return after, actions
 
 
@@ -365,10 +387,10 @@ def run(
     snapshots around each step; a message it returns becomes a
     ``MonitorReport``.  Findings are collected, never raised; a violated
     invariant is data, and stopping the run would hide what happens next.
-    Given a text sink, ``trace``, each step is written to it as it is taken,
-    one ``trace_line`` per robot in one ``write``, and a run that raises
-    leaves the steps before the failure there.  The second item returned is
-    the number of lines written, or 0 without a sink.
+    Given a text sink, ``trace``, each step is written to it as it is taken:
+    every robot's record, as ``trace_line`` formats it, in one ``write``.  A
+    run that raises leaves the steps before the failure there; the second
+    item returned is the number of lines written, or 0 without a sink.
 
     ``refresh_frames`` redraws every robot's frame each step from the
     scheduler seed, an adversarial stress mode; the rule is supposed to be
@@ -396,8 +418,10 @@ def run(
         if stop_on_gather and snap.config.is_gathered():
             break
         if refresh_frames:
+            # A new snapshot over the same configuration: no snapshot a step returned ever changes.
             rng = random.Random(f"{scheduler.seed}:frames:{snap.t}")
-            snap.robots = [replace(r, frame=random_frame(rng)) for r in snap.robots]
+            redrawn = [replace(r, frame=random_frame(rng)) for r in snap.robots]
+            snap = Snapshot(redrawn, snap.t, snap.last_active, snap.config)
         before = snap
         snap, actions = step(before, next_active(scheduler, before))
         if trace is not None:

@@ -1,0 +1,129 @@
+"""Decisions under one or two maxima, against the per-robot view.
+
+``simulator.decide`` maps only the maxima into a woken robot's frame when
+there are one or two of them.  The oracle is the view path that decided such
+robots before: the robot observes the maxima-only configuration through its
+ego frame, ``compute_action`` runs on that view, and the target goes back
+through ``to_global`` and is snapped to the nearest occupied point.  Kind,
+branch and every bit of the target must agree.
+"""
+
+import math
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gathersim.simulator as simulator
+from gathersim.analysis import random_robots
+from gathersim.geometry import EPS, Point
+from gathersim.model import Configuration, Frame, ego_frame, max_points, observe, to_global
+from gathersim.protocol import Action, compute_action
+from gathersim.simulator import BOUNDARY_ONLY, Robot, SchedulerSpec, Snapshot, decide, run
+
+
+def _view_decision(snap, robot):
+    """The rule's action for robot through the maxima-only view, snapped, before the veto."""
+    occupied = snap.config.occupied
+    seen = Configuration({p: occupied[p] for p in max_points(occupied)})
+    frame = ego_frame(robot.frame, robot.pos)
+    action = compute_action(observe(seen, frame), Point(0.0, 0.0))
+    if action.target is None:
+        return action
+    target = to_global(frame, action.target)
+    return Action(action.kind, snap.config.key_near(target) or target, action.branch)
+
+
+def _bits(action):
+    target = None if action.target is None else (action.target.x.hex(), action.target.y.hex())
+    return action.kind, action.branch, target
+
+
+def _coordinate():
+    """Small integers, zero with either sign."""
+    return st.integers(-4, 4).flatmap(lambda i: st.just(float(i)) if i else st.sampled_from([0.0, -0.0]))
+
+
+def _frames():
+    return st.builds(
+        Frame,
+        rotation=st.one_of(
+            st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2]),
+            st.floats(min_value=-10.0, max_value=10.0),
+        ),
+        scale=st.one_of(
+            st.integers(-20, 20).map(lambda e: 2.0**e),
+            st.floats(min_value=-6.0, max_value=6.0).map(lambda e: 10.0**e),
+        ),
+        translation=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+        reflected=st.booleans(),
+    )
+
+
+@st.composite
+def _cases(draw):
+    """Three robots on each of one or two maxima, others alone, and one more
+    robot, under its own frame: on a maximum, within 2*EPS of one, on the
+    bisector of two (an exact tie in global coordinates), on the grid, or far."""
+    # Around a large base the way back from a robot's frame misses a maximum
+    # by more than EPS; maxima 1.5*EPS apart seen from far away round to one
+    # point in the robot's frame.
+    base = draw(st.sampled_from([0.0, 2.0**30, -(2.0**40), 2.0**44]))
+    unit = draw(st.sampled_from([1.0, 0.5, 3.0, 1e-3, 1e3, 1.5 * EPS] + [math.ulp(base)] * 3 * (base != 0.0)))
+    points = draw(st.lists(st.tuples(_coordinate(), _coordinate()), min_size=1, max_size=6, unique=True))
+    points = [Point(base + x * unit, base + y * unit) for x, y in points]
+    top = draw(st.integers(1, min(2, len(points))))
+    robots = [Robot(p, 1.0) for p in points[:top] for _ in range(3)] + [Robot(p, 1.0) for p in points[top:]]
+    a, b = points[0], points[top - 1]
+    place = draw(st.sampled_from(["on", "near", "bisector", "grid", "far"]))
+    if place == "on":
+        # The same point, zeros possibly of the other sign.
+        x, y = draw(st.sampled_from([a, b]))
+        pos = Point(-x if x == 0.0 and draw(st.booleans()) else x, -y if y == 0.0 and draw(st.booleans()) else y)
+    elif place == "near":
+        dx, dy = (draw(st.floats(-2 * EPS, 2 * EPS)) for _ in range(2))
+        x, y = draw(st.sampled_from([a, b]))
+        pos = Point(x + dx, y + dy)
+    elif place == "bisector":
+        t = draw(st.integers(-3, 3))
+        pos = Point((a.x + b.x) / 2 - t * (b.y - a.y), (a.y + b.y) / 2 + t * (b.x - a.x))
+    elif place == "grid":
+        x, y = draw(st.tuples(_coordinate(), _coordinate()))
+        pos = Point(base + x * unit, base + y * unit)
+    else:
+        x, y = draw(st.tuples(_coordinate(), _coordinate()).filter(any))
+        pos = Point(a.x + x * 2.0**30, a.y + y * 2.0**30)
+    robot = Robot(pos, 1.0, draw(_frames()))
+    return [robot] + robots if draw(st.booleans()) else robots + [robot]
+
+
+@settings(max_examples=600, deadline=None)
+@given(_cases())
+def test_maxima_decisions_equal_the_view_path_bit_for_bit(robots):
+    snap = Snapshot(robots)
+    assert len(snap.maxima) <= 2
+    for robot in snap.robots:
+        assert _bits(decide(snap, robot)) == _bits(_view_decision(snap, robot))
+
+
+def test_only_configurations_with_three_or_more_maxima_are_observed(monkeypatch):
+    observed = []
+    real_observe = simulator.observe
+
+    def recording_observe(config, frame):
+        observed.append(config)
+        return real_observe(config, frame)
+
+    monkeypatch.setattr(simulator, "observe", recording_observe)
+    decisions = []
+    real_decide = simulator.decide
+
+    def recording_decide(snap, robot):
+        decisions.append(len(snap.maxima))
+        return real_decide(snap, robot)
+
+    monkeypatch.setattr(simulator, "decide", recording_decide)
+    outcome, _ = run(random_robots(random.Random("maxima:observe"), 11), SchedulerSpec(BOUNDARY_ONLY, seed=3))
+    assert outcome.status == "gathered"
+    assert any(m <= 2 for m in decisions) and len(observed) == sum(m > 2 for m in decisions)
+    assert all(len(max_points(c.occupied)) > 2 for c in observed)

@@ -132,15 +132,16 @@ def test_robot_woken_again_on_a_frozen_configuration_reuses_its_stay():
 
 @pytest.fixture
 def decided(monkeypatch):
-    """Every action ``compute_action`` returns at the simulator's binding."""
+    """Every action ``decide`` returns, the rule's before the careful-move
+    veto: ``step`` calls it once for each robot that does not reuse a stay."""
     actions = []
-    real_compute_action = simulator.compute_action
+    real_decide = simulator.decide
 
-    def recording_compute_action(view, own):
-        actions.append(real_compute_action(view, own))
+    def recording_decide(snap, robot):
+        actions.append(real_decide(snap, robot))
         return actions[-1]
 
-    monkeypatch.setattr(simulator, "compute_action", recording_compute_action)
+    monkeypatch.setattr(simulator, "decide", recording_decide)
     return actions
 
 

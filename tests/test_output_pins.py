@@ -8,14 +8,15 @@ if the change is intended, say why and record the new digest.
 
 The run cases cover what the benchmark's recorded digests do not: the
 boundary-only adversary and frames redrawn every step.  The CLI trace cases
-pin the file ``gathersim run --trace`` writes, reflected frames and a vetoed
-careful move included.
+pin the file ``gathersim run --trace`` writes, reflected frames, a vetoed
+careful move and an exact two-maxima tie under four frames included.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import math
 import random
 import warnings
 
@@ -66,6 +67,34 @@ VETO_CONFIG = {
     ],
     "scheduler": {"strategy": "synchronous"},
 }
+
+
+def _tie_config(frame, near_frame=None):
+    """Camps of two robots at (0, 0) and (2, 0), and a fifth robot at (1, 1)
+    under ``frame``, woken first.  With ``near_frame``, a sixth robot 5e-10
+    from (2, 0), inside that camp's cluster, under ``near_frame`` wakes with it."""
+    robots = [{"x": x, "y": 0.0, "sigma": 2.0} for x in (0.0, 0.0, 2.0, 2.0)]
+    robots.append({"x": 1.0, "y": 1.0, "sigma": 2.0, "frame": frame})
+    if near_frame is not None:
+        robots.append({"x": 2.0 + 5e-10, "y": 0.0, "sigma": 2.0, "frame": near_frame})
+    first = list(range(4, len(robots)))
+    return {"robots": robots, "scheduler": {"strategy": "scripted", "script": [first, list(range(len(robots)))]}}
+
+
+# The fifth robot's exact two-maxima tie is broken in its own coordinates: it
+# walks to (0, 0) under the identity, a reflection and a quarter turn, and to
+# (2, 0) under a half turn.  The sixth robot is 2e-9 from the unique maximum
+# in its frame of scale 4, so it walks there, and 1.25e-10 from it under
+# scale 0.25, so it stays.
+TIE_CONFIGS = (
+    _tie_config({}),
+    _tie_config({"reflected": True}),
+    _tie_config({"rotation": math.pi / 2}),
+    _tie_config({"rotation": math.pi}),
+    _tie_config({}, {"scale": 4.0}),
+    _tie_config({}, {"scale": 0.25}),
+)
+TIE_TRACE_DIGEST = "175625356b53a60cd5cd23713e9c58fa73b2dc9ed06cc8059c44e8bf19f839c2"
 BOUNDARY_TRACE_DIGEST = "cb0e015513f7bd9d96875632eaee7dceb3e4177c6d1496e0bf9e310070d33369"
 VETO_TRACE_DIGEST = "2c3bf0cb842b90fd6db6d93b424d119a141b021186f011353daff4ce0da9050c"
 
@@ -158,3 +187,17 @@ def test_cli_trace_with_a_vetoed_careful_move_is_pinned(tmp_path):
     ]
     assert [(r["t"], r["robot_id"]) for r in vetoed][:2] == [(0, 3), (0, 4)]
     assert _digest(lines) == VETO_TRACE_DIGEST
+
+
+def test_cli_traces_of_an_exact_two_maxima_tie_are_pinned(tmp_path):
+    lines = []
+    for k, config in enumerate(TIE_CONFIGS):
+        case = tmp_path / str(k)
+        case.mkdir()
+        # Six robots warn that even counts need not gather; these do.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            lines += _cli_trace_lines(case, config)
+    first_moves = [json.loads(line) for line in lines if line.startswith('{"t":0,"robot_id":4,')]
+    assert [(r["target_x"], r["target_y"]) for r in first_moves[:4]] == [(0.0, 0.0)] * 3 + [(2.0, 0.0)]
+    assert _digest(lines) == TIE_TRACE_DIGEST

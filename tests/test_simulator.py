@@ -425,6 +425,19 @@ def test_fixed_point_never_declared_with_refreshed_frames():
     assert len(refreshed.final_config.occupied) == 2
 
 
+def test_refreshed_frames_change_no_snapshot_a_step_returned():
+    kept = []
+
+    def keep(before, after):
+        kept.append((after, list(after.robots)))
+
+    bots = _line([(i * 1.0, (i * i) % 3 * 1.0) for i in range(5)], sigma=0.05)
+    run(bots, SchedulerSpec(ROUND_ROBIN), max_steps=5, monitors={"keep": keep}, refresh_frames=True)
+    assert len(kept) == 5
+    for after, robots in kept:
+        assert len(after.robots) == 5 and all(a is b for a, b in zip(after.robots, robots))
+
+
 def test_fairness_window_covers_every_robot():
     bots = _line([(i * 1.0, (i * i) % 3 * 1.0) for i in range(5)], sigma=0.05)
     bound = 4
