@@ -9,7 +9,8 @@ if the change is intended, say why and record the new digest.
 The run cases cover what the benchmark's recorded digests do not: the
 boundary-only adversary and frames redrawn every step.  The CLI trace cases
 pin the file ``gathersim run --trace`` writes, reflected frames, a vetoed
-careful move and an exact two-maxima tie under four frames included.
+careful move, an exact two-maxima tie under four frames and views that
+merge two occupied points included.
 """
 
 import contextlib
@@ -22,6 +23,8 @@ import warnings
 
 from gathersim import cli
 from gathersim.analysis import attach_lemma_monitors, random_robots, run_sweep
+from gathersim.geometry import Point
+from gathersim.model import Frame, ego_frame, max_points, normalize, observe
 from gathersim.simulator import SchedulerSpec
 from streamed import traced_run
 
@@ -97,6 +100,28 @@ TIE_CONFIGS = (
 TIE_TRACE_DIGEST = "175625356b53a60cd5cd23713e9c58fa73b2dc9ed06cc8059c44e8bf19f839c2"
 BOUNDARY_TRACE_DIGEST = "cb0e015513f7bd9d96875632eaee7dceb3e4177c6d1496e0bf9e310070d33369"
 VETO_TRACE_DIGEST = "2c3bf0cb842b90fd6db6d93b424d119a141b021186f011353daff4ce0da9050c"
+
+# Two robots at neighbouring floats near 2**41, an ulp (2**-11) apart, and a
+# robot at the origin under a quarter-radian frame, in whose view their
+# images round to one point with both counts.  In the first configuration
+# that point becomes the unique maximum of the view; in the second it joins
+# three camps of two as a fourth.  Everyone else sees every key apart.  Both
+# runs gather; the second with a radius-progress finding, as one ulp at 2**45
+# is 2**-7, far above EPS.
+_NEAR = 2.0**41
+MERGE_ROTATION = 1.0
+MERGE_CONFIGS = tuple(
+    {
+        "robots": [{"x": 0.0, "y": 0.0, "sigma": 1e15, "frame": {"rotation": MERGE_ROTATION}}]
+        + [{"x": _NEAR + dx, "y": 2.0**45 + dy, "sigma": 1e15} for dx, dy in rest],
+        "scheduler": {"strategy": "synchronous"},
+    }
+    for rest in (
+        [(0.0, 0.0), (math.ulp(_NEAR), 0.0), (0.0, 1.0), (1.0, 0.0)],
+        [(0.0, 0.0), (math.ulp(_NEAR), 0.0)] + [(2.0, 0.0), (0.0, 2.0), (2.0, 2.0)] * 2,
+    )
+)
+MERGE_TRACE_DIGEST = "7e2616259fb86e64eab0487f8d5640bc0254fdee4c225a026999a377dd469f90"
 
 
 def _digest(lines):
@@ -201,3 +226,15 @@ def test_cli_traces_of_an_exact_two_maxima_tie_are_pinned(tmp_path):
     first_moves = [json.loads(line) for line in lines if line.startswith('{"t":0,"robot_id":4,')]
     assert [(r["target_x"], r["target_y"]) for r in first_moves[:4]] == [(0.0, 0.0)] * 3 + [(2.0, 0.0)]
     assert _digest(lines) == TIE_TRACE_DIGEST
+
+
+def test_cli_traces_of_views_that_merge_two_occupied_points_are_pinned(tmp_path):
+    lines = []
+    for k, config in enumerate(MERGE_CONFIGS):
+        seen = normalize([Point(r["x"], r["y"]) for r in config["robots"]])
+        view = observe(seen, ego_frame(Frame(MERGE_ROTATION), Point(0.0, 0.0))).occupied
+        assert len(max_points(seen.occupied)) >= 3 and len(view) == len(seen.occupied) - 1
+        case = tmp_path / str(k)
+        case.mkdir()
+        lines += _cli_trace_lines(case, config)
+    assert _digest(lines) == MERGE_TRACE_DIGEST
