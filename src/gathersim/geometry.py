@@ -18,7 +18,8 @@ The grid only prunes; every candidate is settled by that same comparison.
 smallest_enclosing_circle is bit-for-bit a function of the point set: input
 order never changes a bit of the result.  It runs on plain floats for speed,
 and tests/test_sec_kernel.py pins its output bits against the object-based
-construction it replaced, kept there verbatim as the oracle.  Its valid
+construction it replaced, kept there verbatim as the oracle.  Its shuffle
+inlines random.Random(seed).shuffle and makes the same permutation.  Its valid
 domain is coordinates of magnitude at most COORD_LIMIT = 2**300: the
 circumcenter solve multiplies a squared distance by a coordinate difference,
 so the cube of the point set's span must stay well inside the float range.
@@ -87,6 +88,7 @@ class SectorPair(NamedTuple):
 EPS = 1e-9
 # Largest coordinate magnitude inside smallest_enclosing_circle's valid domain.
 COORD_LIMIT = 2.0**300
+Pair = tuple[float, float]  # a Point is one; a plain tuple is cheaper to build
 
 
 def dist(a: Point, b: Point) -> float:
@@ -272,7 +274,7 @@ def _require_distinct(points: Sequence[Point]) -> None:
 _SLACK = 1.0 + 1e-14
 
 
-def smallest_enclosing_circle(points: Iterable[Point]) -> Circle:
+def smallest_enclosing_circle(points: Iterable[Pair]) -> Circle:
     """Smallest circle enclosing the given distinct points.
 
     Randomized move-to-front construction (Welzl 1991); expected linear time.
@@ -285,9 +287,8 @@ def smallest_enclosing_circle(points: Iterable[Point]) -> Circle:
         raise ValueError("smallest_enclosing_circle needs at least one point")
     _require_distinct(pts)
     shuffled = sorted(pts)
-    coords = itertools.chain.from_iterable(shuffled)
-    seed = zlib.crc32(struct.pack(f"<{2 * len(shuffled)}d", *coords))
-    random.Random(seed).shuffle(shuffled)
+    seed = zlib.crc32(struct.pack(f"<{2 * len(shuffled)}d", *itertools.chain.from_iterable(shuffled)))
+    _shuffle(shuffled, seed)
     # A negative limit encloses nothing, so the first point starts the circle.
     cx = cy = r = 0.0
     lim = -1.0
@@ -298,8 +299,18 @@ def smallest_enclosing_circle(points: Iterable[Point]) -> Circle:
     return Circle(Point(cx, cy), r)
 
 
+def _shuffle(items: list, seed: int) -> None:
+    """random.Random(seed).shuffle(items) inlined: the same loop and getrandbits draws."""
+    getrandbits = random.Random(seed).getrandbits
+    for i in range(len(items) - 1, 0, -1):
+        j, k = i + 1, (i + 1).bit_length()
+        while j > i:
+            j = getrandbits(k)
+        items[i], items[j] = items[j], items[i]
+
+
 def _sec_one_known(
-    pts: list[Point], m: int, px: float, py: float
+    pts: list[Pair], m: int, px: float, py: float
 ) -> tuple[float, float, float]:
     """SEC of pts[:m] with p = pts[m - 1] on its boundary."""
     cx, cy, r = px, py, 0.0
@@ -315,7 +326,7 @@ def _sec_one_known(
 
 
 def _sec_two_known(
-    pts: list[Point], m: int, px: float, py: float, qx: float, qy: float
+    pts: list[Pair], m: int, px: float, py: float, qx: float, qy: float
 ) -> tuple[float, float, float]:
     """SEC of pts[:m] with p and q on its boundary."""
     mx, my, mr = _diameter_circle(px, py, qx, qy)

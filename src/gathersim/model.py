@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .geometry import EPS, Point, PointGrid
+from .geometry import EPS, Pair, Point, PointGrid
 
 
 class Clustering(NamedTuple):
@@ -102,7 +102,7 @@ def _linear_part(frame: Frame, c: float, s: float, x: float, y: float) -> tuple[
 
 
 def to_local(frame: Frame, p: Point) -> Point:
-    return _images(frame, *_cos_sin(frame), *frame.translation, (p,))[0]
+    return Point(*_images(frame, *_cos_sin(frame), *frame.translation, (p,))[0])
 
 
 def to_global(frame: Frame, p: Point) -> Point:
@@ -141,21 +141,21 @@ def observe(config: Configuration, frame: Frame) -> Configuration:
     one point holding both counts, so the view keeps every robot.
     """
     occupied = config.occupied
-    local: dict[Point, int] = {}
+    local: dict[Pair, int] = {}
     for q, count in zip(_images(frame, *_cos_sin(frame), *frame.translation, occupied), occupied.values()):
         local[q] = local.get(q, 0) + count
-    return Configuration(local)
+    return Configuration({Point(*q): count for q, count in local.items()})
 
 
-def _images(frame: Frame, c: float, s: float, tx: float, ty: float, points: Iterable[Point]) -> list[Point]:
-    """scale * R * M, then + (tx, ty), on each point, given c, s = _cos_sin(frame)."""
+def _images(frame: Frame, c: float, s: float, tx: float, ty: float, points: Iterable[Point]) -> list[Pair]:
+    """scale * R * M, then + (tx, ty), on each point, as a Pair, given c, s = _cos_sin(frame)."""
     # Multiplying by m = -1.0 negates exactly, as _linear_part's mirror does.
     scale, m = frame.scale, -1.0 if frame.reflected else 1.0
-    return [Point(scale * (c * x - s * (m * y)) + tx, scale * (s * x + c * (m * y)) + ty) for x, y in points]
+    return [(scale * (c * x - s * (m * y)) + tx, scale * (s * x + c * (m * y)) + ty) for x, y in points]
 
 
-def ego_images(frame: Frame, pos: Point, points: Iterable[Point]) -> tuple[list[Point], partial[Point]]:
-    """What observe makes of points under ego_frame(frame, pos), merging aside, and to_global
+def ego_images(frame: Frame, pos: Point, points: Iterable[Point]) -> tuple[list[Pair], partial[Point]]:
+    """What observe makes of points under ego_frame(frame, pos), merging aside, as Pairs, and to_global
     under it: the same operations, with no Frame built and cosine and sine computed once."""
     c, s = _cos_sin(frame)
     lx, ly = _linear_part(frame, c, s, pos.x, pos.y)

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from .geometry import (
     Circle,
     EPS,
+    Pair,
     Point,
     dist,
     point_on_segment,
@@ -164,6 +165,31 @@ def maxima_target(own: Point, maxima: Sequence[Point]) -> Optional[Point]:
     if _standing_on(own, maxima):
         return None
     return maxima[0] if len(maxima) == 1 else choose_closest_position(own, *maxima)
+
+
+def sec_action(images: Sequence[Pair], counts: Collection[int]) -> Action:
+    """compute_action(view, (0, 0)) on a view of pairwise unequal images and their counts, with
+    three or more maxima, in one pass; (0, 0) is within EPS of (x, y) when hypot(x, y) <= EPS."""
+    (cx, cy), r = sec = smallest_enclosing_circle(images)
+    top = max(counts)
+    interior: list[float] = []  # distances to the center
+    on_top = on_interior = False
+    for (x, y), count in zip(images, counts):
+        d = math.hypot(x - cx, y - cy)
+        if abs(d - r) <= EPS:
+            on_top = on_top or count == top and math.hypot(x, y) <= EPS
+        else:
+            interior.append(d)
+            on_interior = on_interior or math.hypot(x, y) <= EPS
+    if not interior:
+        label, moves = BRANCH_ALL_TO_CENTER, True
+    elif all(d <= EPS for d in interior):
+        label, moves = BRANCH_BOUNDARY_TO_CENTER, on_top
+    else:
+        label, moves = BRANCH_INSIDE_TO_CENTER, on_interior
+    if moves and not math.hypot(cx, cy) <= EPS:
+        return Action(MOVE_DIRECT, sec.center, label)
+    return Action(STAY, branch=label)
 
 
 def compute_action(view: Configuration, own_position: Point) -> Action:

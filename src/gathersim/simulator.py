@@ -13,8 +13,10 @@ overshoots and never veers.
 The configuration and the views need not be rebuilt from all n robots.
 Each snapshot after the first is derived from the one before and the
 robots that moved (model.successor, which falls back to normalize when a
-key must be created or reordered).  With one or two maxima, all the rule
-then reads, a woken robot maps just those into its frame (decide).
+key must be created or reordered).  A woken robot builds no view (decide):
+with one or two maxima, all the rule then reads, it maps just those into its
+frame, and with three or more every occupied point, as plain float pairs; a
+view is observed only when two points map to one.
 A step in which no robot moves keeps the configuration, the geometry already
 computed on it and the stays already decided on it: a decision is a pure
 function of the configuration and the robot's position and frame, so a robot
@@ -45,7 +47,6 @@ from .model import (
     observe,
     random_frame,
     successor,
-    to_global,
 )
 from .protocol import (
     BRANCH_TWO_MAX,
@@ -58,6 +59,7 @@ from .protocol import (
     compute_action,
     maxima_target,
     path_is_clear,
+    sec_action,
 )
 
 # Scheduler strategies.
@@ -270,24 +272,30 @@ def decide(snap: Snapshot, robot: Robot) -> Action:
     With one or two maxima only they are mapped into the robot's ego frame,
     by observe's operations (model.ego_images), and compute_action's rule
     decides (protocol.maxima_target); a robot exactly on the unique maximum
-    maps it to its own (0, 0), so it stays at once.  Otherwise the robot
-    observes the whole configuration.  A target within eps of an occupied
-    point becomes that exact point, so robots aiming at one land on it and
-    multiplicity grows instead of leaving eps-separated dust.
+    maps it to its own (0, 0), so it stays at once.  With three or more all
+    occupied points are mapped so and protocol.sec_action decides on those
+    plain pairs, unless two are equal: then the robot observes the view that
+    merges them, and compute_action decides.  A target within eps of an
+    occupied point becomes that exact point, so robots aiming at one land on
+    it and multiplicity grows instead of leaving eps-separated dust.
     """
     maxima = snap.maxima
     if len(maxima) > 2:
-        frame = ego_frame(robot.frame, robot.pos)
-        action = compute_action(observe(snap.config, frame), Point(0.0, 0.0))
+        images, to_global_ = ego_images(robot.frame, robot.pos, snap.config.occupied)
+        if len(set(images)) == len(images):
+            action = sec_action(images, snap.config.occupied.values())
+        else:
+            # observe merges images that round to one point, and the maxima may change.
+            action = compute_action(observe(snap.config, ego_frame(robot.frame, robot.pos)), Point(0.0, 0.0))
         if action.target is None:
             return action
-        kind, target, branch = action.kind, to_global(frame, action.target), action.branch
+        kind, target, branch = action.kind, to_global_(action.target), action.branch
     elif len(maxima) == 1 and robot.pos == maxima[0]:
         return Action(STAY, branch=BRANCH_UNIQUE_MAX)
     else:
         images, to_global_ = ego_images(robot.frame, robot.pos, maxima)
         # Images that round to one point merge; a set keeps the first, as observe's dict does.
-        local = sorted(set(images))
+        local = [Point(*q) for q in sorted(set(images))]
         branch = BRANCH_UNIQUE_MAX if len(local) == 1 else BRANCH_TWO_MAX
         chosen = maxima_target(Point(0.0, 0.0), local)
         if chosen is None:

@@ -20,6 +20,7 @@ from gathersim.geometry import (
     Point,
     Polygon,
     _segment_distance,
+    _shuffle,
     collinear,
     convex_hull,
     dist,
@@ -321,3 +322,16 @@ def test_on_circle_and_inside():
     assert not strictly_inside_circle(Point(1, 0), sec)
     assert not on_circle(Point(0, 0), sec)
 
+
+
+def test_sec_shuffle_makes_the_standard_librarys_permutation():
+    # The kernel seeds with a CRC-32; these cover its ends and its range.
+    rng = random.Random("shuffle seeds")
+    seeds = [0, 1, 2**32 - 1] + [rng.getrandbits(32) for _ in range(17)]
+    for seed in seeds:
+        for n in [*range(301), 1001]:
+            expected = list(range(n))
+            random.Random(seed).shuffle(expected)
+            got = list(range(n))
+            _shuffle(got, seed)
+            assert got == expected, (seed, n)
