@@ -231,10 +231,10 @@ def _closure_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
 
 
 def _unique_max_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
-    maxima = before.branch.maxima
+    maxima = before.maxima
     if len(maxima) != 1:
         return None
-    maxima_after = after.branch.maxima
+    maxima_after = after.maxima
     if len(maxima_after) != 1:
         return f"unique maximum gave way to {len(maxima_after)} maxima"
     if not points_coincide(maxima[0], maxima_after[0]):
@@ -243,15 +243,15 @@ def _unique_max_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
 
 
 def _two_max_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
-    if len(before.branch.maxima) != 2:
+    if len(before.maxima) != 2:
         return None
-    if len(after.branch.maxima) > 2:
-        return f"two maxima escalated to {len(after.branch.maxima)}"
+    if len(after.maxima) > 2:
+        return f"two maxima escalated to {len(after.maxima)}"
     return None
 
 
 def _inside_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
-    if len(before.branch.maxima) < 3 or len(after.branch.maxima) < 3:
+    if len(before.maxima) < 3 or len(after.maxima) < 3:
         return None
     for i, (before_bot, after_bot) in enumerate(zip(before.robots, after.robots)):
         if not strictly_inside_circle(before_bot.pos, before.sec):
@@ -265,6 +265,8 @@ def _inside_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
 
 
 def _center_containment_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
+    if len(before.maxima) < 3:
+        return None
     info = before.branch
     if info.label != BRANCH_BOUNDARY_TO_CENTER:
         return None
@@ -294,7 +296,7 @@ def _center_containment_rule(before: Snapshot, after: Snapshot) -> Optional[str]
 
 
 def _radius_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
-    if len(before.branch.maxima) < 3:
+    if len(before.maxima) < 3:
         return None
     before_r = before.sec.radius
     after_r = after.sec.radius
@@ -309,7 +311,7 @@ def _radius_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
 
 
 def _careful_separation_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
-    maxima = before.branch.maxima
+    maxima = before.maxima
     if len(maxima) > 2:
         return None
     bots_b = before.robots

@@ -2,7 +2,9 @@
 
 compute_action is a pure function of one robot's view and its own position in
 that view.  It never remembers anything between activations; determinism and
-convergence must come from the rule itself, not from state.
+convergence must come from the rule itself, not from state.  pair_action is
+the same rule for a robot at the origin of a view given as plain pairs and
+their counts, which is how the simulator decides.
 
 The rule branches on how many points carry the maximal multiplicity:
 
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Collection, Optional, Sequence
+from typing import Optional, Sequence
 
 from .geometry import (
     Circle,
@@ -57,6 +59,8 @@ BRANCHES = (
     BRANCH_BOUNDARY_TO_CENTER,
     BRANCH_INSIDE_TO_CENTER,
 )
+
+_ORIGIN = Point(0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -167,11 +171,16 @@ def maxima_target(own: Point, maxima: Sequence[Point]) -> Optional[Point]:
     return maxima[0] if len(maxima) == 1 else choose_closest_position(own, *maxima)
 
 
-def sec_action(images: Sequence[Pair], counts: Collection[int]) -> Action:
-    """compute_action(view, (0, 0)) on a view of pairwise unequal images and their counts, with
-    three or more maxima, in one pass; (0, 0) is within EPS of (x, y) when hypot(x, y) <= EPS."""
-    (cx, cy), r = sec = smallest_enclosing_circle(images)
+def pair_action(images: Sequence[Pair], counts: Sequence[int]) -> tuple[str, Optional[Point], str]:
+    """compute_action(view, (0, 0)) on a view given as its pairwise unequal points and their counts,
+    as (kind, local target or None, branch); (0, 0) is within EPS of (x, y) when hypot(x, y) <= EPS."""
     top = max(counts)
+    if counts.count(top) <= 2:
+        maxima = sorted([Point(*q) for q, count in zip(images, counts) if count == top])
+        branch = BRANCH_UNIQUE_MAX if len(maxima) == 1 else BRANCH_TWO_MAX
+        target = maxima_target(_ORIGIN, maxima)
+        return (STAY if target is None else MOVE_CAREFUL), target, branch
+    (cx, cy), r = sec = smallest_enclosing_circle(images)
     interior: list[float] = []  # distances to the center
     on_top = on_interior = False
     for (x, y), count in zip(images, counts):
@@ -188,8 +197,8 @@ def sec_action(images: Sequence[Pair], counts: Collection[int]) -> Action:
     else:
         label, moves = BRANCH_INSIDE_TO_CENTER, on_interior
     if moves and not math.hypot(cx, cy) <= EPS:
-        return Action(MOVE_DIRECT, sec.center, label)
-    return Action(STAY, branch=label)
+        return MOVE_DIRECT, sec.center, label
+    return STAY, None, label
 
 
 def compute_action(view: Configuration, own_position: Point) -> Action:

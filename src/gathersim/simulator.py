@@ -14,9 +14,9 @@ The configuration and the views need not be rebuilt from all n robots.
 Each snapshot after the first is derived from the one before and the
 robots that moved (model.successor, which falls back to normalize when a
 key must be created or reordered).  A woken robot builds no view (decide):
-with one or two maxima, all the rule then reads, it maps just those into its
-frame, and with three or more every occupied point, as plain float pairs; a
-view is observed only when two points map to one.
+it maps the points the rule reads, the maxima when there are one or two and
+every occupied point otherwise, into its frame as plain float pairs, merges
+those that map to one as its view would, and decides on the pairs.
 A step in which no robot moves keeps the configuration, the geometry already
 computed on it and the stays already decided on it: a decision is a pure
 function of the configuration and the robot's position and frame, so a robot
@@ -36,30 +36,17 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence, TextIO
 
-from .geometry import Circle, Point, dist, on_circle, smallest_enclosing_circle
-from .model import (
-    Configuration,
-    Frame,
-    ego_frame,
-    ego_images,
-    max_points,
-    normalize,
-    observe,
-    random_frame,
-    successor,
-)
+from .geometry import Circle, Pair, Point, dist, on_circle, smallest_enclosing_circle
+from .model import Configuration, Frame, ego_images, max_points, normalize, random_frame, successor
 from .protocol import (
-    BRANCH_TWO_MAX,
     BRANCH_UNIQUE_MAX,
     MOVE_CAREFUL,
     STAY,
     Action,
     BranchInfo,
     classify_branch,
-    compute_action,
-    maxima_target,
+    pair_action,
     path_is_clear,
-    sec_action,
 )
 
 # Scheduler strategies.
@@ -167,7 +154,7 @@ class Snapshot:
 
     @cached_property
     def sec(self) -> Circle:
-        if self.branch.sec is not None:
+        if len(self.maxima) > 2:
             return self.branch.sec
         return smallest_enclosing_circle(self.config.occupied)
 
@@ -269,38 +256,34 @@ def decide(snap: Snapshot, robot: Robot) -> Action:
     """The rule's action for a robot woken on snap, in global coordinates,
     before the careful-move veto.
 
-    With one or two maxima only they are mapped into the robot's ego frame,
-    by observe's operations (model.ego_images), and compute_action's rule
-    decides (protocol.maxima_target); a robot exactly on the unique maximum
-    maps it to its own (0, 0), so it stays at once.  With three or more all
-    occupied points are mapped so and protocol.sec_action decides on those
-    plain pairs, unless two are equal: then the robot observes the view that
-    merges them, and compute_action decides.  A target within eps of an
-    occupied point becomes that exact point, so robots aiming at one land on
-    it and multiplicity grows instead of leaving eps-separated dust.
+    The points the rule reads, the maxima when there are one or two and
+    every occupied point otherwise, are mapped into the robot's ego frame by
+    observe's operations, as plain pairs (model.ego_images).  Images that
+    round to one point merge into the first, counts added, as in the view
+    observe builds, and protocol.pair_action decides on the pairs as
+    compute_action decides on that view.  A robot exactly on the unique
+    maximum stays at once.  A target within eps of an occupied point becomes
+    that exact point, so robots aiming at one land on it and multiplicity
+    grows instead of leaving eps-separated dust.
     """
     maxima = snap.maxima
     if len(maxima) > 2:
-        images, to_global_ = ego_images(robot.frame, robot.pos, snap.config.occupied)
-        if len(set(images)) == len(images):
-            action = sec_action(images, snap.config.occupied.values())
-        else:
-            # observe merges images that round to one point, and the maxima may change.
-            action = compute_action(observe(snap.config, ego_frame(robot.frame, robot.pos)), Point(0.0, 0.0))
-        if action.target is None:
-            return action
-        kind, target, branch = action.kind, to_global_(action.target), action.branch
+        points, counts = snap.config.occupied, list(snap.config.occupied.values())
     elif len(maxima) == 1 and robot.pos == maxima[0]:
         return Action(STAY, branch=BRANCH_UNIQUE_MAX)
     else:
-        images, to_global_ = ego_images(robot.frame, robot.pos, maxima)
-        # Images that round to one point merge; a set keeps the first, as observe's dict does.
-        local = [Point(*q) for q in sorted(set(images))]
-        branch = BRANCH_UNIQUE_MAX if len(local) == 1 else BRANCH_TWO_MAX
-        chosen = maxima_target(Point(0.0, 0.0), local)
-        if chosen is None:
-            return Action(STAY, branch=branch)
-        kind, target = MOVE_CAREFUL, to_global_(chosen)
+        # Only relative counts matter, and the maxima share theirs.
+        points, counts = maxima, [1] * len(maxima)
+    images, to_global_ = ego_images(robot.frame, robot.pos, points)
+    if len(set(images)) < len(images):
+        merged: dict[Pair, int] = {}
+        for q, count in zip(images, counts):
+            merged[q] = merged.get(q, 0) + count
+        images, counts = list(merged), list(merged.values())
+    kind, target, branch = pair_action(images, counts)
+    if target is None:
+        return Action(STAY, branch=branch)
+    target = to_global_(target)
     return Action(kind, snap.config.key_near(target) or target, branch)
 
 

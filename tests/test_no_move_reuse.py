@@ -44,9 +44,11 @@ def _bits(actions, robots):
 
 
 def _assert_geometry_is_fresh(snap):
-    """The branch and circle a snapshot holds, if any, equal a fresh computation."""
+    """The maxima, branch and circle a snapshot holds, if any, equal a fresh computation."""
     held = vars(snap)
     fresh = classify_branch(snap.config.occupied)
+    if "maxima" in held:
+        assert tuple(held["maxima"]) == fresh.maxima
     if "branch" in held:
         assert held["branch"] == fresh
     if "sec" in held:
@@ -58,7 +60,7 @@ def _chain(robots, spec, max_steps):
     check each step against the same step on a fresh snapshot.
 
     Returns the counts of steps that moved no robot, of those whose next
-    snapshot came with a computed branch, and of actions reused.
+    snapshot came with computed maxima, and of actions reused.
     """
     monitors = attach_lemma_monitors()
     snap = Snapshot(robots)
@@ -79,7 +81,7 @@ def _chain(robots, spec, max_steps):
         reused += len(kept)
         if snap.config is before.config:
             still += 1
-            shared += "branch" in vars(snap)
+            shared += "maxima" in vars(snap)
         else:
             assert not snap.stays
         for rule in monitors.values():
@@ -123,8 +125,8 @@ def test_robot_woken_again_on_a_frozen_configuration_reuses_its_stay():
     blocked = step(Snapshot(robots), [3])[1][3]
     assert blocked.kind == STAY and blocked.branch == BRANCH_UNIQUE_MAX
     still, shared, reused = _chain(robots, spec, 11)
-    # The first step's snapshot had no branch yet when it stepped.
-    assert still == 11 and shared == 10
+    # Robot 3's decision at t = 0 read the maxima, so even the first step hands them on.
+    assert still == 11 and shared == 11
     # 14 wakes in t = 0..10: robot 3 decides at t = 0, robot 0 at t = 1, and
     # every later wake reuses.
     assert reused == 14 - 2

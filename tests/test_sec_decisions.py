@@ -1,12 +1,13 @@
 """Decisions under three or more maxima, against the per-robot view.
 
 ``simulator.decide`` maps every occupied point into a woken robot's frame as
-a plain pair and decides on the pairs (``protocol.sec_action``) when there
-are three or more maxima and no two images are equal.  The oracle is the view
-path that decided such robots before: the robot observes the whole
-configuration through its ego frame, ``compute_action`` runs on that view,
-and the target goes back through ``to_global`` and is snapped to the nearest
-occupied point.  Kind, branch and every bit of the target must agree.
+a plain pair when there are three or more maxima, merges the pairs that are
+equal as a view would, and decides on them (``protocol.pair_action``).  The
+oracle is the view path that decided such robots before: the robot observes
+the whole configuration through its ego frame, ``compute_action`` runs on
+that view, and the target goes back through ``to_global`` and is snapped to
+the nearest occupied point.  Kind, branch and every bit of the target must
+agree.
 """
 
 import math
@@ -23,7 +24,7 @@ from gathersim.geometry import EPS, Point
 from gathersim.model import Frame, ego_frame, observe, random_frame, to_global
 from gathersim.protocol import Action, compute_action
 from gathersim.simulator import RANDOM_SUBSET, Robot, SchedulerSpec, Snapshot, decide, run
-from test_maxima_decisions import _bits, _coordinate, _frames
+from test_maxima_decisions import _bits, _coordinate, _frames, count_calls
 from test_output_pins import MERGE_CONFIGS
 
 
@@ -146,42 +147,52 @@ def test_sec_decisions_at_exactly_eps_equal_the_view_path(branch, points):
     assert _bits(decision) == _bits(_view_decision(snap, snap.robots[-1]))
 
 
-def _counting(monkeypatch, names):
-    """Replace each named simulator binding with one that counts its calls into the returned dict."""
-    calls = {name: [] for name in names}
-    for name in names:
-        real = getattr(simulator, name)
+def test_merged_views_are_decided_as_the_view_path_decides_bit_for_bit():
+    # Robot 0 of each merge configuration sees two occupied points as one
+    # holding both counts: among five maxima that point becomes the unique
+    # maximum of its view, and among three camps of two it is a fourth.
+    seen = []
+    for data in MERGE_CONFIGS:
+        config = cli.parse_config(data)
+        snap = Snapshot(config.robots)
+        robot = snap.robots[0]
+        assert len(snap.maxima) >= 3 and _merges(snap, robot)
+        decision = decide(snap, robot)
+        assert _bits(decision) == _bits(_view_decision(snap, robot))
+        seen.append((len(snap.maxima), decision.kind, decision.branch))
+    assert seen == [(5, "move_careful", "unique_max"), (3, "stay", "inside_to_center")]
 
-        def counted(*args, real=real, name=name):
-            calls[name].append(args)
-            return real(*args)
 
-        monkeypatch.setattr(simulator, name, counted)
-    return calls
+def _recorded_decisions(monkeypatch):
+    """Patch simulator.decide to record each (snapshot, robot) it decides, into the returned list."""
+    decisions = []
+    real = simulator.decide
+
+    def recording(snap, robot):
+        decisions.append((snap, robot))
+        return real(snap, robot)
+
+    monkeypatch.setattr(simulator, "decide", recording)
+    return decisions
 
 
 def test_distinct_points_are_decided_without_a_view(monkeypatch):
     rng = random.Random("sec decisions: 31 distinct")
     robots = [Robot(p, rng.uniform(0.05, 0.3), random_frame(rng)) for p in random_point_set(rng, 31)]
-    calls = _counting(monkeypatch, ["observe", "compute_action", "decide"])
+    views = count_calls(monkeypatch, observe, compute_action)
+    decisions = _recorded_decisions(monkeypatch)
     outcome, _ = run(robots, SchedulerSpec(RANDOM_SUBSET, seed=5))
     assert outcome.status == "gathered"
-    assert any(len(snap.maxima) > 2 for snap, _ in calls["decide"])
-    assert calls["observe"] == [] and calls["compute_action"] == []
+    assert any(len(snap.maxima) > 2 for snap, _ in decisions)
+    assert views == {"observe": [], "compute_action": []}
 
 
-def test_only_robots_whose_images_merge_observe(monkeypatch):
-    merging = []
-    real_decide = simulator.decide
-
-    def recording_decide(snap, robot):
-        if len(snap.maxima) > 2 and _merges(snap, robot):
-            merging.append(ego_frame(robot.frame, robot.pos))
-        return real_decide(snap, robot)
-
-    calls = _counting(monkeypatch, ["observe"])
-    monkeypatch.setattr(simulator, "decide", recording_decide)
+def test_robots_whose_images_merge_decide_without_a_view(monkeypatch):
+    views = count_calls(monkeypatch, observe, compute_action)
+    decisions = _recorded_decisions(monkeypatch)
     for data in MERGE_CONFIGS:
         config = cli.parse_config(data)
-        run(config.robots, config.scheduler)
-    assert merging and [frame for _, frame in calls["observe"]] == merging
+        outcome, _ = run(config.robots, config.scheduler)
+        assert outcome.status == "gathered"
+    assert any(_merges(snap, robot) for snap, robot in decisions)
+    assert views == {"observe": [], "compute_action": []}

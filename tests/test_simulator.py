@@ -386,6 +386,28 @@ def test_stall_ends_at_its_fixed_point(name, placed):
     assert outcome.monitor_violations == []
 
 
+# A third stall, pinned as it stands: near 2**45, where one ulp is 2**-7, a
+# careful move's target is the maximum mapped into the mover's frame and
+# back, 0.002 beside it and so beyond eps, and the veto finds the maximum
+# itself on the way there, at every wake.  (position, frame), sigma 1e15.
+ULP_STALL = (
+    ((0.0, 0.0), Frame(rotation=1.0)),
+    ((2.0**41, 2.0**45), Frame()),
+    ((2.0**41 + 2.0**-11, 2.0**45), Frame(rotation=2.0, reflected=True)),
+    ((-(2.0**45), 0.0), Frame(scale=3.0)),
+    ((0.0, -(2.0**44)), Frame(rotation=-1.0)),
+)
+
+
+def test_careful_move_that_misses_its_maximum_by_rounding_ends_at_a_fixed_point():
+    bots = [Robot(Point(*pos), 1e15, frame) for pos, frame in ULP_STALL]
+    outcome, _ = run(bots, SchedulerSpec(SYNCHRONOUS), monitors=attach_lemma_monitors())
+    assert outcome.status == FIXED_POINT
+    assert outcome.final_t == 3
+    assert outcome.final_config.occupied == {Point(2199023255552.002, 2.0**45): 4, Point(-(2.0**45), 0.0): 1}
+    assert outcome.monitor_violations == []
+
+
 @pytest.mark.parametrize(
     "strategy, steps", [(BOUNDARY_ONLY, 2), (RANDOM_SUBSET, 3)], ids=["boundary", "random"]
 )
