@@ -60,11 +60,12 @@ def _chain(robots, spec, max_steps):
     check each step against the same step on a fresh snapshot.
 
     Returns the counts of steps that moved no robot, of those whose next
-    snapshot came with computed maxima, and of actions reused.
+    snapshot came with computed maxima, of those whose next snapshot came
+    with a computed branch and circle, and of actions reused.
     """
     monitors = attach_lemma_monitors()
     snap = Snapshot(robots)
-    still = shared = reused = 0
+    still = shared_maxima = shared_branch = reused = 0
     for _ in range(max_steps):
         if snap.config.is_gathered():
             break
@@ -81,29 +82,32 @@ def _chain(robots, spec, max_steps):
         reused += len(kept)
         if snap.config is before.config:
             still += 1
-            shared += "maxima" in vars(snap)
+            shared_maxima += "maxima" in vars(snap)
+            shared_branch += {"branch", "sec"} <= vars(snap).keys()
         else:
             assert not snap.stays
         for rule in monitors.values():
             rule(before, snap)
         _assert_geometry_is_fresh(before)
         _assert_geometry_is_fresh(snap)
-    return still, shared, reused
+    return still, shared_maxima, shared_branch, reused
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_every_step_equals_a_step_that_recomputes(strategy):
-    totals = [0, 0, 0]
+    totals = [0, 0, 0, 0]
     for n in (5, 7, 11):
         for seed in range(3):
             robots = _distinct_robots(n, seed)
             script = tuple((i,) for i in range(n)) + ((0, n - 1),) if strategy == SCRIPTED else None
             counts = _chain(robots, SchedulerSpec(strategy, seed=seed, script=script), 300)
             totals = [a + b for a, b in zip(totals, counts)]
-    still, shared, reused = totals
+    still, shared_maxima, shared_branch, reused = totals
     if strategy != SYNCHRONOUS:
-        # Every strategy but the synchronous one has steps that move no robot.
-        assert still > 0 and shared > 0
+        # Every strategy but the synchronous one has steps that move no robot;
+        # these chains start with three or more maxima, where the monitors
+        # compute the branch and circle that such a step hands on.
+        assert still > 0 and shared_maxima > 0 and shared_branch > 0
     if strategy not in (SYNCHRONOUS, ROUND_ROBIN):
         # A round-robin robot wakes again only n steps later, and here some
         # robot moved within every n steps.
@@ -112,8 +116,9 @@ def test_every_step_equals_a_step_that_recomputes(strategy):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_boundary_adversary_at_n11_equals_recomputation(seed):
-    still, shared, reused = _chain(_distinct_robots(11, seed), SchedulerSpec(BOUNDARY_ONLY, seed=seed), 500)
-    assert still > 0 and shared > 0 and reused > 0
+    still, shared_maxima, shared_branch, reused = _chain(
+        _distinct_robots(11, seed), SchedulerSpec(BOUNDARY_ONLY, seed=seed), 500)
+    assert still > 0 and shared_maxima > 0 and shared_branch > 0 and reused > 0
 
 
 def test_robot_woken_again_on_a_frozen_configuration_reuses_its_stay():
@@ -124,9 +129,10 @@ def test_robot_woken_again_on_a_frozen_configuration_reuses_its_stay():
     spec = SchedulerSpec(SCRIPTED, script=((3,), (0,), (0, 3)))
     blocked = step(Snapshot(robots), [3])[1][3]
     assert blocked.kind == STAY and blocked.branch == BRANCH_UNIQUE_MAX
-    still, shared, reused = _chain(robots, spec, 11)
-    # Robot 3's decision at t = 0 read the maxima, so even the first step hands them on.
-    assert still == 11 and shared == 11
+    still, shared_maxima, _, reused = _chain(robots, spec, 11)
+    # Robot 3's decision at t = 0 read the maxima, so even the first step
+    # hands them on.  A unique maximum has no branch to compute.
+    assert still == 11 and shared_maxima == 11
     # 14 wakes in t = 0..10: robot 3 decides at t = 0, robot 0 at t = 1, and
     # every later wake reuses.
     assert reused == 14 - 2
