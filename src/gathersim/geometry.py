@@ -18,7 +18,10 @@ The grid only prunes; every candidate is settled by that same comparison.
 smallest_enclosing_circle is bit-for-bit a function of the point set: input
 order never changes a bit of the result.  It runs on plain floats for speed,
 and tests/test_sec_kernel.py pins its output bits against the object-based
-construction it replaced, kept there verbatim as the oracle.  Its shuffle
+construction it replaced, kept there verbatim as the oracle.  Two shortcuts
+keep every bit: an enclosure test compares a squared distance before it calls
+hypot (proof in the comment above _SHRINK), and the two-point step skips the
+circumcircles that cannot win (proof in _sec_two_known's docstring).  Its shuffle
 inlines random.Random(seed).shuffle and makes the same permutation.  Its valid
 domain is coordinates of magnitude at most COORD_LIMIT = 2**300: the
 circumcenter solve multiplies a squared distance by a coordinate difference,
@@ -110,7 +113,7 @@ class PointGrid:
     for every coordinate up to the largest float.  A query scans the 3x3
     cells around its own and keeps the points within eps of it.  Every point
     added or queried must be finite and no larger in magnitude than the
-    largest coordinate of ``extent``.
+    largest coordinate of ``extent``, which ``largest`` holds.
     """
 
     def __init__(self, extent: Iterable[Point], eps: float) -> None:
@@ -118,6 +121,7 @@ class PointGrid:
         largest = max(map(abs, itertools.chain.from_iterable(extent)), default=0.0)
         if not largest <= sys.float_info.max:
             raise ValueError("PointGrid needs finite coordinates")
+        self.largest = largest
         _, exponent = math.frexp(max(eps, largest * 2.0**-51))
         # Multiplying rather than ldexp-ing the doubled width lets an eps near
         # the largest float give w = inf: one cell, still exact.
@@ -272,15 +276,31 @@ def _require_distinct(points: Sequence[Point]) -> None:
 # Multiplicative slack on every enclosure test; it soaks up the rounding in
 # the circumcenter solve.
 _SLACK = 1.0 + 1e-14
+# Each enclosure test of the kernel reads
+#     dx * dx + dy * dy <= lim2 or hypot(dx, dy) <= lim
+# with lim2 = lim * lim * _SHRINK when _SQUARED_LOW <= lim <= _SQUARED_HIGH
+# and -1.0 otherwise, which no sum meets (nor an infinite or NaN one).  It
+# decides as the hypot test alone and mostly skips the call.  Proof, with
+# u = 2**-53: in that range lim2 <= lim**2 (1 + u)**2 (1 - 2**-49), and the
+# rounded sum is at least (dx**2 + dy**2)(1 - u)**2 less 2**-1073 of
+# underflow, so a sum within lim2 puts sqrt(dx**2 + dy**2) at most
+# lim (1 + 2**-52 - 2**-50) and a faithful hypot, under 2u above it, at
+# most lim.
+_SHRINK = 1.0 - 2.0**-49
+_SQUARED_LOW = 2.0**-450
+_SQUARED_HIGH = 2.0**500
 
 
 def smallest_enclosing_circle(points: Iterable[Pair]) -> Circle:
     """Smallest circle enclosing the given distinct points.
 
-    Randomized move-to-front construction (Welzl 1991); expected linear time.
-    The shuffle is seeded from a checksum of the sorted input coordinates, so
-    the same point set always walks the same path and returns bit-identical
-    output, regardless of input order.
+    Welzl's randomized incremental construction (1991), iterative with two
+    fixed boundary points at most; expected linear time.  The shuffle is
+    seeded from a checksum of the sorted input coordinates, so the same point
+    set always walks the same path and returns bit-identical output,
+    regardless of input order.  The two-point step, _sec_two_known, skips
+    the circumcircles that cannot win; its docstring proves that this keeps
+    every bit.
     """
     pts = list(points)
     if not pts:
@@ -289,13 +309,17 @@ def smallest_enclosing_circle(points: Iterable[Pair]) -> Circle:
     shuffled = sorted(pts)
     seed = zlib.crc32(struct.pack(f"<{2 * len(shuffled)}d", *itertools.chain.from_iterable(shuffled)))
     _shuffle(shuffled, seed)
+    hypot = math.hypot
     # A negative limit encloses nothing, so the first point starts the circle.
     cx = cy = r = 0.0
-    lim = -1.0
+    lim = lim2 = -1.0
     for i, (px, py) in enumerate(shuffled):
-        if not (math.hypot(px - cx, py - cy) <= lim):
+        dx = px - cx
+        dy = py - cy
+        if not (dx * dx + dy * dy <= lim2 or hypot(dx, dy) <= lim):
             cx, cy, r = _sec_one_known(shuffled, i + 1, px, py)
             lim = r * _SLACK
+            lim2 = lim * lim * _SHRINK if _SQUARED_LOW <= lim <= _SQUARED_HIGH else -1.0
     return Circle(Point(cx, cy), r)
 
 
@@ -313,24 +337,93 @@ def _sec_one_known(
     pts: list[Pair], m: int, px: float, py: float
 ) -> tuple[float, float, float]:
     """SEC of pts[:m] with p = pts[m - 1] on its boundary."""
+    hypot = math.hypot
     cx, cy, r = px, py, 0.0
-    lim = 0.0
+    lim, lim2 = 0.0, -1.0
     for j, (qx, qy) in enumerate(pts[:m], 1):
-        if not (math.hypot(qx - cx, qy - cy) <= lim):
+        dx = qx - cx
+        dy = qy - cy
+        if not (dx * dx + dy * dy <= lim2 or hypot(dx, dy) <= lim):
             if r == 0.0:
                 cx, cy, r = _diameter_circle(px, py, qx, qy)
             else:
                 cx, cy, r = _sec_two_known(pts, j, px, py, qx, qy)
             lim = r * _SLACK
+            lim2 = lim * lim * _SHRINK if _SQUARED_LOW <= lim <= _SQUARED_HIGH else -1.0
     return cx, cy, r
+
+
+# _sec_two_known's prune: the relative depth inside the best circle that
+# skips a candidate, and the guards a best circle must pass to prune at all.
+_MARGIN = 2.0**-10
+_GUARD_LOW = 2.0**-300
+_GUARD_HIGH = 2.0**300
+_GUARD_OFFSET = 2.0**32
+_GUARD_FLAT = 2.0**12
+_GUARD_THIN = 2.0**-16
 
 
 def _sec_two_known(
     pts: list[Pair], m: int, px: float, py: float, qx: float, qy: float
 ) -> tuple[float, float, float]:
-    """SEC of pts[:m] with p and q on its boundary."""
+    """SEC of pts[:m] with p and q on its boundary.
+
+    A point outside the circle on diameter pq and off line pq is a
+    candidate: its circumcircle with p and q is solved, and each side of
+    line pq keeps the first candidate whose center has the largest cross
+    product cc with U = (ux, uy), the rounded q - p (the smallest, right of
+    the line).  The radius is a function of the center and the three
+    points, so a best's waits until a later candidate on its side, or the
+    result, needs it.
+
+    The prune.  Let a best circle have computed center X, radius R (the
+    largest rounded distance from X to p, q and its point b) and side s_b
+    (b's computed cross product with U), and pass the guards
+      G1  2**-300 <= R <= 2**300,      G2  |X.x|, |X.y| <= 2**32 R,
+      G3  R <= 2**12 |U|,              G4  |s_b| >= T = 2**-16 R**2.
+    A later candidate r on its side with |s_r| >= T whose rounded squared
+    distance to X is below the rounded ((1 - 2**-10) R)**2 is skipped: its
+    computed cc would be strictly below the best's, so it could replace
+    neither that best nor a later one, and the output keeps every bit.
+    Every comparison with a NaN is false and an infinity fails G1 or the
+    distance test, so the bounds below hold wherever the prune acts.  Proof,
+    left of pq (the right side mirrors), with u = 2**-53, mu = 2**-10,
+    rounding to nearest and hypot within one ulp:
+    1. p, q and b lie within (1 + 4u) R of X and r within (1 - mu)(1 + 4u) R,
+       so any two lie within 2.01 R and L = |q - p| <= 2.01 R, and with G2
+       (a box midpoint rounds by at most 2**-20 R) every shifted coordinate
+       of a solve is at most S = 1.02 R.  By G1 no product in a solve or a
+       distance test exceeds 2**910, and underflow costs under 2**-60 of
+       any bound below.
+    2. A computed side is within 17 u R**2 of the exact cross product
+       c = (q - p) x (v - p) = L y_v (y_v: v's height over line pq), since
+       U is within u L of q - p; so |c| > 2**-16.01 R**2, with side's sign.
+    3. A solve's d is 2c within 80 u S**2, so |d| >= 1.99 |c|, and its
+       numerators are exact within 110 u S**3.  Each coordinate of its
+       center is then within (117 u R**3 + 84 u R**2 D) / (1.99 |c|)
+       + 1.01 u (D + Z) of the exact circumcenter O_v, where D bounds
+       |O_v - o| (o the shift) and Z the coordinates of O_v.
+    4. The best's exact center is O_b = mid(p, q) + t_b n (n the unit left
+       normal), |t_b| <= (2.02 R)**2 L / (2 |c_b|) <= 2**18.1 R, so
+       D <= 2**18.2 R, Z <= 2**32.1 R, and 3 puts X within 2**-12.8 R of O_b.
+       Hence rho_b = |O_b - p| <= 1.001 R, D <= 2.45 R, and 3 again gives
+       |X - O_b| <= E_b = 2**-20.3 R and rho_b >= (1 - 2**-20) R.
+    5. With p = (-a, 0), q = (a, 0): O_r = (0, t_r) and
+       2 y_r (t_b - t_r) = rho_b**2 - |r - O_b|**2 >= 0.99 mu R**2, as
+       |r - O_b| < (1 - mu)(1 + 4u) R + E_b; and U x (O_b - O_r)
+       >= (1 - u) L (t_b - t_r).  Also t_r >= -a**2 L / (2 |c_r|)
+       >= -2**16.1 R, so D <= 2**16.2 R and 3 puts X_r within
+       E_r = 2**22.3 u R**3 / (L y_r) + 2**-20.3 R of O_r.
+    6. cc evaluates U x (C - p) within 3.1 u |U| |C - p| for a center C, so
+       (cc_b - cc_r) / L >= 0.49 mu R**2 / y_r - 1.0001 (E_r + E_b)
+       - 2**-35 R > 0, by G3 (L >= 2**-12.01 R) and y_r <= 2.01 R.
+    Step 2 is the conditioning guard: without G4 a thin triangle (b next to
+    p or q) can put X anywhere; G3 excludes near-flat best circles.
+    """
+    hypot = math.hypot
     mx, my, mr = _diameter_circle(px, py, qx, qy)
     mlim = mr * _SLACK
+    mlim2 = mlim * mlim * _SHRINK if _SQUARED_LOW <= mlim <= _SQUARED_HIGH else -1.0
     ux = qx - px
     uy = qy - py
     # min and max fold left to right, as the builtins do over (p, q, r).
@@ -338,17 +431,39 @@ def _sec_two_known(
     pq_maxx = qx if qx > px else px
     pq_miny = qy if qy < py else py
     pq_maxy = qy if qy > py else py
-    # Pick the best circumcenter on each side of line pq, by its cross
-    # product with pq, and keep the third point it passes through: the radius
-    # is a function of the center and the three points, so only the two
-    # winners ever need one.
+    # Per side: the best cc, center and point, whether its radius and prune
+    # limits are still to be computed (for a later candidate on that side, or
+    # the radius alone at the end), its radius, and the prune's bound on the
+    # squared distance to its center and side threshold; a negative bound
+    # prunes nothing.
     left_cc = right_cc = None
-    lcx = lcy = lpx = lpy = rcx = rcy = rpx = rpy = 0.0
+    lcx = lcy = lbx = lby = lside = lr = rcx = rcy = rbx = rby = rside = rr = 0.0
+    lfresh = rfresh = False
+    llim = rlim = -1.0
+    lthr = rthr = 0.0
     for rx, ry in pts[:m]:
-        if math.hypot(rx - mx, ry - my) <= mlim:
+        dx = rx - mx
+        dy = ry - my
+        if dx * dx + dy * dy <= mlim2 or hypot(dx, dy) <= mlim:
             continue
         side = ux * (ry - py) - uy * (rx - px)
-        if not (side > 0.0 or side < 0.0):
+        if side > 0.0:
+            if lfresh:
+                lr, llim, lthr = _best_circle(lcx, lcy, px, py, qx, qy, lbx, lby, lside, ux, uy)
+                lfresh = False
+            dx = rx - lcx
+            dy = ry - lcy
+            if dx * dx + dy * dy < llim and side >= lthr:
+                continue
+        elif side < 0.0:
+            if rfresh:
+                rr, rlim, rthr = _best_circle(rcx, rcy, px, py, qx, qy, rbx, rby, -rside, ux, uy)
+                rfresh = False
+            dx = rx - rcx
+            dy = ry - rcy
+            if dx * dx + dy * dy < rlim and -side >= rthr:
+                continue
+        else:
             continue
         # Shift toward the bounding-box midpoint before solving; this keeps
         # the determinant well conditioned far from the origin.
@@ -372,18 +487,43 @@ def _sec_two_known(
         cc = ux * (y - py) - uy * (x - px)
         if side > 0.0:
             if left_cc is None or cc > left_cc:
-                left_cc, lcx, lcy, lpx, lpy = cc, x, y, rx, ry
+                left_cc, lcx, lcy, lbx, lby, lside, lfresh = cc, x, y, rx, ry, side, True
         elif right_cc is None or cc < right_cc:
-            right_cc, rcx, rcy, rpx, rpy = cc, x, y, rx, ry
+            right_cc, rcx, rcy, rbx, rby, rside, rfresh = cc, x, y, rx, ry, side, True
+    if lfresh:
+        lr = _circumradius(lcx, lcy, px, py, qx, qy, lbx, lby)
+    if rfresh:
+        rr = _circumradius(rcx, rcy, px, py, qx, qy, rbx, rby)
     if left_cc is None and right_cc is None:
         return mx, my, mr
     if left_cc is None:
-        return rcx, rcy, _circumradius(rcx, rcy, px, py, qx, qy, rpx, rpy)
-    left = lcx, lcy, _circumradius(lcx, lcy, px, py, qx, qy, lpx, lpy)
-    if right_cc is None:
-        return left
-    right = rcx, rcy, _circumradius(rcx, rcy, px, py, qx, qy, rpx, rpy)
-    return left if left[2] <= right[2] else right
+        return rcx, rcy, rr
+    if right_cc is None or lr <= rr:
+        return lcx, lcy, lr
+    return rcx, rcy, rr
+
+
+def _best_circle(
+    x: float, y: float, px: float, py: float, qx: float, qy: float, rx: float, ry: float,
+    height: float, ux: float, uy: float,
+) -> tuple[float, float, float]:
+    """The radius of a best circle of _sec_two_known, centered at (x, y) through p, q
+    and r, whose r has side magnitude height, then the prune's bound on a squared
+    distance to (x, y) and its side threshold, or -1.0 and 0.0, which prune nothing,
+    unless the circle passes G1 to G4 (G3 as R <= 2**12 max(|ux|, |uy|), which
+    implies it)."""
+    r = _circumradius(x, y, px, py, qx, qy, rx, ry)
+    thr = _GUARD_THIN * r * r
+    if (
+        _GUARD_LOW <= r <= _GUARD_HIGH
+        and abs(x) <= _GUARD_OFFSET * r
+        and abs(y) <= _GUARD_OFFSET * r
+        and (r <= _GUARD_FLAT * abs(ux) or r <= _GUARD_FLAT * abs(uy))
+        and height >= thr
+    ):
+        inner = r * (1.0 - _MARGIN)
+        return r, inner * inner, thr
+    return r, -1.0, 0.0
 
 
 def _diameter_circle(px: float, py: float, qx: float, qy: float) -> tuple[float, float, float]:
@@ -398,11 +538,12 @@ def _circumradius(
     x: float, y: float, ax: float, ay: float, bx: float, by: float, cx: float, cy: float
 ) -> float:
     """max() of the distances from the center (x, y) to a, b and c, in that order."""
-    r = math.hypot(x - ax, y - ay)
-    d = math.hypot(x - bx, y - by)
+    hypot = math.hypot
+    r = hypot(x - ax, y - ay)
+    d = hypot(x - bx, y - by)
     if d > r:
         r = d
-    d = math.hypot(x - cx, y - cy)
+    d = hypot(x - cx, y - cy)
     if d > r:
         r = d
     return r

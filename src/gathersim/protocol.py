@@ -173,30 +173,40 @@ def maxima_target(own: Point, maxima: Sequence[Point]) -> Optional[Point]:
 
 def pair_action(images: Sequence[Pair], counts: Sequence[int]) -> tuple[str, Optional[Point], str]:
     """compute_action(view, (0, 0)) on a view given as its pairwise unequal points and their counts,
-    as (kind, local target or None, branch); (0, 0) is within EPS of (x, y) when hypot(x, y) <= EPS."""
+    as (kind, local target or None, branch); (0, 0) is within EPS of (x, y) when hypot(x, y) <= EPS.
+
+    The label needs only the first interior image more than EPS from the center, and
+    the robot can stand only on an image with |x| <= EPS and |y| <= EPS, since a
+    faithful hypot(x, y) is never below max(|x|, |y|); so neither scan reads more.
+    """
     top = max(counts)
     if counts.count(top) <= 2:
         maxima = sorted([Point(*q) for q, count in zip(images, counts) if count == top])
         branch = BRANCH_UNIQUE_MAX if len(maxima) == 1 else BRANCH_TWO_MAX
         target = maxima_target(_ORIGIN, maxima)
         return (STAY if target is None else MOVE_CAREFUL), target, branch
+    hypot = math.hypot
     (cx, cy), r = sec = smallest_enclosing_circle(images)
-    interior: list[float] = []  # distances to the center
-    on_top = on_interior = False
-    for (x, y), count in zip(images, counts):
-        d = math.hypot(x - cx, y - cy)
-        if abs(d - r) <= EPS:
-            on_top = on_top or count == top and math.hypot(x, y) <= EPS
-        else:
-            interior.append(d)
-            on_interior = on_interior or math.hypot(x, y) <= EPS
-    if not interior:
-        label, moves = BRANCH_ALL_TO_CENTER, True
-    elif all(d <= EPS for d in interior):
-        label, moves = BRANCH_BOUNDARY_TO_CENTER, on_top
+    label = BRANCH_ALL_TO_CENTER
+    for x, y in images:
+        d = hypot(x - cx, y - cy)
+        if not abs(d - r) <= EPS:
+            if not d <= EPS:
+                label = BRANCH_INSIDE_TO_CENTER
+                break
+            label = BRANCH_BOUNDARY_TO_CENTER
+    if label == BRANCH_ALL_TO_CENTER:
+        moves = True
     else:
-        label, moves = BRANCH_INSIDE_TO_CENTER, on_interior
-    if moves and not math.hypot(cx, cy) <= EPS:
+        # The robot moves if it stands on a maximum on the rim (boundary_to_center)
+        # or on an interior image (inside_to_center).
+        rim = label == BRANCH_BOUNDARY_TO_CENTER
+        moves = any(
+            hypot(x, y) <= EPS and (abs(hypot(x - cx, y - cy) - r) <= EPS) is rim and (count == top or not rim)
+            for (x, y), count in zip(images, counts)
+            if -EPS <= x <= EPS and -EPS <= y <= EPS
+        )
+    if moves and not hypot(cx, cy) <= EPS:
         return MOVE_DIRECT, sec.center, label
     return STAY, None, label
 

@@ -14,9 +14,10 @@ The configuration and the views need not be rebuilt from all n robots.
 Each snapshot after the first is derived from the one before and the
 robots that moved (model.successor, which falls back to normalize when a
 key must be created or reordered).  A woken robot builds no view (decide):
-it maps the points the rule reads, the maxima when there are one or two and
-every occupied point otherwise, into its frame as plain float pairs, merges
-those that map to one as its view would, and decides on the pairs.
+it maps the points the rule reads into its frame as plain float pairs (the
+maxima when there are one or two and no two occupied points can map to one
+image, every occupied point otherwise), merges those that map to one as its
+view would, and decides on the pairs.
 A step in which no robot moves keeps the configuration, the geometry already
 computed on it and the stays already decided on it: a decision is a pure
 function of the configuration and the robot's position and frame, so a robot
@@ -252,28 +253,54 @@ def trace_line(t: int, i: int, robot: Robot, action: Optional[Action]) -> str:
     return f'{{"t":{t}' + _record_tail(i, robot, action)
 
 
+# decide maps only the maxima of a configuration no larger than this, for a
+# frame scale in this range: no two occupied points can then share an image.
+_MERGE_FREE_EXTENT = 2.0**16
+_MERGE_FREE_SCALE_LOW = 2.0**-900
+_MERGE_FREE_SCALE_HIGH = 2.0**900
+
+
 def decide(snap: Snapshot, robot: Robot) -> Action:
     """The rule's action for a robot woken on snap, in global coordinates,
     before the careful-move veto.
 
-    The points the rule reads, the maxima when there are one or two and
-    every occupied point otherwise, are mapped into the robot's ego frame by
+    The points the rule reads are mapped into the robot's ego frame by
     observe's operations, as plain pairs (model.ego_images).  Images that
     round to one point merge into the first, counts added, as in the view
     observe builds, and protocol.pair_action decides on the pairs as
-    compute_action decides on that view.  A robot exactly on the unique
-    maximum stays at once.  A target within eps of an occupied point becomes
-    that exact point, so robots aiming at one land on it and multiplicity
-    grows instead of leaving eps-separated dust.
+    compute_action decides on that view.  A target within eps of an occupied
+    point becomes that exact point, so robots aiming at one land on it and
+    multiplicity grows instead of leaving eps-separated dust.
+
+    With three or more maxima the rule reads every occupied point.  With one
+    or two it reads only the maxima, and a robot exactly on the unique
+    maximum stays at once, when no two occupied points can map to one image,
+    which would change the counts.  Proof, with u = 2**-53, s the frame's
+    scale and M a bound on every coordinate magnitude of the occupied points
+    and the robot's position (the largest over the positions the
+    configuration's neighbour grid indexed: positions reach later
+    configurations only by landing on a key, or by not moving): every image
+    coordinate is off by at most 16.1 u s M (the linear part of the point
+    and of the position, 6.1 u s M each, and the translation's sum,
+    4 u s M), while occupied points lie over EPS apart and their exact
+    images over (1 - 2u) s EPS apart (the computed cosine and sine are
+    within 2u).  M <= 2**16 makes that over three times
+    2 * sqrt(2) * 16.1 u s M, and 2**-900 <= s <= 2**900 keeps every product
+    finite and its underflow negligible beside s EPS.  Otherwise every
+    occupied point is mapped.
     """
     maxima = snap.maxima
-    if len(maxima) > 2:
-        points, counts = snap.config.occupied, list(snap.config.occupied.values())
-    elif len(maxima) == 1 and robot.pos == maxima[0]:
-        return Action(STAY, branch=BRANCH_UNIQUE_MAX)
-    else:
+    if (
+        len(maxima) <= 2
+        and snap.config.clustering.grid.largest <= _MERGE_FREE_EXTENT
+        and _MERGE_FREE_SCALE_LOW <= robot.frame.scale <= _MERGE_FREE_SCALE_HIGH
+    ):
+        if len(maxima) == 1 and robot.pos == maxima[0]:
+            return Action(STAY, branch=BRANCH_UNIQUE_MAX)
         # Only relative counts matter, and the maxima share theirs.
         points, counts = maxima, [1] * len(maxima)
+    else:
+        points, counts = snap.config.occupied, list(snap.config.occupied.values())
     images, to_global_ = ego_images(robot.frame, robot.pos, points)
     if len(set(images)) < len(images):
         merged: dict[Pair, int] = {}

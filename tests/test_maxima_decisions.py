@@ -1,35 +1,33 @@
 """Decisions under one or two maxima, against the per-robot view.
 
 ``simulator.decide`` maps only the maxima into a woken robot's frame when
-there are one or two of them, and decides on them as plain pairs.  The
-oracle is the view path that decided such robots before: the robot observes
-the maxima-only configuration through its ego frame, ``compute_action`` runs
-on that view, and the target goes back through ``to_global`` and is snapped
-to the nearest occupied point.  Kind, branch and every bit of the target
-must agree.
+there are one or two of them and no two occupied points can map to one
+image, and every occupied point otherwise, and decides on them as plain
+pairs.  The oracle is the view path: the robot observes the whole
+configuration through its ego frame, ``compute_action`` runs on that view,
+and the target goes back through ``to_global`` and is snapped to the nearest
+occupied point.  Kind, branch and every bit of the target must agree.
 """
 
 import math
 import random
 import sys
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gathersim.simulator as simulator
 from gathersim.analysis import random_robots
 from gathersim.geometry import EPS, Point
-from gathersim.model import Configuration, Frame, ego_frame, max_points, observe, to_global
+from gathersim.model import Frame, ego_frame, ego_images, observe, to_global
 from gathersim.protocol import Action, compute_action
 from gathersim.simulator import BOUNDARY_ONLY, Robot, SchedulerSpec, Snapshot, decide, run
 
 
 def _view_decision(snap, robot):
-    """The rule's action for robot through the maxima-only view, snapped, before the veto."""
-    occupied = snap.config.occupied
-    seen = Configuration({p: occupied[p] for p in max_points(occupied)})
+    """The rule's action for robot through its view of the whole configuration, snapped, before the veto."""
     frame = ego_frame(robot.frame, robot.pos)
-    action = compute_action(observe(seen, frame), Point(0.0, 0.0))
+    action = compute_action(observe(snap.config, frame), Point(0.0, 0.0))
     if action.target is None:
         return action
     target = to_global(frame, action.target)
@@ -106,6 +104,45 @@ def test_maxima_decisions_equal_the_view_path_bit_for_bit(robots):
     assert len(snap.maxima) <= 2
     for robot in snap.robots:
         assert _bits(decide(snap, robot)) == _bits(_view_decision(snap, robot))
+
+
+def test_robots_whose_frames_merge_two_other_points_into_a_new_maximum_decide_as_the_view_path():
+    # Three robots at (0, 0) make the unique maximum.  Seen under rotation 1,
+    # the two camps of two near (2**41, 2**45) round to one image holding four,
+    # which the view makes its unique maximum instead.
+    positions = [(0.0, 0.0)] * 3 + [(2.0**41, 2.0**45)] * 2 + [(2.0**41 + 2.0**-11, 2.0**45)] * 2 + [(-5.0, 0.0)]
+    snap = Snapshot([Robot(Point(x, y), 1.0, Frame(rotation=1.0)) for x, y in positions])
+    assert snap.maxima == [Point(0.0, 0.0)]
+    decisions = [decide(snap, robot) for robot in snap.robots]
+    assert [_bits(d) for d in decisions] == [_bits(_view_decision(snap, robot)) for robot in snap.robots]
+    merged = Point(2199023255552.002, 2.0**45)
+    assert [(d.kind, d.target) for d in decisions] == [("move_careful", merged)] * 3 + [("stay", None)] * 4 + [
+        ("move_careful", merged)
+    ]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    base=st.tuples(st.floats(-(2.0**16), 2.0**16), st.floats(-(2.0**16), 2.0**16)),
+    steps=st.lists(st.tuples(st.floats(0.0, math.tau), st.floats(1.0, 1.5)), min_size=1, max_size=5),
+    own=st.integers(0, 5),
+    frame=st.builds(
+        Frame,
+        rotation=st.floats(-1e6, 1e6),
+        scale=st.sampled_from([2.0**-900, 2.0**900, 1.0]) | st.integers(-900, 900).map(lambda e: 2.0**e),
+        reflected=st.booleans(),
+    ),
+)
+def test_no_two_occupied_points_share_an_image_within_the_bound(base, steps, own, frame):
+    # A chain of points just over EPS apart, all within 2**16 of the origin.
+    points = [Point(*base)]
+    for angle, reach in steps:
+        x, y = points[-1]
+        points.append(Point(x + reach * EPS * math.cos(angle), y + reach * EPS * math.sin(angle)))
+    snap = Snapshot([Robot(p, 1.0, frame) for p in points])
+    assume(snap.config.clustering.grid.largest <= simulator._MERGE_FREE_EXTENT and len(snap.config.occupied) == len(points))
+    images, _ = ego_images(frame, points[own % len(points)], snap.config.occupied)
+    assert len(set(images)) == len(images)
 
 
 def count_calls(monkeypatch, *functions):

@@ -147,6 +147,93 @@ def test_sec_decisions_at_exactly_eps_equal_the_view_path(branch, points):
     assert _bits(decision) == _bits(_view_decision(snap, snap.robots[-1]))
 
 
+def _ngon(n, radius, phase):
+    return [Point(radius * math.cos(phase + math.tau * k / n), radius * math.sin(phase + math.tau * k / n)) for k in range(n)]
+
+
+@st.composite
+def _rim_cases(draw):
+    """Robots on a regular n-gon, ``top`` on each vertex, possibly some at its
+    center, and one more robot near a vertex or the center, which holds one
+    robot fewer: at it, or about EPS from it in its own frame, which has scale
+    2**20 or 2**-20.  Every robot shares that frame."""
+    n, top = draw(st.integers(3, 9)), draw(st.integers(1, 3))
+    vertices = _ngon(n, draw(st.sampled_from([1.0, 1e-3, 1e3])), draw(st.floats(0.0, math.tau)))
+    anchor = draw(st.just(-1) | st.integers(0, n - 1))  # -1 is the center
+    centered = draw(st.integers(int(anchor < 0), max(1, top - 1)))
+    scale = draw(st.sampled_from([2.0**20, 2.0**-20]))
+    reach = draw(st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.001, 2.0])) * EPS / scale
+    angle = draw(st.floats(0.0, math.tau))
+    x, y = vertices[anchor] if anchor >= 0 else (0.0, 0.0)
+    extra = Point(x + reach * math.cos(angle), y + reach * math.sin(angle))
+    frame = Frame(draw(st.floats(0.0, math.tau)), scale, reflected=draw(st.booleans()))
+    positions = [v for k, v in enumerate(vertices) for _ in range(top - (k == anchor))]
+    positions += [Point(0.0, 0.0)] * centered + [extra]
+    event(f"scale 2**{int(math.log2(scale))}, {'rim' if anchor >= 0 else 'center'}, reach {reach * scale / EPS:.3g} EPS")
+    return [Robot(p, 1.0, frame) for p in positions]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rim_cases())
+def test_rim_and_center_decisions_at_large_and_small_scales_equal_the_view_path(robots):
+    assume(len(Snapshot(robots).maxima) > 2)
+    _assert_decisions_equal_the_view_path(robots, range(len(robots)))
+
+
+def _near_cases(scale):
+    """Pentagons of pairs where the last robot stands half an EPS, in its own
+    frame, from a point it stands on in its view: along the rim from a vertex
+    (with one robot there, so that normalize merging them keeps five maxima),
+    or from an interior point at the center or off it."""
+    near = 0.5 * EPS / scale
+    phases = [0.3 + math.tau * k / 5 for k in range(5)]
+    rim = [Point(math.cos(a), math.sin(a)) for a in phases]
+    beside = Point(math.cos(phases[0] + near), math.sin(phases[0] + near))
+    return {
+        "vertex": rim[1:] * 2 + [rim[0], beside],
+        "vertex, center": rim[1:] * 2 + [rim[0], Point(0.0, 0.0), beside],
+        "center": rim * 2 + [Point(0.0, 0.0), Point(near, 0.0)],
+        "off center": rim * 2 + [Point(0.25, 0.0), Point(0.25 + near, 0.0)],
+    }
+
+
+@pytest.mark.parametrize("scale", [2.0**20, 2.0**-20], ids=["2**20", "2**-20"])
+def test_robots_within_eps_of_a_point_in_their_frame_decide_as_the_view_path(scale):
+    outcomes = {}
+    for name, positions in _near_cases(scale).items():
+        snap = Snapshot([Robot(p, 1.0, Frame(0.7, scale, reflected=True)) for p in positions])
+        decisions = [decide(snap, robot) for robot in snap.robots]
+        assert [_bits(d) for d in decisions] == [_bits(_view_decision(snap, robot)) for robot in snap.robots]
+        outcomes[name] = (len(snap.config.occupied), decisions[-1].branch, decisions[-1].kind)
+    # At 2**20 normalize merges the last robot into its point.  At 2**-20 it is a
+    # point of its own, but its frame shrinks every distance 2**20 times.
+    if scale > 1.0:
+        assert outcomes == {
+            "vertex": (5, "all_to_center", "move_direct"),
+            "vertex, center": (6, "boundary_to_center", "move_direct"),
+            "center": (6, "boundary_to_center", "stay"),
+            "off center": (6, "inside_to_center", "move_direct"),
+        }
+    else:
+        assert outcomes == {
+            "vertex": (6, "all_to_center", "move_direct"),
+            "vertex, center": (7, "boundary_to_center", "stay"),
+            "center": (7, "boundary_to_center", "stay"),
+            "off center": (7, "inside_to_center", "move_direct"),
+        }
+
+
+SUBNORMALS = st.integers(-(2**52), 2**52).map(lambda k: k * 5e-324)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.floats(allow_nan=False) | SUBNORMALS, st.floats(allow_nan=False) | SUBNORMALS)
+def test_hypot_is_never_below_the_larger_coordinate(x, y):
+    # pair_action keeps only the images with |x| <= EPS and |y| <= EPS when it
+    # looks for the one the robot stands on, which is exact on this premise.
+    assert math.hypot(x, y) >= max(abs(x), abs(y))
+
+
 def test_merged_views_are_decided_as_the_view_path_decides_bit_for_bit():
     # Robot 0 of each merge configuration sees two occupied points as one
     # holding both counts: among five maxima that point becomes the unique

@@ -5,18 +5,22 @@ candidate and called small helpers for distance, enclosure, orientation and
 circumcircle.  Those functions are kept here, verbatim, as the oracle: the
 kernel must return the same center and radius, bit for bit, for every input
 family below and every ordering of the input, and must refuse duplicates with
-the same message.  classify_branch inlines the on_circle test for its
-boundary split; the last tests hold it to on_circle itself.
+the same message.  Its two-point step skips the circumcircles that cannot
+win; families aimed at that prune check it against the oracle's step, and a
+count shows what it saves.  classify_branch inlines the on_circle test for
+its boundary split; the last tests hold it to on_circle itself.
 """
 
+import inspect
 import math
 import random
 import struct
+import sys
 import zlib
 from typing import Iterable, Optional, Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gathersim import geometry
@@ -206,7 +210,27 @@ def huge_sets(draw):
     return _distinct(draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=12)))
 
 
+MARGIN = geometry._MARGIN  # the prune's relative depth
+SCALES = st.integers(-40, 299).map(lambda e: 2.0**e)  # radii up to geometry.COORD_LIMIT
+
+
+def _on(cx, cy, radius, angle):
+    return Point(cx + radius * math.cos(angle), cy + radius * math.sin(angle))
+
+
+@st.composite
+def near_cocircular_sets(draw):
+    """Points on a circle, some a few ulps or a few prune margins off it, at scales from 2**-40 to COORD_LIMIT."""
+    scale = draw(SCALES)
+    cx, cy = draw(st.floats(-1.0, 1.0)) * scale, draw(st.floats(-1.0, 1.0)) * scale
+    radius = draw(st.floats(0.5, 2.0)) * scale
+    depth = st.sampled_from([0.0, 0.0, 2.0**-52, -(2.0**-52), 2.0**-40, MARGIN, -MARGIN, 4 * MARGIN])
+    rim = draw(st.lists(st.tuples(st.floats(0.0, math.tau), depth), min_size=1, max_size=60))
+    return _distinct(_on(cx, cy, radius * (1.0 - d), angle) for angle, d in rim)
+
+
 FAMILIES = {
+    "near_cocircular": near_cocircular_sets(),
     "uniform": uniform_sets(),
     "cocircular": cocircular_sets(),
     "collinear": collinear_sets(),
@@ -302,6 +326,144 @@ def test_two_known_step_matches_oracle(p, q, others):
     got = geometry._sec_two_known(pts, len(pts), p.x, p.y, q.x, q.y)
     expected = _sec_two_known(pts, p, q)
     assert struct.pack("<3d", *got) == _bits(expected)
+
+
+# -- the prune of the two-point step -------------------------------------------------
+
+
+@st.composite
+def prune_cases(draw):
+    """p, q and the points _sec_two_known scans, aimed at its prune's edges.
+
+    A circle through p and q, at a scale from 2**-40 to COORD_LIMIT and up to
+    2**33 radii from the origin (guard G2 stops at 2**32).  The first point
+    lies on it and becomes the first best circle: anywhere, or next to p or
+    q (a thin triangle, up to past guard G4), with p and q anywhere or close
+    together (a near-flat circle, up to past guard G3's 2**12).  The rest lie
+    on the circle within an ulp or so, or a few prune margins inside or
+    outside it, or anywhere inside."""
+    shape = draw(st.sampled_from(["cocircular", "margins", "thin", "flat"]))
+    scale = draw(SCALES)
+    offset = draw(st.sampled_from([0.0, 3.0, 2.0**31, 2.0**33]))
+    cx, cy = (offset + draw(st.floats(-1.0, 1.0))) * scale, draw(st.floats(-1.0, 1.0)) * scale
+    radius = draw(st.floats(0.5, 2.0)) * scale
+    a = draw(st.floats(0.0, math.tau))
+    span = 2.0 ** -draw(st.floats(3.0, 16.0)) if shape == "flat" else draw(st.floats(0.3, math.pi))
+    p, q = _on(cx, cy, radius, a), _on(cx, cy, radius, a + span)
+    if shape == "thin":
+        nudge = 2.0 ** -draw(st.floats(8.0, 53.0))
+        first = _on(cx, cy, radius, draw(st.sampled_from([a - nudge, a + span + nudge])))
+    else:
+        first = _on(cx, cy, radius, draw(st.floats(0.0, math.tau)))
+    if shape == "cocircular":
+        depth = st.sampled_from([0.0, 2.0**-53, -(2.0**-53), 2.0**-52, 2.0**-40])
+    else:
+        depth = st.sampled_from([0.5, 0.999, 1.0, 1.001, 2.0, 4.0]).map(lambda k: k * MARGIN) | st.floats(-MARGIN, 1.0)
+    rest = draw(st.lists(st.tuples(st.floats(0.0, math.tau), depth), min_size=1, max_size=12))
+    points = [first] + [_on(cx, cy, radius * (1.0 - d), angle) for angle, d in rest]
+    return p, q, [r for r in dict.fromkeys(points) if r not in (p, q)]
+
+
+@settings(max_examples=1500, deadline=None)
+@given(prune_cases())
+# Four points on the unit circle: the second lies inside the first's computed
+# circle by rounding alone, and its computed center differs in the last bits.
+@example((
+    Point(-0.9826670763420833, 0.1853791171445755),
+    Point(0.01738660519292835, 0.9998488415554949),
+    [Point(-0.9599140927560976, -0.28029437120327266), Point(-0.8896414894342058, -0.4566596328528369)],
+))
+# The first point sits 3e-14 from q on the circle: the thin triangle's solve
+# puts its center far off, and the later points, inside that circle, still win.
+@example((
+    Point(1.5000377753837109, 0.24592580653605187),
+    Point(1.051762452797229, 1.4747310067686057),
+    [
+        Point(1.0517624527972096, 1.4747310067686228),
+        Point(-1.2243610154825737, 0.6047548104381664),
+        Point(-1.0262195482432643, 0.32628414188607335),
+        Point(1.2112062841900733, -0.4151215540504718),
+        Point(1.1878190185875068, -0.4433946109599455),
+        Point(1.4137079297807325, -0.07090120084145923),
+        Point(-1.1700741578643532, 0.051432054369265845),
+        Point(0.20278347745196365, -0.926603355773868),
+    ],
+))
+def test_two_known_step_matches_oracle_at_the_prune(case):
+    p, q, pts = case
+    got = geometry._sec_two_known(pts, len(pts), p.x, p.y, q.x, q.y)
+    assert struct.pack("<3d", *got) == _bits(_sec_two_known(pts, p, q))
+
+
+def _solves(function, *args):
+    """function(*args), and how many circumcenters _sec_two_known solved
+    meanwhile: the runs of its line that computes the determinant d."""
+    lines, first = inspect.getsourcelines(geometry._sec_two_known)
+    target = first + next(i for i, line in enumerate(lines) if line.lstrip().startswith("d = "))
+    code = geometry._sec_two_known.__code__
+    count = 0
+
+    def lines_of_the_step(frame, event, arg):
+        nonlocal count
+        count += event == "line" and frame.f_lineno == target
+        return lines_of_the_step
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: lines_of_the_step if frame.f_code is code else None)
+    try:
+        result = function(*args)
+    finally:
+        sys.settrace(previous)
+    return result, count
+
+
+def test_the_prune_skips_most_circumcenters_of_uniform_sets(monkeypatch):
+    # The oracle solves the circumcircle of every point outside the diameter
+    # circle of p and q: the unpruned scan, on the same shuffled walk.
+    unpruned = 0
+    real = _circumcircle
+
+    def counted(a, b, c):
+        nonlocal unpruned
+        unpruned += 1
+        return real(a, b, c)
+
+    monkeypatch.setitem(globals(), "_circumcircle", counted)
+    rng = random.Random("sec prune")
+    solved = 0
+    for _ in range(5):
+        pts = [Point(rng.random(), rng.random()) for _ in range(201)]
+        expected = smallest_enclosing_circle(pts)
+        got, count = _solves(geometry.smallest_enclosing_circle, pts)
+        assert _bits(got) == _bits(expected)
+        solved += count
+    assert 0 < solved and 2 * solved <= unpruned
+
+
+def _neighbours(x, steps):
+    for _ in range(steps):
+        x = math.nextafter(x, math.inf)
+    for _ in range(-steps):
+        x = math.nextafter(x, -math.inf)
+    return x
+
+
+@settings(max_examples=800, deadline=None)
+@given(
+    dx=st.floats(allow_nan=False) | st.sampled_from([0.0, 5e-324, 2.0**-500, 1e-300, 2.0**500]),
+    dy=st.floats(allow_nan=False) | st.sampled_from([0.0, -5e-324, 2.0**-500, 1e300]),
+    steps=st.integers(-4, 4),
+    lim=st.none() | st.floats(min_value=0.0) | st.sampled_from([2.0**-450, 2.0**500, math.nan]),
+)
+# The rounded sum meets the plain square of a limit one ulp below hypot.
+@example(dx=0.222371974180602, dy=0.2952882471098236, steps=-1, lim=None)
+def test_a_squared_distance_within_its_limit_puts_hypot_within_the_limit(dx, dy, steps, lim):
+    """The kernel's squared test only ever skips a hypot call that would have passed."""
+    h = math.hypot(dx, dy)
+    lim = _neighbours(h, steps) if lim is None else lim
+    lim2 = lim * lim * geometry._SHRINK if geometry._SQUARED_LOW <= lim <= geometry._SQUARED_HIGH else -1.0
+    if dx * dx + dy * dy <= lim2:
+        assert h <= lim
 
 
 # -- classify_branch's inlined boundary test ------------------------------------------
