@@ -41,7 +41,6 @@ from .geometry import (
     strictly_inside_circle,
 )
 from .model import Frame, random_frame
-from .protocol import BRANCH_BOUNDARY_TO_CENTER
 from .simulator import (
     GATHERED,
     STEP_LIMIT_REACHED,
@@ -231,10 +230,10 @@ def _closure_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
 
 
 def _unique_max_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
-    maxima = before.maxima
+    maxima = before.config.maxima
     if len(maxima) != 1:
         return None
-    maxima_after = after.maxima
+    maxima_after = after.config.maxima
     if len(maxima_after) != 1:
         return f"unique maximum gave way to {len(maxima_after)} maxima"
     if not points_coincide(maxima[0], maxima_after[0]):
@@ -243,20 +242,20 @@ def _unique_max_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
 
 
 def _two_max_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
-    if len(before.maxima) != 2:
+    if len(before.config.maxima) != 2:
         return None
-    if len(after.maxima) > 2:
-        return f"two maxima escalated to {len(after.maxima)}"
+    if len(after.config.maxima) > 2:
+        return f"two maxima escalated to {len(after.config.maxima)}"
     return None
 
 
 def _inside_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
-    if len(before.maxima) < 3 or len(after.maxima) < 3:
+    if len(before.config.maxima) < 3 or len(after.config.maxima) < 3:
         return None
     for i, (before_bot, after_bot) in enumerate(zip(before.robots, after.robots)):
-        if not strictly_inside_circle(before_bot.pos, before.sec):
+        if not strictly_inside_circle(before_bot.pos, before.config.sec):
             continue
-        if not strictly_inside_circle(after_bot.pos, after.sec):
+        if not strictly_inside_circle(after_bot.pos, after.config.sec):
             return (
                 f"robot {i} was strictly inside the circle "
                 f"and ended on or outside the new one"
@@ -265,53 +264,54 @@ def _inside_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
 
 
 def _center_containment_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
-    if len(before.maxima) < 3:
+    if len(before.config.maxima) < 3:
         return None
-    info = before.branch
-    if info.label != BRANCH_BOUNDARY_TO_CENTER:
+    sec = before.config.sec
+    center = sec.center
+    interior = {p for p in before.config.occupied if not on_circle(p, sec)}
+    # The boundary-to-center branch: every occupied point off the rim is the center.
+    if not interior or not all(points_coincide(p, center) for p in interior):
         return None
-    assert info.sec is not None
-    center = info.sec.center
+    boundary = [p for p in before.config.occupied if p not in interior]
     bots_b, bots_a = before.robots, after.robots
     # Hypothesis 1: some robot standing on the circle actually moved.
     moved_from_boundary = False
-    boundary_set = set(info.boundary)
     for before_bot, after_bot in zip(bots_b, bots_a):
         if points_coincide(before_bot.pos, after_bot.pos):
             continue
-        if any(points_coincide(before_bot.pos, b) for b in boundary_set):
+        if any(points_coincide(before_bot.pos, b) for b in boundary):
             moved_from_boundary = True
             break
     if not moved_from_boundary:
         return None
     # Hypothesis 2: every boundary point keeps at least one robot that did
     # not arrive at the center this step.
-    for b in info.boundary:
+    for b in boundary:
         holders = [i for i, bot in enumerate(bots_b) if points_coincide(bot.pos, b)]
         if holders and all(points_coincide(bots_a[i].pos, center) for i in holders):
             return None
-    if not strictly_inside_circle(center, after.sec):
+    if not strictly_inside_circle(center, after.config.sec):
         return "old center is not strictly inside the new enclosing circle"
     return None
 
 
 def _radius_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
-    if len(before.maxima) < 3:
+    if len(before.config.maxima) < 3:
         return None
-    before_r = before.sec.radius
-    after_r = after.sec.radius
+    before_r = before.config.sec.radius
+    after_r = after.config.sec.radius
     if after_r > before_r + EPS:
         return f"enclosing radius grew from {before_r} to {after_r}"
     # When every robot has left the old circle's rim, the new circle must be
     # strictly smaller; everything now sits measurably deeper than the rim.
-    vacated = all(not on_circle(bot.pos, before.sec) for bot in after.robots)
+    vacated = all(not on_circle(bot.pos, before.config.sec) for bot in after.robots)
     if vacated and not (after_r < before_r):
         return f"rim fully vacated but radius held at {after_r}"
     return None
 
 
 def _careful_separation_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
-    maxima = before.maxima
+    maxima = before.config.maxima
     if len(maxima) > 2:
         return None
     bots_b = before.robots

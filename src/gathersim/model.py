@@ -11,10 +11,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from functools import cached_property, partial
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .geometry import EPS, Pair, Point, PointGrid
+from .geometry import EPS, Circle, Pair, Point, PointGrid, smallest_enclosing_circle
+
+if TYPE_CHECKING:
+    from .protocol import Action
+    from .simulator import Robot
 
 
 class Clustering(NamedTuple):
@@ -39,12 +43,20 @@ class Configuration:
     The dict preserves insertion order, which normalize() makes deterministic
     (first-encounter representative per cluster), so iteration order is stable
     across runs with identical input.  A configuration that normalize or
-    successor built from robot positions also carries their ``clustering``;
-    it takes no part in ``==`` or ``repr``.
+    successor built from robot positions also carries their ``clustering``.
+
+    It keeps what is computed from it: the ``maxima`` and the enclosing
+    circle ``sec``, each on first use, and ``stays``, which maps a robot
+    index to the ``Robot`` that stayed on it and its stay, a vetoed careful
+    move included; a decision reads only the configuration and that robot.
+    None of these takes part in ``==`` or ``repr``.
     """
 
     occupied: dict[Point, int]
     clustering: Optional[Clustering] = field(default=None, compare=False, repr=False)
+    # Built with the configuration: before Python 3.12 a cached_property's
+    # first read takes a lock, which costs more than the dict, every step.
+    stays: dict[int, tuple[Robot, Action]] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.occupied:
@@ -52,6 +64,14 @@ class Configuration:
         for p, count in self.occupied.items():
             if count < 1:
                 raise ValueError(f"multiplicity at {p} must be >= 1, got {count}")
+
+    @cached_property
+    def maxima(self) -> list[Point]:
+        return max_points(self.occupied)
+
+    @cached_property
+    def sec(self) -> Circle:
+        return smallest_enclosing_circle(self.occupied)
 
     def is_gathered(self) -> bool:
         return len(self.occupied) == 1

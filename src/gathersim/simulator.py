@@ -18,10 +18,11 @@ it maps the points the rule reads into its frame as plain float pairs (the
 maxima when there are one or two and no two occupied points can map to one
 image, every occupied point otherwise), merges those that map to one as its
 view would, and decides on the pairs.
-A step in which no robot moves keeps the configuration, the geometry already
-computed on it and the stays already decided on it: a decision is a pure
-function of the configuration and the robot's position and frame, so a robot
-woken again on an unchanged configuration reuses its action.
+The configuration carries what is computed from it: its maxima, its
+enclosing circle and the stays decided on it.  A step in which no robot
+moves keeps the configuration object, and with it all three: a decision is a
+pure function of the configuration and the robot's position and frame, so a
+robot woken again on an unchanged configuration reuses its action.
 The careful-move veto settles only the occupied points in the segment's
 widened bounding box (protocol.path_is_clear).
 The trace streams to a text sink, one write per step, from a record per
@@ -34,21 +35,12 @@ import math
 import random
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence, TextIO
 
-from .geometry import Circle, Pair, Point, dist, on_circle, smallest_enclosing_circle
-from .model import Configuration, Frame, ego_images, max_points, normalize, random_frame, successor
-from .protocol import (
-    BRANCH_UNIQUE_MAX,
-    MOVE_CAREFUL,
-    STAY,
-    Action,
-    BranchInfo,
-    classify_branch,
-    pair_action,
-    path_is_clear,
-)
+# Not called here: bench/tests/test_bench.py checks that the span tracer wraps this binding.
+from .geometry import Pair, Point, dist, on_circle, smallest_enclosing_circle  # noqa: F401
+from .model import Configuration, Frame, ego_images, normalize, random_frame, successor
+from .protocol import BRANCH_UNIQUE_MAX, MOVE_CAREFUL, STAY, Action, pair_action, path_is_clear
 
 # Scheduler strategies.
 SYNCHRONOUS = "synchronous"
@@ -112,22 +104,19 @@ class SchedulerSpec:
 
 
 class Snapshot:
-    """The world between two steps and its geometry, each computed once.
+    """The world between two steps.
 
-    ``t`` is the next step, ``robots`` a copy of the robots given, and
-    ``last_active[i]`` the last step robot i woke in, -1 until it wakes.
-    ``step`` returns the snapshot after it, and ``run`` keeps that as the one
-    before the next step, so the scheduler, ``step`` and every monitor share
-    one configuration, one branch classification and one enclosing circle.
-    Only the first snapshot of a run normalizes every position; ``step``
-    derives each later configuration from the robots that moved, equal to
-    normalize of its positions item for item.  A step that moves no robot
-    keeps the configuration object, the computed ``maxima``, ``branch`` and
-    ``sec``, and ``stays``: for each robot index, the ``Robot`` that decided
-    on this configuration and the stay it took, a vetoed careful move
-    included.  The rule, the veto and the snapping read only the
-    configuration and that robot's position and frame, so the same robot
-    decides the same again.
+    ``t`` is the next step, ``robots`` a copy of the robots given,
+    ``last_active[i]`` the last step robot i woke in, -1 until it wakes, and
+    ``config`` the configuration of their positions, which carries its
+    maxima, enclosing circle and stays.  ``step`` returns the snapshot after
+    it, and ``run`` keeps that as the one before the next step, so the
+    scheduler, ``step`` and every monitor share one configuration.  Only the
+    first snapshot of a run normalizes every position; ``step`` derives each
+    later configuration from the robots that moved, equal to normalize of
+    its positions item for item, and keeps the configuration object when no
+    robot moved.  A ``config`` given must be one that normalize or successor
+    built, since decisions go through its clustering.
     """
 
     def __init__(
@@ -142,22 +131,11 @@ class Snapshot:
             raise ValueError("need at least one robot")
         self.t = t
         self.last_active = [-1] * len(self.robots) if last_active is None else last_active
-        self.config = normalize([r.pos for r in self.robots]) if config is None else config
-        self.stays: dict[int, tuple[Robot, Action]] = {}
-
-    @cached_property
-    def maxima(self) -> list[Point]:
-        return max_points(self.config.occupied)
-
-    @cached_property
-    def branch(self) -> BranchInfo:
-        return classify_branch(self.config.occupied)
-
-    @cached_property
-    def sec(self) -> Circle:
-        if len(self.maxima) > 2:
-            return self.branch.sec
-        return smallest_enclosing_circle(self.config.occupied)
+        if config is None:
+            config = normalize([r.pos for r in self.robots])
+        elif config.clustering is None:
+            raise ValueError("config must be built by normalize or successor: it has no clustering")
+        self.config = config
 
 
 def next_active(spec: SchedulerSpec, snap: Snapshot) -> list[int]:
@@ -181,7 +159,7 @@ def next_active(spec: SchedulerSpec, snap: Snapshot) -> list[int]:
     elif spec.strategy == BOUNDARY_ONLY:
         # Adversary that starves the interior: only robots currently on the
         # enclosing circle wake up (fairness forcing aside).
-        chosen = {i for i, r in enumerate(snap.robots) if on_circle(r.pos, snap.sec)}
+        chosen = {i for i, r in enumerate(snap.robots) if on_circle(r.pos, snap.config.sec)}
     else:
         assert spec.script is not None
         step_ids = spec.script[t % len(spec.script)]
@@ -289,7 +267,7 @@ def decide(snap: Snapshot, robot: Robot) -> Action:
     finite and its underflow negligible beside s EPS.  Otherwise every
     occupied point is mapped.
     """
-    maxima = snap.maxima
+    maxima = snap.config.maxima
     if (
         len(maxima) <= 2
         and snap.config.clustering.grid.largest <= _MERGE_FREE_EXTENT
@@ -320,13 +298,16 @@ def step(snap: Snapshot, active: Sequence[int]) -> tuple[Snapshot, dict[int, Act
     Returns the next snapshot and, for each woken robot, the action it took
     in global coordinates; a robot that did not move is the same object in
     both snapshots, and the next configuration is derived from this one and
-    the robots that moved (model.successor).  A robot that already stayed on
-    this configuration reuses that action (``Snapshot.stays``); any other is
-    decided on the entry snapshot (``decide``), and positions update only at
-    the end.  The careful-move veto also reads the snapshot: the rule asked in
-    local coordinates, but blocking is a fact about the shared world.
+    the robots that moved (model.successor), or is this configuration when
+    no robot moved: nothing is copied to hand on what was computed on it.  A
+    robot that already stayed on this configuration reuses that action
+    (``Configuration.stays``); any other is decided on the entry snapshot
+    (``decide``), and positions update only at the end.  The careful-move
+    veto also reads the snapshot: the rule asked in local coordinates, but
+    blocking is a fact about the shared world.
     """
     config = snap.config
+    stays = config.stays
     if not active:
         raise ValueError("activation set must be non-empty")
     robots = list(snap.robots)
@@ -338,7 +319,7 @@ def step(snap: Snapshot, active: Sequence[int]) -> tuple[Snapshot, dict[int, Act
             raise ValueError(f"activation set names unknown robot index {i}")
         robot = robots[i]
         last_active[i] = snap.t
-        kept = snap.stays.get(i)
+        kept = stays.get(i)
         if kept is not None and kept[0] is robot:
             actions[i] = kept[1]
             continue
@@ -349,13 +330,10 @@ def step(snap: Snapshot, active: Sequence[int]) -> tuple[Snapshot, dict[int, Act
             origins[i] = robot.pos
             robots[i] = replace(robot, pos=apply_motion(robot, action.target))
         if i not in origins:
-            snap.stays[i] = (robot, action)
+            stays[i] = (robot, action)
         actions[i] = action
     after = Snapshot(robots, snap.t + 1, last_active,
                      successor(config, [r.pos for r in robots], origins) if origins else config)
-    if not origins:
-        # Nobody moved: share the configuration, its computed geometry and its stays.
-        vars(after).update((k, v) for k, v in vars(snap).items() if k in ("maxima", "branch", "sec", "stays"))
     return after, actions
 
 

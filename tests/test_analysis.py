@@ -236,7 +236,7 @@ def test_two_max_monitor_catches_escalation():
     before = [(0, 0), (0, 0), (1, 0), (1, 0), (2, 0)]
     after = [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]
     assert "escalated" in _check("two_max_no_escalation", tr := _transition(before, after))
-    assert tr[1].branch.maxima != tr[0].branch.maxima
+    assert tr[1].config.maxima != tr[0].config.maxima
 
 
 def test_two_max_monitor_allows_resolution_to_one():

@@ -101,7 +101,7 @@ def _cases(draw):
 @given(_cases())
 def test_maxima_decisions_equal_the_view_path_bit_for_bit(robots):
     snap = Snapshot(robots)
-    assert len(snap.maxima) <= 2
+    assert len(snap.config.maxima) <= 2
     for robot in snap.robots:
         assert _bits(decide(snap, robot)) == _bits(_view_decision(snap, robot))
 
@@ -112,7 +112,7 @@ def test_robots_whose_frames_merge_two_other_points_into_a_new_maximum_decide_as
     # which the view makes its unique maximum instead.
     positions = [(0.0, 0.0)] * 3 + [(2.0**41, 2.0**45)] * 2 + [(2.0**41 + 2.0**-11, 2.0**45)] * 2 + [(-5.0, 0.0)]
     snap = Snapshot([Robot(Point(x, y), 1.0, Frame(rotation=1.0)) for x, y in positions])
-    assert snap.maxima == [Point(0.0, 0.0)]
+    assert snap.config.maxima == [Point(0.0, 0.0)]
     decisions = [decide(snap, robot) for robot in snap.robots]
     assert [_bits(d) for d in decisions] == [_bits(_view_decision(snap, robot)) for robot in snap.robots]
     merged = Point(2199023255552.002, 2.0**45)
@@ -169,7 +169,7 @@ def test_maxima_decisions_observe_no_view(monkeypatch):
     real_decide = simulator.decide
 
     def recording_decide(snap, robot):
-        decisions.append(len(snap.maxima))
+        decisions.append(len(snap.config.maxima))
         return real_decide(snap, robot)
 
     monkeypatch.setattr(simulator, "decide", recording_decide)

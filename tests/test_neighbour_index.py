@@ -63,7 +63,7 @@ def _transition(before, after, maxima):
     and the same step as the reference reads it."""
     robots_b = [Robot(p, 1.0) for p in before]
     robots_a = [Robot(p, 1.0) for p in after]
-    snap_b = SimpleNamespace(robots=robots_b, maxima=tuple(maxima))
+    snap_b = SimpleNamespace(robots=robots_b, config=SimpleNamespace(maxima=tuple(maxima)))
     snap_a = SimpleNamespace(robots=robots_a)
     tr = SimpleNamespace(maxima_before=tuple(maxima), before=snap_b, after=snap_a)
     return (snap_b, snap_a), tr

@@ -1,22 +1,24 @@
 """Steps that move no robot, against recomputation.
 
-A step in which nobody moves keeps its configuration, the branch and circle
-already computed on it and the stays already decided on it
-(``Snapshot.stays``); a robot woken again reuses its action without
-observing.  A fresh ``Snapshot`` over the same robots, step, wake times and
-configuration holds no stays, so stepping it decides every woken robot
-afresh: that is the oracle here.
+A step in which nobody moves keeps its configuration object, and with it
+the maxima and circle already computed on it and the stays already decided
+on it (``Configuration.stays``); a robot woken again reuses its action
+without observing.  A fresh ``Snapshot`` over the same robots, step and wake
+times normalizes their positions anew, so its configuration holds nothing
+computed and stepping it decides every woken robot afresh: that is the
+oracle here.
 """
 
 import random
 
 import pytest
 
+import gathersim.model as model
 import gathersim.simulator as simulator
 from gathersim.analysis import attach_lemma_monitors, random_point_set
 from gathersim.geometry import Point, smallest_enclosing_circle
-from gathersim.model import random_frame
-from gathersim.protocol import BRANCH_UNIQUE_MAX, MOVE_CAREFUL, STAY, classify_branch
+from gathersim.model import max_points, random_frame
+from gathersim.protocol import BRANCH_UNIQUE_MAX, MOVE_CAREFUL, STAY
 from gathersim.simulator import (
     BOUNDARY_ONLY,
     ROUND_ROBIN,
@@ -43,16 +45,13 @@ def _bits(actions, robots):
     return repr(sorted(actions.items())), [(r.pos.x.hex(), r.pos.y.hex()) for r in robots]
 
 
-def _assert_geometry_is_fresh(snap):
-    """The maxima, branch and circle a snapshot holds, if any, equal a fresh computation."""
-    held = vars(snap)
-    fresh = classify_branch(snap.config.occupied)
+def _assert_geometry_is_fresh(config):
+    """The maxima and circle a configuration holds, if any, equal a fresh computation."""
+    held = vars(config)
     if "maxima" in held:
-        assert tuple(held["maxima"]) == fresh.maxima
-    if "branch" in held:
-        assert held["branch"] == fresh
+        assert held["maxima"] == max_points(config.occupied)
     if "sec" in held:
-        assert held["sec"] == (fresh.sec or smallest_enclosing_circle(snap.config.occupied))
+        assert held["sec"] == smallest_enclosing_circle(config.occupied)
 
 
 def _chain(robots, spec, max_steps):
@@ -60,20 +59,21 @@ def _chain(robots, spec, max_steps):
     check each step against the same step on a fresh snapshot.
 
     Returns the counts of steps that moved no robot, of those whose next
-    snapshot came with computed maxima, of those whose next snapshot came
-    with a computed branch and circle, and of actions reused.
+    configuration came with computed maxima, of those whose next
+    configuration came with a computed circle, and of actions reused.
     """
     monitors = attach_lemma_monitors()
     snap = Snapshot(robots)
-    still = shared_maxima = shared_branch = reused = 0
+    still = shared_maxima = shared_sec = reused = 0
     for _ in range(max_steps):
         if snap.config.is_gathered():
             break
         before = snap
         active = next_active(spec, before)
-        stays = before.stays
+        stays = before.config.stays
         kept = {i: stays[i][1] for i in active if i in stays and stays[i][0] is before.robots[i]}
-        fresh = Snapshot(before.robots, before.t, before.last_active, before.config)
+        fresh = Snapshot(before.robots, before.t, before.last_active)
+        assert fresh.config == before.config
         snap, actions = step(before, active)
         fresh_after, fresh_actions = step(fresh, active)
         assert _bits(actions, snap.robots) == _bits(fresh_actions, fresh_after.robots)
@@ -82,15 +82,15 @@ def _chain(robots, spec, max_steps):
         reused += len(kept)
         if snap.config is before.config:
             still += 1
-            shared_maxima += "maxima" in vars(snap)
-            shared_branch += {"branch", "sec"} <= vars(snap).keys()
+            shared_maxima += "maxima" in vars(snap.config)
+            shared_sec += "sec" in vars(snap.config)
         else:
-            assert not snap.stays
+            assert not snap.config.stays
         for rule in monitors.values():
             rule(before, snap)
-        _assert_geometry_is_fresh(before)
-        _assert_geometry_is_fresh(snap)
-    return still, shared_maxima, shared_branch, reused
+        _assert_geometry_is_fresh(before.config)
+        _assert_geometry_is_fresh(snap.config)
+    return still, shared_maxima, shared_sec, reused
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -102,12 +102,12 @@ def test_every_step_equals_a_step_that_recomputes(strategy):
             script = tuple((i,) for i in range(n)) + ((0, n - 1),) if strategy == SCRIPTED else None
             counts = _chain(robots, SchedulerSpec(strategy, seed=seed, script=script), 300)
             totals = [a + b for a, b in zip(totals, counts)]
-    still, shared_maxima, shared_branch, reused = totals
+    still, shared_maxima, shared_sec, reused = totals
     if strategy != SYNCHRONOUS:
         # Every strategy but the synchronous one has steps that move no robot;
         # these chains start with three or more maxima, where the monitors
-        # compute the branch and circle that such a step hands on.
-        assert still > 0 and shared_maxima > 0 and shared_branch > 0
+        # compute the circle that such a step keeps.
+        assert still > 0 and shared_maxima > 0 and shared_sec > 0
     if strategy not in (SYNCHRONOUS, ROUND_ROBIN):
         # A round-robin robot wakes again only n steps later, and here some
         # robot moved within every n steps.
@@ -116,9 +116,9 @@ def test_every_step_equals_a_step_that_recomputes(strategy):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_boundary_adversary_at_n11_equals_recomputation(seed):
-    still, shared_maxima, shared_branch, reused = _chain(
+    still, shared_maxima, shared_sec, reused = _chain(
         _distinct_robots(11, seed), SchedulerSpec(BOUNDARY_ONLY, seed=seed), 500)
-    assert still > 0 and shared_maxima > 0 and shared_branch > 0 and reused > 0
+    assert still > 0 and shared_maxima > 0 and shared_sec > 0 and reused > 0
 
 
 def test_robot_woken_again_on_a_frozen_configuration_reuses_its_stay():
@@ -131,7 +131,7 @@ def test_robot_woken_again_on_a_frozen_configuration_reuses_its_stay():
     assert blocked.kind == STAY and blocked.branch == BRANCH_UNIQUE_MAX
     still, shared_maxima, _, reused = _chain(robots, spec, 11)
     # Robot 3's decision at t = 0 read the maxima, so even the first step
-    # hands them on.  A unique maximum has no branch to compute.
+    # keeps them.
     assert still == 11 and shared_maxima == 11
     # 14 wakes in t = 0..10: robot 3 decides at t = 0, robot 0 at t = 1, and
     # every later wake reuses.
@@ -200,3 +200,29 @@ def test_boundary_adversary_decides_once_per_robot_and_configuration(decided):
     assert len(decided) == len(first_decisions)
     # 54 decisions for 246 wakes; without the reuse every wake decides.
     assert len(decided) <= woken / 2
+
+
+def test_refreshed_frames_compute_one_circle_per_configuration(monkeypatch):
+    """A snapshot over the same configuration with redrawn frames keeps the
+    circle computed on it: the boundary adversary and the monitors read it
+    every step, and each configuration encloses its points once."""
+    circles = []
+    real_sec = model.smallest_enclosing_circle
+
+    def recording_sec(points):
+        circles.append(points)
+        return real_sec(points)
+
+    monkeypatch.setattr(model, "smallest_enclosing_circle", recording_sec)
+    configs = {}  # keeps every configuration alive, so that its id names it
+
+    def record(before, after):
+        configs.update({id(before.config): before.config, id(after.config): after.config})
+
+    monitors = dict(attach_lemma_monitors(), record=record)
+    outcome, _ = run(_distinct_robots(11, 0), SchedulerSpec(BOUNDARY_ONLY, seed=0), max_steps=400,
+                     monitors=monitors, refresh_frames=True)
+    assert not outcome.monitor_violations
+    assert len(circles) == sum("sec" in vars(config) for config in configs.values())
+    # Steps that move no robot keep the configuration, so it is read again.
+    assert outcome.final_t > len(circles) > 0

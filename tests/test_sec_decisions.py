@@ -6,8 +6,9 @@ equal as a view would, and decides on them (``protocol.pair_action``).  The
 oracle is the view path that decided such robots before: the robot observes
 the whole configuration through its ego frame, ``compute_action`` runs on
 that view, and the target goes back through ``to_global`` and is snapped to
-the nearest occupied point.  Kind, branch and every bit of the target must
-agree.
+the nearest occupied point (``_view_decision``, the one oracle, kept in
+``test_maxima_decisions.py``).  Kind, branch and every bit of the target
+must agree.
 """
 
 import math
@@ -21,21 +22,11 @@ import gathersim.simulator as simulator
 from gathersim import cli
 from gathersim.analysis import random_point_set
 from gathersim.geometry import EPS, Point
-from gathersim.model import Frame, ego_frame, observe, random_frame, to_global
-from gathersim.protocol import Action, compute_action
+from gathersim.model import Frame, ego_frame, observe, random_frame
+from gathersim.protocol import compute_action
 from gathersim.simulator import RANDOM_SUBSET, Robot, SchedulerSpec, Snapshot, decide, run
-from test_maxima_decisions import _bits, _coordinate, _frames, count_calls
+from test_maxima_decisions import _bits, _coordinate, _frames, _view_decision, count_calls
 from test_output_pins import MERGE_CONFIGS
-
-
-def _view_decision(snap, robot):
-    """The rule's action for robot through its view of the configuration, snapped, before the veto."""
-    frame = ego_frame(robot.frame, robot.pos)
-    action = compute_action(observe(snap.config, frame), Point(0.0, 0.0))
-    if action.target is None:
-        return action
-    target = to_global(frame, action.target)
-    return Action(action.kind, snap.config.key_near(target) or target, action.branch)
 
 
 def _merges(snap, robot):
@@ -99,7 +90,7 @@ def _cases(draw):
 
 def _assert_decisions_equal_the_view_path(robots, deciders):
     snap = Snapshot(robots)
-    assert len(snap.maxima) > 2
+    assert len(snap.config.maxima) > 2
     for i in deciders:
         robot = snap.robots[i]
         event("merged" if _merges(snap, robot) else "distinct images")
@@ -112,7 +103,7 @@ def _assert_decisions_equal_the_view_path(robots, deciders):
 @given(_cases())
 def test_sec_decisions_equal_the_view_path_bit_for_bit(robots):
     # A robot more than EPS from the maximum it was placed by leaves it one robot short.
-    assume(len(Snapshot(robots).maxima) > 2)
+    assume(len(Snapshot(robots).config.maxima) > 2)
     _assert_decisions_equal_the_view_path(robots, range(len(robots)))
 
 
@@ -176,7 +167,7 @@ def _rim_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(_rim_cases())
 def test_rim_and_center_decisions_at_large_and_small_scales_equal_the_view_path(robots):
-    assume(len(Snapshot(robots).maxima) > 2)
+    assume(len(Snapshot(robots).config.maxima) > 2)
     _assert_decisions_equal_the_view_path(robots, range(len(robots)))
 
 
@@ -243,10 +234,10 @@ def test_merged_views_are_decided_as_the_view_path_decides_bit_for_bit():
         config = cli.parse_config(data)
         snap = Snapshot(config.robots)
         robot = snap.robots[0]
-        assert len(snap.maxima) >= 3 and _merges(snap, robot)
+        assert len(snap.config.maxima) >= 3 and _merges(snap, robot)
         decision = decide(snap, robot)
         assert _bits(decision) == _bits(_view_decision(snap, robot))
-        seen.append((len(snap.maxima), decision.kind, decision.branch))
+        seen.append((len(snap.config.maxima), decision.kind, decision.branch))
     assert seen == [(5, "move_careful", "unique_max"), (3, "stay", "inside_to_center")]
 
 
@@ -270,7 +261,7 @@ def test_distinct_points_are_decided_without_a_view(monkeypatch):
     decisions = _recorded_decisions(monkeypatch)
     outcome, _ = run(robots, SchedulerSpec(RANDOM_SUBSET, seed=5))
     assert outcome.status == "gathered"
-    assert any(len(snap.maxima) > 2 for snap, _ in decisions)
+    assert any(len(snap.config.maxima) > 2 for snap, _ in decisions)
     assert views == {"observe": [], "compute_action": []}
 
 

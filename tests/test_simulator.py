@@ -75,6 +75,19 @@ def test_snapshot_validation():
         Snapshot([])
 
 
+def test_snapshot_refuses_a_configuration_it_cannot_decide_on():
+    # Decisions snap targets through the configuration's neighbour index,
+    # which only normalize and successor build.
+    bots = _line([(0, 0), (0, 0), (2, 0)])
+    bare = model.Configuration({Point(0, 0): 2, Point(2, 0): 1})
+    with pytest.raises(ValueError, match="config"):
+        Snapshot(bots, config=bare)
+    snap = Snapshot(bots, config=model.normalize([b.pos for b in bots]))
+    assert snap.config == bare
+    after, actions = step(snap, [2])
+    assert actions[2].target == Point(0, 0) and after.robots[2].pos == Point(1, 0)
+
+
 def test_snapshot_copies_robots():
     bots = [Robot(Point(0, 0), 1)]
     snap = Snapshot(bots)

@@ -1,12 +1,12 @@
-"""trace_line against the json.dumps writer it replaced, and run's stream against trace_line.
+"""trace_line and run's stream against the json.dumps writer trace_line replaced.
 
 trace_line once built a dict and handed it to json.dumps.  That writer is
 kept here, verbatim, as the oracle: the records written now must equal it
 byte for byte, for sleeping and woken robots, every action kind and branch
 label, and every finite coordinate.  ``run`` does not call trace_line: it
 keeps one record per robot and writes each step in one piece.  The last
-tests check that stream against trace_line, line by line, for the actions
-``step`` actually returned.
+tests check that stream against the oracle directly, line by line, for the
+actions ``step`` actually returned.
 """
 
 import dataclasses
@@ -102,7 +102,7 @@ def test_the_sleeping_record_follows_the_robot_it_is_built_from():
 
 
 def _streamed_and_per_robot(monkeypatch, robots, spec, **kwargs):
-    """The bytes run streams, and the same steps written with trace_line per robot per step."""
+    """The bytes run streams, and the same steps written by the json.dumps oracle per robot per step."""
     steps = []
     real_step = simulator.step
 
@@ -115,7 +115,7 @@ def _streamed_and_per_robot(monkeypatch, robots, spec, **kwargs):
     sink = io.StringIO()
     outcome, written = simulator.run(robots, spec, trace=sink, **kwargs)
     expected = "".join(
-        trace_line(t, i, robot, actions.get(i)) + "\n"
+        _reference_trace_line(t, i, robot, actions.get(i)) + "\n"
         for t, after, actions in steps
         for i, robot in enumerate(after)
     )
