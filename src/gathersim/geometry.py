@@ -102,6 +102,20 @@ def points_coincide(a: Point, b: Point) -> bool:
     return dist(a, b) <= EPS
 
 
+def near_tie(own: Point, p: Point, q: Point) -> bool:
+    """Whether dist(own, p) and dist(own, q) are within 2**-45 (M + dp + dq),
+    M the largest coordinate magnitude of the three points and dp, dq the
+    float distances.  Outside that window the exact distances differ by over
+    250 u (M + dp + dq), u = 2**-53, so dist and every frame order p and q as
+    they do: a float distance d is off by at most 3.01 u d, and in a frame of
+    scale s whose products neither overflow nor underflow an image distance
+    from model.ego_images by at most 23 u s M + 5 u s d (16.1 u s M on each
+    coordinate, 2u on the cosine and sine)."""
+    dp, dq = dist(own, p), dist(own, q)
+    m = max(abs(own.x), abs(own.y), abs(p.x), abs(p.y), abs(q.x), abs(q.y))
+    return abs(dp - dq) <= 2.0**-45 * (m + dp + dq)
+
+
 class PointGrid:
     """Exact eps-neighbour index over points whose magnitudes ``extent`` bounds.
 
@@ -113,7 +127,7 @@ class PointGrid:
     for every coordinate up to the largest float.  A query scans the 3x3
     cells around its own and keeps the points within eps of it.  Every point
     added or queried must be finite and no larger in magnitude than the
-    largest coordinate of ``extent``, which ``largest`` holds.
+    largest coordinate of ``extent``.
     """
 
     def __init__(self, extent: Iterable[Point], eps: float) -> None:
@@ -121,7 +135,6 @@ class PointGrid:
         largest = max(map(abs, itertools.chain.from_iterable(extent)), default=0.0)
         if not largest <= sys.float_info.max:
             raise ValueError("PointGrid needs finite coordinates")
-        self.largest = largest
         _, exponent = math.frexp(max(eps, largest * 2.0**-51))
         # Multiplying rather than ldexp-ing the doubled width lets an eps near
         # the largest float give w = inf: one cell, still exact.

@@ -4,18 +4,21 @@ compute_action is a pure function of one robot's view and its own position in
 that view.  It never remembers anything between activations; determinism and
 convergence must come from the rule itself, not from state.  pair_action is
 the same rule for a robot at the origin of a view given as plain pairs and
-their counts, which is how the simulator decides.
+their counts, which is how the simulator decides under three or more maxima.
 
 The rule branches on how many points carry the maximal multiplicity:
 
 * one maximum: everyone else heads there, but only while the segment to it
   is free of other occupied points (a careful move).
 * two maxima: robots standing on neither maximum walk carefully to the
-  closer of the two; robots on a maximum hold still.  An exact tie goes to
-  the lexicographically first in local coordinates, the rule's one frame
-  dependence, as a view symmetric about the robot has no frame-free
-  tie-break: from (1, 1) between camps at (0, 0) and (2, 0), a half turn
-  picks (2, 0), and the identity, a reflection or a quarter turn (0, 0).
+  closer of the two; robots on a maximum hold still.  A tie of the two
+  global distances, up to rounding (geometry.near_tie), goes to the one
+  nearer in the robot's view, then to the lexicographically first in local
+  coordinates: the rule's one frame dependence, as a view symmetric about
+  the robot has no frame-free tie-break.  From (1, 1) between camps at
+  (0, 0) and (2, 0), a half turn picks (2, 0), and the identity, a
+  reflection or a quarter turn (0, 0).  simulator.decide reads a frame
+  only there.
 * three or more: the smallest enclosing circle of the occupied points is
   shrunk.  If its interior is empty, everyone heads straight for the center.
   If all interior points already sit at the center, the maximal boundary

@@ -13,11 +13,12 @@ overshoots and never veers.
 The configuration and the views need not be rebuilt from all n robots.
 Each snapshot after the first is derived from the one before and the
 robots that moved (model.successor, which falls back to normalize when a
-key must be created or reordered).  A woken robot builds no view (decide):
-it maps the points the rule reads into its frame as plain float pairs (the
-maxima when there are one or two and no two occupied points can map to one
-image, every occupied point otherwise), merges those that map to one as its
-view would, and decides on the pairs.
+key must be created or reordered).  A woken robot builds no view (decide).
+Under one or two maxima it decides on the configuration, for the rule reads
+nothing a frame changes there, bar a tie of the two global distances up to
+rounding.  Under three or more it maps every occupied point into its frame
+as plain float pairs, merges those that map to one as its view would, and
+decides on the pairs.
 The configuration carries what is computed from it: its maxima, its
 enclosing circle and the stays decided on it.  A step in which no robot
 moves keeps the configuration object, and with it all three: a decision is a
@@ -38,9 +39,10 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional, Sequence, TextIO
 
 # Not called here: bench/tests/test_bench.py checks that the span tracer wraps this binding.
-from .geometry import Pair, Point, dist, on_circle, smallest_enclosing_circle  # noqa: F401
+from .geometry import Pair, Point, dist, near_tie, on_circle, smallest_enclosing_circle  # noqa: F401
 from .model import Configuration, Frame, ego_images, normalize, random_frame, successor
-from .protocol import BRANCH_UNIQUE_MAX, MOVE_CAREFUL, STAY, Action, pair_action, path_is_clear
+from .protocol import BRANCH_TWO_MAX, BRANCH_UNIQUE_MAX, MOVE_CAREFUL, STAY, Action
+from .protocol import maxima_target, pair_action, path_is_clear
 
 # Scheduler strategies.
 SYNCHRONOUS = "synchronous"
@@ -108,34 +110,30 @@ class Snapshot:
 
     ``t`` is the next step, ``robots`` a copy of the robots given,
     ``last_active[i]`` the last step robot i woke in, -1 until it wakes, and
-    ``config`` the configuration of their positions, which carries its
-    maxima, enclosing circle and stays.  ``step`` returns the snapshot after
-    it, and ``run`` keeps that as the one before the next step, so the
-    scheduler, ``step`` and every monitor share one configuration.  Only the
-    first snapshot of a run normalizes every position; ``step`` derives each
-    later configuration from the robots that moved, equal to normalize of
-    its positions item for item, and keeps the configuration object when no
-    robot moved.  A ``config`` given must be one that normalize or successor
-    built, since decisions go through its clustering.
+    ``config`` normalize of their positions, which carries its maxima,
+    enclosing circle and stays.  ``step`` returns the snapshot after it, and
+    ``run`` keeps that as the one before the next step, so the scheduler,
+    ``step`` and every monitor share one configuration.  Only the first
+    snapshot of a run normalizes every position: ``step`` derives each later
+    configuration from the robots that moved, equal to normalize of its
+    positions item for item, or keeps the configuration object when no robot
+    moved, and hands it on through ``_over``.
     """
 
-    def __init__(
-        self,
-        robots: Sequence[Robot],
-        t: int = 0,
-        last_active: Optional[list[int]] = None,
-        config: Optional[Configuration] = None,
-    ) -> None:
+    def __init__(self, robots: Sequence[Robot], t: int = 0, last_active: Optional[list[int]] = None) -> None:
         self.robots = list(robots)
         if not self.robots:
             raise ValueError("need at least one robot")
         self.t = t
         self.last_active = [-1] * len(self.robots) if last_active is None else last_active
-        if config is None:
-            config = normalize([r.pos for r in self.robots])
-        elif config.clustering is None:
-            raise ValueError("config must be built by normalize or successor: it has no clustering")
-        self.config = config
+        self.config = normalize([r.pos for r in self.robots])
+
+    @classmethod
+    def _over(cls, robots: list[Robot], t: int, last_active: list[int], config: Configuration) -> Snapshot:
+        """The snapshot of robots, taken as they are, on config, which must be what normalize makes of them."""
+        snap = cls.__new__(cls)
+        snap.robots, snap.t, snap.last_active, snap.config = robots, t, last_active, config
+        return snap
 
 
 def next_active(spec: SchedulerSpec, snap: Snapshot) -> list[int]:
@@ -231,55 +229,38 @@ def trace_line(t: int, i: int, robot: Robot, action: Optional[Action]) -> str:
     return f'{{"t":{t}' + _record_tail(i, robot, action)
 
 
-# decide maps only the maxima of a configuration no larger than this, for a
-# frame scale in this range: no two occupied points can then share an image.
-_MERGE_FREE_EXTENT = 2.0**16
-_MERGE_FREE_SCALE_LOW = 2.0**-900
-_MERGE_FREE_SCALE_HIGH = 2.0**900
-
-
 def decide(snap: Snapshot, robot: Robot) -> Action:
     """The rule's action for a robot woken on snap, in global coordinates,
     before the careful-move veto.
 
-    The points the rule reads are mapped into the robot's ego frame by
-    observe's operations, as plain pairs (model.ego_images).  Images that
-    round to one point merge into the first, counts added, as in the view
-    observe builds, and protocol.pair_action decides on the pairs as
-    compute_action decides on that view.  A target within eps of an occupied
-    point becomes that exact point, so robots aiming at one land on it and
-    multiplicity grows instead of leaving eps-separated dust.
+    With one or two maxima, protocol.maxima_target decides on the robot's
+    position and the configuration's maxima, so a target is a maximum
+    itself.  Only a tie of the two global distances, up to rounding
+    (geometry.near_tie), reads the frame: the robot's view breaks it as
+    compute_action would, toward the image nearer the robot, and at an exact
+    tie of those toward the lexicographically first.
 
-    With three or more maxima the rule reads every occupied point.  With one
-    or two it reads only the maxima, and a robot exactly on the unique
-    maximum stays at once, when no two occupied points can map to one image,
-    which would change the counts.  Proof, with u = 2**-53, s the frame's
-    scale and M a bound on every coordinate magnitude of the occupied points
-    and the robot's position (the largest over the positions the
-    configuration's neighbour grid indexed: positions reach later
-    configurations only by landing on a key, or by not moving): every image
-    coordinate is off by at most 16.1 u s M (the linear part of the point
-    and of the position, 6.1 u s M each, and the translation's sum,
-    4 u s M), while occupied points lie over EPS apart and their exact
-    images over (1 - 2u) s EPS apart (the computed cosine and sine are
-    within 2u).  M <= 2**16 makes that over three times
-    2 * sqrt(2) * 16.1 u s M, and 2**-900 <= s <= 2**900 keeps every product
-    finite and its underflow negligible beside s EPS.  Otherwise every
-    occupied point is mapped.
+    With three or more, every occupied point is mapped into the robot's ego
+    frame by observe's operations, as plain pairs (model.ego_images).
+    Images that round to one point merge into the first, counts added, as in
+    the view observe builds, and protocol.pair_action decides on the pairs
+    as compute_action decides on that view.  A target within eps of an
+    occupied point becomes that exact point, so robots aiming at one land on
+    it and multiplicity grows instead of leaving eps-separated dust.
     """
-    maxima = snap.config.maxima
-    if (
-        len(maxima) <= 2
-        and snap.config.clustering.grid.largest <= _MERGE_FREE_EXTENT
-        and _MERGE_FREE_SCALE_LOW <= robot.frame.scale <= _MERGE_FREE_SCALE_HIGH
-    ):
-        if len(maxima) == 1 and robot.pos == maxima[0]:
-            return Action(STAY, branch=BRANCH_UNIQUE_MAX)
-        # Only relative counts matter, and the maxima share theirs.
-        points, counts = maxima, [1] * len(maxima)
-    else:
-        points, counts = snap.config.occupied, list(snap.config.occupied.values())
-    images, to_global_ = ego_images(robot.frame, robot.pos, points)
+    config, own = snap.config, robot.pos
+    maxima = config.maxima
+    if len(maxima) <= 2:
+        branch = BRANCH_UNIQUE_MAX if len(maxima) == 1 else BRANCH_TWO_MAX
+        target = maxima_target(own, maxima)
+        if target is None:
+            return Action(STAY, branch=branch)
+        if len(maxima) == 2 and near_tie(own, *maxima):
+            a, b = ego_images(robot.frame, own, maxima)[0]
+            target = maxima[0] if (math.hypot(*a), a) <= (math.hypot(*b), b) else maxima[1]
+        return Action(MOVE_CAREFUL, target, branch)
+    images, to_global_ = ego_images(robot.frame, own, config.occupied)
+    counts = list(config.occupied.values())
     if len(set(images)) < len(images):
         merged: dict[Pair, int] = {}
         for q, count in zip(images, counts):
@@ -289,7 +270,7 @@ def decide(snap: Snapshot, robot: Robot) -> Action:
     if target is None:
         return Action(STAY, branch=branch)
     target = to_global_(target)
-    return Action(kind, snap.config.key_near(target) or target, branch)
+    return Action(kind, config.key_near(target) or target, branch)
 
 
 def step(snap: Snapshot, active: Sequence[int]) -> tuple[Snapshot, dict[int, Action]]:
@@ -332,8 +313,8 @@ def step(snap: Snapshot, active: Sequence[int]) -> tuple[Snapshot, dict[int, Act
         if i not in origins:
             stays[i] = (robot, action)
         actions[i] = action
-    after = Snapshot(robots, snap.t + 1, last_active,
-                     successor(config, [r.pos for r in robots], origins) if origins else config)
+    after = Snapshot._over(robots, snap.t + 1, last_active,
+                           successor(config, [r.pos for r in robots], origins) if origins else config)
     return after, actions
 
 
@@ -417,7 +398,7 @@ def run(
             # A new snapshot over the same configuration: no snapshot a step returned ever changes.
             rng = random.Random(f"{scheduler.seed}:frames:{snap.t}")
             redrawn = [replace(r, frame=random_frame(rng)) for r in snap.robots]
-            snap = Snapshot(redrawn, snap.t, snap.last_active, snap.config)
+            snap = Snapshot._over(redrawn, snap.t, snap.last_active, snap.config)
         before = snap
         snap, actions = step(before, next_active(scheduler, before))
         if trace is not None:

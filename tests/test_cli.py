@@ -309,15 +309,19 @@ def test_run_step_limit_exits_one(tmp_path, capsys):
 
 
 def test_run_fixed_point_exits_one(tmp_path, capsys):
-    # In a frame with unit 1e-8 the robot at x = 0.06 sees the other two
-    # within eps of itself, so nobody ever moves.
-    tiny = {"scale": 1e-8}
+    # The paper's two-robot witness: under frames a half turn apart each
+    # robot sees the same view, two maxima with itself on one, so nobody
+    # ever moves.
     cfg = {
-        "robots": [{"x": x, "y": 0.0, "sigma": 1.0, "frame": tiny} for x in (0.0, 0.0, 0.06)],
+        "robots": [
+            {"x": 0.0, "y": 0.0, "sigma": 1.0},
+            {"x": 1.0, "y": 0.0, "sigma": 1.0, "frame": {"rotation": math.pi}},
+        ],
         "scheduler": {"strategy": "synchronous"},
     }
     path = _write(tmp_path, cfg)
-    assert main(["run", "--config", path]) == 1
+    with pytest.warns(RuntimeWarning, match="2 robots"):
+        assert main(["run", "--config", path]) == 1
     record = json.loads(capsys.readouterr().out)
     assert record["status"] == "fixed_point"
     assert record["final_t"] == 1

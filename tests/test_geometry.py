@@ -26,6 +26,7 @@ from gathersim.geometry import (
     dist,
     hull_boundary_contains,
     make_sector_pair,
+    near_tie,
     on_circle,
     point_between_collinear,
     point_on_segment,
@@ -64,6 +65,18 @@ def test_points_coincide_basic():
     assert points_coincide(Point(0, 0), Point(0, 0))
     assert not points_coincide(Point(0, 0), Point(1, 0))
     assert points_coincide(Point(0, 0), Point(0, 5e-10))
+
+
+def test_near_tie_is_a_window_scaled_by_the_points():
+    assert near_tie(Point(0.0, 1.0), Point(-1.0, 0.0), Point(1.0, 0.0))
+    # From 2**32 away, 1.5e-9 along the line or across it is a tie up to
+    # rounding, though the first point is exactly closer.
+    own = Point(2.0**32, 0.0)
+    assert near_tie(own, Point(1.5e-9, 0.0), Point(0.0, 1.5e-9))
+    assert not near_tie(own, Point(0.0, 0.0), Point(-1.0, 0.0))
+    # The window is 2**-45 (M + dp + dq): here M = 1 and dp + dq is about 2.
+    for gap, tie in ((2.0**-45, True), (2.0**-42, False)):
+        assert near_tie(Point(0.0, 0.0), Point(1.0, 0.0), Point(1.0 - gap, 0.0)) is tie
 
 
 def test_point_on_segment_examples():

@@ -75,19 +75,6 @@ def test_snapshot_validation():
         Snapshot([])
 
 
-def test_snapshot_refuses_a_configuration_it_cannot_decide_on():
-    # Decisions snap targets through the configuration's neighbour index,
-    # which only normalize and successor build.
-    bots = _line([(0, 0), (0, 0), (2, 0)])
-    bare = model.Configuration({Point(0, 0): 2, Point(2, 0): 1})
-    with pytest.raises(ValueError, match="config"):
-        Snapshot(bots, config=bare)
-    snap = Snapshot(bots, config=model.normalize([b.pos for b in bots]))
-    assert snap.config == bare
-    after, actions = step(snap, [2])
-    assert actions[2].target == Point(0, 0) and after.robots[2].pos == Point(1, 0)
-
-
 def test_snapshot_copies_robots():
     bots = [Robot(Point(0, 0), 1)]
     snap = Snapshot(bots)
@@ -380,13 +367,9 @@ def test_step_limit_status():
     assert outcome.final_t == 3
 
 
-# Two stalls that used to run to the step limit with silent monitors: a
-# frame unit so small that a robot sees the others within eps, and
+# A stall that used to run to the step limit with silent monitors:
 # coordinates so large that a unit move rounds to no move.  (name, robots)
-STALLS = (
-    ("scale", [((0.0, 0.0), Frame(scale=1e-8))] * 2 + [((0.06, 0.0), Frame(scale=1e-8))]),
-    ("huge", [((1e300, 0.0), Frame()), ((-1e300, 0.0), Frame()), ((0.0, 1e300), Frame())]),
-)
+STALLS = (("huge", [((1e300, 0.0), Frame()), ((-1e300, 0.0), Frame()), ((0.0, 1e300), Frame())]),)
 
 
 @pytest.mark.parametrize("name, placed", STALLS, ids=[s[0] for s in STALLS])
@@ -399,10 +382,22 @@ def test_stall_ends_at_its_fixed_point(name, placed):
     assert outcome.monitor_violations == []
 
 
-# A third stall, pinned as it stands: near 2**45, where one ulp is 2**-7, a
-# careful move's target is the maximum mapped into the mover's frame and
-# back, 0.002 beside it and so beyond eps, and the veto finds the maximum
-# itself on the way there, at every wake.  (position, frame), sigma 1e15.
+def test_robots_whose_unit_is_far_below_eps_gather():
+    # In a frame with unit 1e-8 the robot at x = 0.06 sees the other two
+    # within eps of itself, in its own units; it walks to their maximum all
+    # the same, since the rule reads no unit there.
+    bots = [Robot(Point(x, 0.0), 1.0, Frame(scale=1e-8)) for x in (0.0, 0.0, 0.06)]
+    outcome, _ = run(bots, SchedulerSpec(SYNCHRONOUS, 1), monitors=attach_lemma_monitors())
+    assert (outcome.status, outcome.final_t) == (GATHERED, 1)
+    assert outcome.final_config.occupied == {Point(0.0, 0.0): 3}
+    assert outcome.monitor_violations == []
+
+
+# A stall that ended at a fixed point while decisions went through frames:
+# near 2**45, where one ulp is 2**-7, a careful move's target was the
+# maximum mapped into the mover's frame and back, 0.002 beside it and so
+# beyond eps, and the veto found the maximum itself on the way there, at
+# every wake.  The target is now the maximum.  (position, frame), sigma 1e15.
 ULP_STALL = (
     ((0.0, 0.0), Frame(rotation=1.0)),
     ((2.0**41, 2.0**45), Frame()),
@@ -412,12 +407,11 @@ ULP_STALL = (
 )
 
 
-def test_careful_move_that_misses_its_maximum_by_rounding_ends_at_a_fixed_point():
+def test_careful_moves_near_2_45_land_on_their_maximum_and_gather():
     bots = [Robot(Point(*pos), 1e15, frame) for pos, frame in ULP_STALL]
     outcome, _ = run(bots, SchedulerSpec(SYNCHRONOUS), monitors=attach_lemma_monitors())
-    assert outcome.status == FIXED_POINT
-    assert outcome.final_t == 3
-    assert outcome.final_config.occupied == {Point(2199023255552.002, 2.0**45): 4, Point(-(2.0**45), 0.0): 1}
+    assert (outcome.status, outcome.final_t) == (GATHERED, 3)
+    assert outcome.final_config.occupied == {Point(2199023255552.002, 2.0**45): 5}
     assert outcome.monitor_violations == []
 
 
