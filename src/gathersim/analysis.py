@@ -145,7 +145,7 @@ def check_radius_decrease(points: Sequence[Point], lam: float) -> bool:
             moved.append(Point(p.x + lam * (cx - p.x), p.y + lam * (cy - p.y)))
         else:
             moved.append(p)
-    after = smallest_enclosing_circle(list(dict.fromkeys(moved)))
+    after = smallest_enclosing_circle(moved)
     return after.radius < before.radius
 
 

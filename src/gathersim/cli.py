@@ -9,8 +9,9 @@ field.  The coincidence tolerance is the fixed geometry.EPS; no config key or
 environment variable sets it.  A robot coordinate, and a frame's scale times
 the largest coordinate magnitude, may not exceed geometry.COORD_LIMIT = 2**300
 in magnitude: a robot's view must stay inside the domain where the smallest
-enclosing circle is exact.  run --trace and sweep --out share one output rule,
-_output.  Only main turns errors into exit codes: a ConfigError into 2 and an
+enclosing circle is exact.  A frame's tx and ty must be numbers and are then
+ignored, since a robot's frame is centred on the robot.  run --trace and
+sweep --out share one output rule, _output.  Only main turns errors into exit codes: a ConfigError into 2 and an
 OutputError, a file that could not be written, into 1.
 """
 
@@ -135,10 +136,11 @@ def _parse_frame(raw: Any, where: str) -> Frame:
     scale = _as_number(data.get("scale", 1.0), f"{where}.scale")
     if scale <= 0.0:
         raise ConfigError(f"{where}.scale: must be > 0")
-    tx = _as_number(data.get("tx", 0.0), f"{where}.tx")
-    ty = _as_number(data.get("ty", 0.0), f"{where}.ty")
+    # A frame is centred on its robot: an origin is checked, then dropped.
+    _as_number(data.get("tx", 0.0), f"{where}.tx")
+    _as_number(data.get("ty", 0.0), f"{where}.ty")
     reflected = _as_bool(data.get("reflected", False), f"{where}.reflected")
-    return Frame(rotation, scale, (tx, ty), reflected)
+    return Frame(rotation, scale, reflected)
 
 
 def _parse_robot(raw: Any, index: int) -> Robot:

@@ -15,10 +15,12 @@ precisely the indices of the stored points p with ``dist(q, p) <= eps``, the
 comparison points_coincide makes at EPS.
 The grid only prunes; every candidate is settled by that same comparison.
 
-smallest_enclosing_circle is bit-for-bit a function of the point set: input
-order never changes a bit of the result.  It runs on plain floats for speed,
-and tests/test_sec_kernel.py pins its output bits against the object-based
-construction it replaced, kept there verbatim as the oracle.  Two shortcuts
+smallest_enclosing_circle is bit-for-bit a function of the set of points it
+is given: neither input order nor repeats change a bit of the result, bar
+the sign of a zero (of two points equal but for it, the first given is
+kept).  It runs on plain floats for speed, and tests/test_sec_kernel.py pins
+its output bits against the object-based construction it replaced, kept
+there verbatim as the oracle.  Two shortcuts
 keep every bit: an enclosure test compares a squared distance before it calls
 hypot (proof in the comment above _SHRINK), and the two-point step skips the
 circumcircles that cannot win (proof in _sec_two_known's docstring).  Its shuffle
@@ -305,21 +307,19 @@ _SQUARED_HIGH = 2.0**500
 
 
 def smallest_enclosing_circle(points: Iterable[Pair]) -> Circle:
-    """Smallest circle enclosing the given distinct points.
+    """Smallest circle enclosing the set of the given points; repeats are dropped.
 
     Welzl's randomized incremental construction (1991), iterative with two
     fixed boundary points at most; expected linear time.  The shuffle is
-    seeded from a checksum of the sorted input coordinates, so the same point
-    set always walks the same path and returns bit-identical output,
-    regardless of input order.  The two-point step, _sec_two_known, skips
-    the circumcircles that cannot win; its docstring proves that this keeps
-    every bit.
+    seeded from a checksum of the sorted distinct coordinates, so the same
+    point set always walks the same path and returns bit-identical output,
+    regardless of input order and repeats.  The two-point step,
+    _sec_two_known, skips the circumcircles that cannot win; its docstring
+    proves that this keeps every bit.
     """
-    pts = list(points)
-    if not pts:
+    shuffled = sorted(set(points))
+    if not shuffled:
         raise ValueError("smallest_enclosing_circle needs at least one point")
-    _require_distinct(pts)
-    shuffled = sorted(pts)
     seed = zlib.crc32(struct.pack(f"<{2 * len(shuffled)}d", *itertools.chain.from_iterable(shuffled)))
     _shuffle(shuffled, seed)
     hypot = math.hypot

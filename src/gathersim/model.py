@@ -1,9 +1,10 @@
-"""Configurations and local coordinate frames.
+"""Configurations and robot-centred frames.
 
-A configuration is the multiset of occupied points; a robot's view is the
-same configuration after its own similarity transform, with exact counts
-(strong multiplicity detection).  Robots never share an origin, unit or
-handedness, so every observation goes through a Frame.
+A configuration is the multiset of occupied points, with exact counts
+(strong multiplicity detection).  A robot's frame is centred on the robot
+and has its own orientation, unit and handedness (Frame); robots share none
+of them.  ego_images is the one map into a frame, and observe builds a whole
+view on it.
 """
 
 from __future__ import annotations
@@ -91,47 +92,28 @@ class Configuration:
 
 @dataclass(frozen=True)
 class Frame:
-    """Similarity transform from global to local coordinates.
+    """A robot's similarity frame, centred on the robot.
 
-    local = scale * R(rotation) * M * global + translation, where M mirrors
-    the y axis when ``reflected`` is set.  Inverses exist because scale must
-    be positive.  A robot's own translation changes no decision: a robot
-    observes through ``ego_frame``, which replaces it, so the config keys
-    ``tx`` and ``ty`` are accepted and have no effect.
+    local = scale * R(rotation) * M * (global - pos) in exact arithmetic,
+    where M mirrors the y axis when ``reflected`` is set and pos is the
+    robot's own position: a robot has no origin of its own, only an
+    orientation, a unit and a handedness (ego_images maps into it).
+    Inverses exist because scale must be positive.
     """
 
     rotation: float = 0.0
     scale: float = 1.0
-    translation: tuple[float, float] = (0.0, 0.0)
     reflected: bool = False
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.rotation):
+            raise ValueError("frame rotation must be finite")
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise ValueError("frame scale must be positive and finite")
 
 
-def _cos_sin(frame: Frame) -> tuple[float, float]:
-    return math.cos(frame.rotation), math.sin(frame.rotation)
-
-
-def _linear_part(frame: Frame, c: float, s: float, x: float, y: float) -> tuple[float, float]:
-    """scale * R * M applied to (x, y), given c, s = _cos_sin(frame)."""
-    if frame.reflected:
-        y = -y
-    return frame.scale * (c * x - s * y), frame.scale * (s * x + c * y)
-
-
-def to_local(frame: Frame, p: Point) -> Point:
-    return Point(*_images(frame, *_cos_sin(frame), *frame.translation, (p,))[0])
-
-
-def to_global(frame: Frame, p: Point) -> Point:
-    """Inverse of to_local; to_global(f, to_local(f, p)) == p up to rounding."""
-    return _preimage(frame, *_cos_sin(frame), *frame.translation, p)
-
-
 def _preimage(frame: Frame, c: float, s: float, tx: float, ty: float, p: Point) -> Point:
-    """The inverse of _images's map with the same arguments, on one point."""
+    """The inverse of ego_images's map with the same arguments, on one point."""
     x = (p.x - tx) / frame.scale
     y = (p.y - ty) / frame.scale
     gx = c * x + s * y
@@ -141,45 +123,32 @@ def _preimage(frame: Frame, c: float, s: float, tx: float, ty: float, p: Point) 
     return Point(gx, gy)
 
 
-def ego_frame(frame: Frame, pos: Point) -> Frame:
-    """Same orientation, scale and handedness, but origin pinned at pos.
+def ego_images(frame: Frame, pos: Point, points: Iterable[Point]) -> tuple[list[Pair], partial[Point]]:
+    """The images of points in the frame of a robot at pos, as Pairs, and to_global, the map back.
 
-    The returned frame maps pos to exactly (0.0, 0.0), bit-for-bit, which is
-    what lets a robot recognise "my own position" in its view without any
-    tolerance games.
+    Each point p maps to scale * R * M * p - scale * R * M * pos, so pos
+    itself maps to exactly (0.0, 0.0), bit for bit: a robot recognises its
+    own position without a tolerance.  Cosine and sine are computed once.
     """
-    lx, ly = _linear_part(frame, *_cos_sin(frame), pos.x, pos.y)
-    return Frame(frame.rotation, frame.scale, (-lx, -ly), frame.reflected)
+    c, s = math.cos(frame.rotation), math.sin(frame.rotation)
+    # Multiplying by m = -1.0 negates exactly.
+    scale, m = frame.scale, -1.0 if frame.reflected else 1.0
+    tx, ty = -(scale * (c * pos.x - s * (m * pos.y))), -(scale * (s * pos.x + c * (m * pos.y)))
+    images = [(scale * (c * x - s * (m * y)) + tx, scale * (s * x + c * (m * y)) + ty) for x, y in points]
+    return images, partial(_preimage, frame, c, s, tx, ty)
 
 
-def observe(config: Configuration, frame: Frame) -> Configuration:
-    """Project a configuration into a robot's local coordinates, counts kept.
+def observe(config: Configuration, frame: Frame, pos: Point) -> Configuration:
+    """A robot's view of a configuration: ego_images of its occupied points, counts kept.
 
-    Each point maps exactly as to_local maps it, with the same operations in
-    the same order; the rotation's cosine and sine are computed once for the
-    whole view.  Two occupied points that round to one local point become
-    one point holding both counts, so the view keeps every robot.
+    Two occupied points whose images round to one local point become one
+    point holding both counts, so the view keeps every robot.
     """
     occupied = config.occupied
     local: dict[Pair, int] = {}
-    for q, count in zip(_images(frame, *_cos_sin(frame), *frame.translation, occupied), occupied.values()):
+    for q, count in zip(ego_images(frame, pos, occupied)[0], occupied.values()):
         local[q] = local.get(q, 0) + count
     return Configuration({Point(*q): count for q, count in local.items()})
-
-
-def _images(frame: Frame, c: float, s: float, tx: float, ty: float, points: Iterable[Point]) -> list[Pair]:
-    """scale * R * M, then + (tx, ty), on each point, as a Pair, given c, s = _cos_sin(frame)."""
-    # Multiplying by m = -1.0 negates exactly, as _linear_part's mirror does.
-    scale, m = frame.scale, -1.0 if frame.reflected else 1.0
-    return [(scale * (c * x - s * (m * y)) + tx, scale * (s * x + c * (m * y)) + ty) for x, y in points]
-
-
-def ego_images(frame: Frame, pos: Point, points: Iterable[Point]) -> tuple[list[Pair], partial[Point]]:
-    """What observe makes of points under ego_frame(frame, pos), merging aside, as Pairs, and to_global
-    under it: the same operations, with no Frame built and cosine and sine computed once."""
-    c, s = _cos_sin(frame)
-    lx, ly = _linear_part(frame, c, s, pos.x, pos.y)
-    return _images(frame, c, s, -lx, -ly, points), partial(_preimage, frame, c, s, -lx, -ly)
 
 
 def max_points(occupied: dict[Point, int]) -> list[Point]:
@@ -191,13 +160,14 @@ def max_points(occupied: dict[Point, int]) -> list[Point]:
 
 
 def random_frame(rng: random.Random) -> Frame:
-    """Draw a frame with random orientation, unit, handedness and origin."""
-    return Frame(
-        rotation=rng.uniform(0.0, math.tau),
-        scale=rng.uniform(0.5, 2.0),
-        translation=(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)),
-        reflected=rng.random() < 0.5,
-    )
+    """Draw a frame with random orientation, unit and handedness.
+
+    Two draws of an origin that frames no longer have are made and dropped,
+    so every seeded stream stays as it was.
+    """
+    rotation, scale = rng.uniform(0.0, math.tau), rng.uniform(0.5, 2.0)
+    rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+    return Frame(rotation, scale, rng.random() < 0.5)
 
 
 def normalize(raw_positions: Iterable[Point]) -> Configuration:

@@ -3,8 +3,9 @@
 compute_action is a pure function of one robot's view and its own position in
 that view.  It never remembers anything between activations; determinism and
 convergence must come from the rule itself, not from state.  pair_action is
-the same rule for a robot at the origin of a view given as plain pairs and
-their counts, which is how the simulator decides under three or more maxima.
+the rule under three or more maxima for a robot at the origin of its frame,
+given the images of the occupied points as plain pairs and the
+configuration's counts, which is how the simulator decides there.
 
 The rule branches on how many points carry the maximal multiplicity:
 
@@ -62,9 +63,6 @@ BRANCHES = (
     BRANCH_BOUNDARY_TO_CENTER,
     BRANCH_INSIDE_TO_CENTER,
 )
-
-_ORIGIN = Point(0.0, 0.0)
-
 
 @dataclass(frozen=True)
 class Action:
@@ -175,19 +173,17 @@ def maxima_target(own: Point, maxima: Sequence[Point]) -> Optional[Point]:
 
 
 def pair_action(images: Sequence[Pair], counts: Sequence[int]) -> tuple[str, Optional[Point], str]:
-    """compute_action(view, (0, 0)) on a view given as its pairwise unequal points and their counts,
+    """The rule for a robot at (0, 0) among images with counts that hold three or more maxima,
     as (kind, local target or None, branch); (0, 0) is within EPS of (x, y) when hypot(x, y) <= EPS.
 
-    The label needs only the first interior image more than EPS from the center, and
-    the robot can stand only on an image with |x| <= EPS and |y| <= EPS, since a
-    faithful hypot(x, y) is never below max(|x|, |y|); so neither scan reads more.
+    On pairwise unequal images this is compute_action on the view they make.
+    Images that round to one point are not merged: the circle encloses the
+    set of images, and each keeps its own count.  The label needs only the
+    first interior image more than EPS from the center, and the robot can
+    stand only on an image with |x| <= EPS and |y| <= EPS, since a faithful
+    hypot(x, y) is never below max(|x|, |y|); so neither scan reads more.
     """
     top = max(counts)
-    if counts.count(top) <= 2:
-        maxima = sorted([Point(*q) for q, count in zip(images, counts) if count == top])
-        branch = BRANCH_UNIQUE_MAX if len(maxima) == 1 else BRANCH_TWO_MAX
-        target = maxima_target(_ORIGIN, maxima)
-        return (STAY if target is None else MOVE_CAREFUL), target, branch
     hypot = math.hypot
     (cx, cy), r = sec = smallest_enclosing_circle(images)
     label = BRANCH_ALL_TO_CENTER

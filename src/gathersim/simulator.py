@@ -17,8 +17,7 @@ key must be created or reordered).  A woken robot builds no view (decide).
 Under one or two maxima it decides on the configuration, for the rule reads
 nothing a frame changes there, bar a tie of the two global distances up to
 rounding.  Under three or more it maps every occupied point into its frame
-as plain float pairs, merges those that map to one as its view would, and
-decides on the pairs.
+as plain float pairs and decides on them with the configuration's counts.
 The configuration carries what is computed from it: its maxima, its
 enclosing circle and the stays decided on it.  A step in which no robot
 moves keeps the configuration object, and with it all three: a decision is a
@@ -39,7 +38,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional, Sequence, TextIO
 
 # Not called here: bench/tests/test_bench.py checks that the span tracer wraps this binding.
-from .geometry import Pair, Point, dist, near_tie, on_circle, smallest_enclosing_circle  # noqa: F401
+from .geometry import Point, dist, near_tie, on_circle, smallest_enclosing_circle  # noqa: F401
 from .model import Configuration, Frame, ego_images, normalize, random_frame, successor
 from .protocol import BRANCH_TWO_MAX, BRANCH_UNIQUE_MAX, MOVE_CAREFUL, STAY, Action
 from .protocol import maxima_target, pair_action, path_is_clear
@@ -240,13 +239,13 @@ def decide(snap: Snapshot, robot: Robot) -> Action:
     compute_action would, toward the image nearer the robot, and at an exact
     tie of those toward the lexicographically first.
 
-    With three or more, every occupied point is mapped into the robot's ego
-    frame by observe's operations, as plain pairs (model.ego_images).
-    Images that round to one point merge into the first, counts added, as in
-    the view observe builds, and protocol.pair_action decides on the pairs
-    as compute_action decides on that view.  A target within eps of an
-    occupied point becomes that exact point, so robots aiming at one land on
-    it and multiplicity grows instead of leaving eps-separated dust.
+    With three or more, every occupied point is mapped into the robot's
+    frame as a plain pair (model.ego_images), and protocol.pair_action
+    decides on the pairs and the configuration's own counts: a similarity
+    keeps distinct points distinct, so nothing is merged, even where two
+    images round to one.  A target within eps of an occupied point becomes
+    that exact point, so robots aiming at one land on it and multiplicity
+    grows instead of leaving eps-separated dust.
     """
     config, own = snap.config, robot.pos
     maxima = config.maxima
@@ -259,17 +258,11 @@ def decide(snap: Snapshot, robot: Robot) -> Action:
             a, b = ego_images(robot.frame, own, maxima)[0]
             target = maxima[0] if (math.hypot(*a), a) <= (math.hypot(*b), b) else maxima[1]
         return Action(MOVE_CAREFUL, target, branch)
-    images, to_global_ = ego_images(robot.frame, own, config.occupied)
-    counts = list(config.occupied.values())
-    if len(set(images)) < len(images):
-        merged: dict[Pair, int] = {}
-        for q, count in zip(images, counts):
-            merged[q] = merged.get(q, 0) + count
-        images, counts = list(merged), list(merged.values())
-    kind, target, branch = pair_action(images, counts)
+    images, to_global = ego_images(robot.frame, own, config.occupied)
+    kind, target, branch = pair_action(images, list(config.occupied.values()))
     if target is None:
         return Action(STAY, branch=branch)
-    target = to_global_(target)
+    target = to_global(target)
     return Action(kind, config.key_near(target) or target, branch)
 
 

@@ -114,6 +114,14 @@ def _line_config(**extra):
             "robots[2].frame.tx: too large",
             id="huge-frame-tx",
         ),
+        pytest.param(
+            lambda c: c["robots"][1].update(frame={"ty": "up"}), "robots[1].frame.ty: expected a number", id="frame-ty"
+        ),
+        pytest.param(
+            lambda c: c["robots"][0].update(frame={"rotation": math.inf}),
+            "robots[0].frame.rotation: must be finite",
+            id="infinite-rotation",
+        ),
         pytest.param(lambda c: c.update(eps=1e-9), "eps: unknown field", id="eps-unknown"),
         pytest.param(
             lambda c: c["robots"][1].update(x=2.0**300 * 1.5), "robots[1].x: magnitude", id="far-x"
@@ -177,7 +185,7 @@ def test_parse_config_reads_every_field():
     )
     assert config == RunConfig(
         robots=[
-            Robot(Point(0.25, -1.5), 0.7, Frame(0.3, 1.2, (0.1, -0.2), True)),
+            Robot(Point(0.25, -1.5), 0.7, Frame(0.3, 1.2, True)),
             Robot(Point(2.0, 3.0), 1.1),
         ],
         scheduler=SchedulerSpec("random_subset", 99, 6),

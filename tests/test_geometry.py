@@ -16,6 +16,7 @@ from gathersim.geometry import (
     CONCAVE,
     CONVEX,
     STRAIGHT,
+    Circle,
     DegenerateHull,
     Point,
     Polygon,
@@ -232,10 +233,10 @@ def test_sec_single_point():
 
 
 def test_sec_rejects_empty_and_duplicates():
+    # Repeats are dropped rather than refused: tests/test_sec_kernel.py checks them.
     with pytest.raises(ValueError):
         smallest_enclosing_circle([])
-    with pytest.raises(ValueError):
-        smallest_enclosing_circle([Point(1, 1), Point(1, 1)])
+    assert smallest_enclosing_circle([Point(1, 1), Point(1, 1)]) == Circle(Point(1, 1), 0.0)
 
 
 def test_sec_input_order_invariant_bitwise():

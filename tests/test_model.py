@@ -1,10 +1,13 @@
 """Configuration, view and frame tests.
 
-The frame examples are chosen so the expected locals are exact in binary
+A frame is centred on its robot, so every map is ego_images from some
+robot's position, and to_global is the map back that it returns.  The frame
+examples are chosen so the expected locals are exact in binary
 (axis-aligned rotations, power-of-two scales); round trips through arbitrary
 frames only get the shared 1e-9 budget.
 """
 
+import dataclasses
 import math
 import random
 
@@ -16,15 +19,14 @@ from gathersim.geometry import Point, dist
 from gathersim.model import (
     Configuration,
     Frame,
-    ego_frame,
+    ego_images,
     max_points,
     normalize,
     observe,
     random_frame,
-    to_global,
-    to_local,
 )
 
+ORIGIN = Point(0.0, 0.0)
 
 
 def _frames():
@@ -32,12 +34,24 @@ def _frames():
         Frame,
         rotation=st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
         scale=st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
-        translation=st.tuples(
-            st.floats(min_value=-20.0, max_value=20.0, allow_nan=False),
-            st.floats(min_value=-20.0, max_value=20.0, allow_nan=False),
-        ),
         reflected=st.booleans(),
     )
+
+
+def to_global(frame, pos, q):
+    """The global point whose image in the frame of a robot at pos is q."""
+    return ego_images(frame, pos, [])[1](q)
+
+
+def to_local(frame, pos, p):
+    """The image of p in the frame of a robot at pos, written out plainly:
+    scale * R * M applied to p, less the same applied to pos."""
+    c, s = math.cos(frame.rotation), math.sin(frame.rotation)
+    px, py, ox, oy = p.x, p.y, pos.x, pos.y
+    if frame.reflected:
+        py, oy = -py, -oy
+    lx, ly = frame.scale * (c * ox - s * oy), frame.scale * (s * ox + c * oy)
+    return Point(frame.scale * (c * px - s * py) + -lx, frame.scale * (s * px + c * py) + -ly)
 
 
 def _coords():
@@ -101,45 +115,47 @@ def test_frame_scale_validation():
         Frame(scale=math.inf)
 
 
+@pytest.mark.parametrize("rotation", [math.inf, -math.inf, math.nan])
+def test_frame_rotation_must_be_finite(rotation):
+    # math.cos would raise mid-run on an infinite angle, and a NaN one would
+    # make every image NaN in silence.
+    with pytest.raises(ValueError, match="rotation"):
+        Frame(rotation=rotation)
+
+
+def test_frame_has_no_origin():
+    assert [f.name for f in dataclasses.fields(Frame)] == ["rotation", "scale", "reflected"]
+
+
 def test_to_global_identity():
-    assert to_global(Frame(), Point(3, 4)) == Point(3, 4)
+    assert to_global(Frame(), ORIGIN, Point(3, 4)) == Point(3, 4)
 
 
 def test_to_global_undoes_scale():
     frame = Frame(scale=2.0)
-    assert to_global(frame, Point(2, 0)) == Point(1, 0)
+    assert to_global(frame, ORIGIN, Point(2, 0)) == Point(1, 0)
 
 
 def test_to_global_undoes_reflection():
     frame = Frame(reflected=True)
-    assert to_global(frame, Point(0, 1)) == Point(0, -1)
-
-
-def test_translation_applies_after_linear_part():
-    frame = Frame(scale=2.0, translation=(10.0, -1.0))
-    assert to_local(frame, Point(3, 4)) == Point(16.0, 7.0)
-    assert to_global(frame, Point(16.0, 7.0)) == Point(3, 4)
+    assert to_global(frame, ORIGIN, Point(0, 1)) == Point(0, -1)
 
 
 @settings(max_examples=300)
-@given(_frames(), st.tuples(_coords(), _coords()))
-def test_frame_round_trip(frame, raw):
-    p = Point(*raw)
-    q = to_global(frame, to_local(frame, p))
-    assert dist(p, q) <= 1e-9 * max(1.0, abs(p.x), abs(p.y))
+@given(_frames(), st.tuples(_coords(), _coords()), st.tuples(_coords(), _coords()))
+def test_frame_round_trip(frame, raw, own):
+    p, pos = Point(*raw), Point(*own)
+    q = to_global(frame, pos, Point(*ego_images(frame, pos, [p])[0][0]))
+    assert dist(p, q) <= 1e-9 * max(1.0, abs(p.x), abs(p.y), abs(pos.x), abs(pos.y))
 
 
 @settings(max_examples=200)
 @given(_frames(), st.tuples(_coords(), _coords()))
 def test_ego_frame_puts_self_at_exact_origin(frame, raw):
+    # The robot's own image is (0.0, 0.0), bit for bit, zeros of either sign included.
     pos = Point(*raw)
-    ego = ego_frame(frame, pos)
-    assert to_local(ego, pos) == Point(0.0, 0.0)
-    assert (ego.rotation, ego.scale, ego.reflected) == (
-        frame.rotation,
-        frame.scale,
-        frame.reflected,
-    )
+    ((x, y),) = ego_images(frame, pos, [pos])[0]
+    assert (x.hex(), y.hex()) == ((0.0).hex(), (0.0).hex())
 
 
 def test_random_frame_ranges():
@@ -148,38 +164,55 @@ def test_random_frame_ranges():
         f = random_frame(rng)
         assert 0.0 <= f.rotation < math.tau
         assert 0.5 <= f.scale <= 2.0
-        assert all(-3.0 <= t <= 3.0 for t in f.translation)
         assert isinstance(f.reflected, bool)
+
+
+def test_random_frame_draws_as_many_numbers_as_before():
+    # Two draws once made an origin; they are made and dropped, so seeded streams are unchanged.
+    rng, replay = random.Random(11), random.Random(11)
+    frame = random_frame(rng)
+    rotation, scale, _, _, flip = (replay.uniform(0.0, math.tau), replay.uniform(0.5, 2.0),
+                                   replay.uniform(-3.0, 3.0), replay.uniform(-3.0, 3.0), replay.random())
+    assert frame == Frame(rotation, scale, flip < 0.5)
+    assert rng.random() == replay.random()
 
 
 # -- observation --------------------------------------------------------------
 
 
 def test_observe_identity_strong():
-    view = observe(Configuration({Point(0, 0): 3}), Frame())
+    view = observe(Configuration({Point(0, 0): 3}), Frame(), ORIGIN)
     assert isinstance(view, Configuration)
     assert view.occupied == {Point(0, 0): 3}
 
 
 def test_observe_quarter_turn():
-    view = observe(Configuration({Point(1, 0): 2}), Frame(rotation=math.pi / 2))
+    view = observe(Configuration({Point(1, 0): 2}), Frame(rotation=math.pi / 2), ORIGIN)
     ((q, count),) = view.occupied.items()
     assert count == 2
     assert dist(q, Point(0, 1)) <= 1e-9
+
+
+def test_observe_centres_the_view_on_the_robot():
+    view = observe(Configuration({Point(3, 4): 1, Point(5, 4): 2}), Frame(scale=2.0), Point(3, 4))
+    assert view.occupied == {Point(0, 0): 1, Point(4, 0): 2}
 
 
 @settings(max_examples=150)
 @given(
     _frames(),
     st.lists(st.tuples(_coords(), _coords()).map(lambda t: Point(*t)), min_size=1, max_size=12, unique=True),
+    st.tuples(_coords(), _coords()),
 )
-def test_observe_maps_every_point_exactly_as_to_local(frame, pts):
+def test_observe_maps_every_point_exactly_as_to_local(frame, pts, own):
+    pos = Point(*own)
     config = Configuration({p: k + 1 for k, p in enumerate(pts)})
     expected = {}
     for p, count in config.occupied.items():
-        q = to_local(frame, p)
+        q = to_local(frame, pos, p)
         expected[q] = expected.get(q, 0) + count
-    assert list(observe(config, frame).occupied.items()) == list(expected.items())
+    assert [Point(*q) for q in ego_images(frame, pos, config.occupied)[0]] == [to_local(frame, pos, p) for p in pts]
+    assert list(observe(config, frame, pos).occupied.items()) == list(expected.items())
 
 
 def test_observe_adds_the_counts_of_points_that_map_to_one_local_point():
@@ -188,8 +221,7 @@ def test_observe_adds_the_counts_of_points_that_map_to_one_local_point():
         [Point(1e8, 0.0), Point(math.nextafter(1e8, math.inf), 0.0), Point(0.0, 0.0), Point(0.0, 0.0)]
     )
     assert config.occupied == {Point(1e8, 0.0): 1, Point(math.nextafter(1e8, math.inf), 0.0): 1, Point(0.0, 0.0): 2}
-    frame = ego_frame(Frame(rotation=4.5220379111216165, scale=0.8277059073373241), Point(0.0, 0.0))
-    view = observe(config, frame)
+    view = observe(config, Frame(rotation=4.5220379111216165, scale=0.8277059073373241), ORIGIN)
     assert len(view.occupied) == 2
     assert sum(view.occupied.values()) == 4
 
@@ -209,17 +241,18 @@ def test_view_equivariance(raw_occupied, seed):
 
     Only well-formed configurations qualify: keys closer than the coincidence
     tolerance would have been merged by normalize and can alias after the
-    round trip, so the strategy keeps them clearly separated.
+    round trip, so the strategy keeps them clearly separated.  The view is
+    taken from the first occupied point.
     """
     assume(_keys_separated(raw_occupied))
     cfg = Configuration(raw_occupied)
-    frame = random_frame(random.Random(seed))
-    view = observe(cfg, frame)
+    frame, pos = random_frame(random.Random(seed)), next(iter(raw_occupied))
+    view = observe(cfg, frame, pos)
     assert sum(view.occupied.values()) == sum(cfg.occupied.values())
-    recovered = {to_global(frame, q): count for q, count in view.occupied.items()}
+    recovered = {to_global(frame, pos, q): count for q, count in view.occupied.items()}
     assert len(recovered) == len(cfg.occupied)
     for p, count in cfg.occupied.items():
-        match = [g for g in recovered if dist(g, p) <= 1e-9 * max(1.0, abs(p.x), abs(p.y))]
+        match = [g for g in recovered if dist(g, p) <= 1e-9 * max(1.0, abs(p.x), abs(p.y), abs(pos.x), abs(pos.y))]
         assert len(match) == 1
         assert recovered[match[0]] == count
 
@@ -237,14 +270,14 @@ def test_view_equivariance(raw_occupied, seed):
 def test_max_points_frame_invariant(raw_occupied, seed):
     assume(_keys_separated(raw_occupied))
     cfg = Configuration(raw_occupied)
-    frame = random_frame(random.Random(seed))
-    view = observe(cfg, frame)
+    frame, pos = random_frame(random.Random(seed)), next(iter(raw_occupied))
+    view = observe(cfg, frame, pos)
     local_max = max_points(view.occupied)
     global_max = max_points(cfg.occupied)
-    back = [to_global(frame, q) for q in local_max]
+    back = [to_global(frame, pos, q) for q in local_max]
     assert len(back) == len(global_max)
     for g in back:
-        assert any(dist(g, p) <= 1e-8 * max(1.0, abs(p.x), abs(p.y)) for p in global_max)
+        assert any(dist(g, p) <= 1e-8 * max(1.0, abs(p.x), abs(p.y), abs(pos.x), abs(pos.y)) for p in global_max)
 
 
 # -- normalize ----------------------------------------------------------------

@@ -24,7 +24,7 @@ import warnings
 from gathersim import cli
 from gathersim.analysis import attach_lemma_monitors, random_robots, run_sweep
 from gathersim.geometry import Point
-from gathersim.model import Frame, ego_frame, max_points, normalize, observe
+from gathersim.model import Frame, max_points, normalize, observe
 from gathersim.simulator import SchedulerSpec
 from streamed import traced_run
 
@@ -101,12 +101,13 @@ BOUNDARY_TRACE_DIGEST = "cb0e015513f7bd9d96875632eaee7dceb3e4177c6d1496e0bf9e310
 VETO_TRACE_DIGEST = "2c3bf0cb842b90fd6db6d93b424d119a141b021186f011353daff4ce0da9050c"
 
 # Two robots at neighbouring floats near 2**41, an ulp (2**-11) apart, and a
-# robot at the origin under a quarter-radian frame, in whose view their
-# images round to one point with both counts.  In the first configuration
-# that point becomes the unique maximum of the view; in the second it joins
-# three camps of two as a fourth.  Everyone else sees every key apart.  Both
-# runs gather; the second with a radius-progress finding, as one ulp at 2**45
-# is 2**-7, far above EPS.
+# robot at the origin under a one-radian frame, in whose view their images
+# round to one point with both counts.  In the first configuration that
+# point would become the unique maximum of the view; in the second it would
+# join three camps of two as a fourth.  The robot decides on the
+# configuration's counts, so it takes an SEC branch in both.  Everyone else
+# sees every key apart.  Both runs gather; the second with a radius-progress
+# finding, as one ulp at 2**45 is 2**-7, far above EPS.
 _NEAR = 2.0**41
 MERGE_ROTATION = 1.0
 MERGE_CONFIGS = tuple(
@@ -120,7 +121,9 @@ MERGE_CONFIGS = tuple(
         [(0.0, 0.0), (math.ulp(_NEAR), 0.0)] + [(2.0, 0.0), (0.0, 2.0), (2.0, 2.0)] * 2,
     )
 )
-MERGE_TRACE_DIGEST = "7e2616259fb86e64eab0487f8d5640bc0254fdee4c225a026999a377dd469f90"
+# Re-recorded when decisions stopped merging images: the robot at the origin
+# no longer walks to a merged unique maximum at t=0.
+MERGE_TRACE_DIGEST = "b8bb9c858be7142c55e9ee30b070558fd05a6399eff25038bb4fc28da7a713e1"
 
 
 def _digest(lines):
@@ -228,12 +231,15 @@ def test_cli_traces_of_an_exact_two_maxima_tie_are_pinned(tmp_path):
 
 
 def test_cli_traces_of_views_that_merge_two_occupied_points_are_pinned(tmp_path):
-    lines = []
+    lines, ends = [], []
     for k, config in enumerate(MERGE_CONFIGS):
         seen = normalize([Point(r["x"], r["y"]) for r in config["robots"]])
-        view = observe(seen, ego_frame(Frame(MERGE_ROTATION), Point(0.0, 0.0))).occupied
+        view = observe(seen, Frame(MERGE_ROTATION), Point(0.0, 0.0)).occupied
         assert len(max_points(seen.occupied)) >= 3 and len(view) == len(seen.occupied) - 1
         case = tmp_path / str(k)
         case.mkdir()
         lines += _cli_trace_lines(case, config)
+        summary = json.loads(lines[-2])
+        ends.append((summary["status"], summary["final_t"], [(v["monitor"], v["step"]) for v in summary["violations"]]))
+    assert ends == [("gathered", 2, []), ("gathered", 3, [("radius_progress", 0)])]
     assert _digest(lines) == MERGE_TRACE_DIGEST

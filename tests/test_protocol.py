@@ -23,11 +23,9 @@ from gathersim.geometry import (
 )
 from gathersim.model import (
     Configuration,
-    Frame,
-    ego_frame,
+    ego_images,
     observe,
     random_frame,
-    to_local,
 )
 from gathersim.protocol import (
     BRANCH_ALL_TO_CENTER,
@@ -42,6 +40,7 @@ from gathersim.protocol import (
     choose_closest_position,
     classify_branch,
     compute_action,
+    pair_action,
     path_is_clear,
 )
 from gathersim.simulator import Robot, Snapshot, step
@@ -182,6 +181,15 @@ def test_boundary_to_center_skips_non_maximal_boundary():
     assert info.label == BRANCH_BOUNDARY_TO_CENTER
     assert compute_action(view, Point(0, -1)).kind == STAY
     assert compute_action(view, Point(1, 0)).kind == MOVE_DIRECT
+
+
+def test_pair_action_keeps_the_count_of_each_image_that_rounds_to_one_point():
+    # The robot's rim point holds one robot, as does a point whose image
+    # rounds onto it; merged they would hold two, a maximum, and move in.
+    # The configuration's counts keep them one robot short, so it stays.
+    images = [(0.0, 0.0), (2.0, 0.0), (1.0, 1.0), (1.0, -1.0), (1.0, 0.0), (0.0, 0.0)]
+    assert pair_action(images, [1, 2, 2, 2, 1, 1]) == (STAY, None, BRANCH_BOUNDARY_TO_CENTER)
+    assert pair_action(images[:-1], [2, 2, 2, 2, 1]) == (MOVE_DIRECT, Point(1.0, 0.0), BRANCH_BOUNDARY_TO_CENTER)
 
 
 def test_classify_branch_geometry_fields():
@@ -361,15 +369,15 @@ def test_similarity_equivariance(occupied):
     cfg = Configuration(occupied)
     rng = random.Random(20240817)
     for own in occupied:
-        global_act = compute_action(observe(cfg, Frame()), own)
+        global_act = compute_action(cfg, own)
         for _ in range(8):
-            frame = ego_frame(random_frame(rng), own)
-            local_view = observe(cfg, frame)
+            frame = random_frame(rng)
+            local_view = observe(cfg, frame, own)
             local_act = compute_action(local_view, Point(0.0, 0.0))
             assert local_act.kind == global_act.kind
             assert local_act.branch == global_act.branch
             if global_act.target is not None:
-                expected = to_local(frame, global_act.target)
+                expected = Point(*ego_images(frame, own, [global_act.target])[0][0])
                 assert dist(local_act.target, expected) <= 1e-8 * max(1.0, frame.scale)
 
 
@@ -398,10 +406,10 @@ def test_a_view_of_only_the_maxima_decides_as_the_full_view(points, n_max, data)
     full = Configuration(occupied)
     only_maxima = Configuration({p: top for p in points[:n_max]})
     own = data.draw(st.sampled_from(points), label="own")
-    frame = ego_frame(random_frame(random.Random(data.draw(st.integers(0, 2**32)))), own)
-    full_view = observe(full, frame)
+    frame = random_frame(random.Random(data.draw(st.integers(0, 2**32))))
+    full_view = observe(full, frame, own)
     assume(len(full_view.occupied) == len(occupied))
     want = compute_action(full_view, Point(0.0, 0.0))
-    got = compute_action(observe(only_maxima, frame), Point(0.0, 0.0))
+    got = compute_action(observe(only_maxima, frame, own), Point(0.0, 0.0))
     assert want.branch in (BRANCH_UNIQUE_MAX, BRANCH_TWO_MAX)
     assert repr(got) == repr(want)

@@ -1,14 +1,18 @@
 """Decisions under three or more maxima, against the per-robot view.
 
 ``simulator.decide`` maps every occupied point into a woken robot's frame as
-a plain pair when there are three or more maxima, merges the pairs that are
-equal as a view would, and decides on them (``protocol.pair_action``).  The
-oracle is the view path that decided such robots before: the robot observes
-the whole configuration through its ego frame, ``compute_action`` runs on
-that view, and the target goes back through ``to_global`` and is snapped to
-the nearest occupied point (``_view_decision``, the one oracle, kept in
-``test_maxima_decisions.py``).  Kind, branch and every bit of the target
-must agree.
+a plain pair when there are three or more maxima and decides on the pairs
+and the configuration's own counts (``protocol.pair_action``); it merges
+nothing.  The oracle is the view path that decided such robots before: the
+robot observes the whole configuration from its own position, and
+``compute_action`` runs on that view; the target goes back through
+``ego_images``'s map to global coordinates and is snapped to the nearest
+occupied point (``_view_decision``, kept in ``test_maxima_decisions.py``).
+Where the images are pairwise distinct, kind, branch and every bit of the
+target must agree.  Where two images round to one point, the view merges
+them and may see other maxima, while ``decide`` keeps the counts; there a
+second oracle, ``_unmerged_decision``, applies the rule to the images with
+the configuration's counts through the view path's predicates.
 """
 
 import math
@@ -21,16 +25,49 @@ from hypothesis import strategies as st
 import gathersim.simulator as simulator
 from gathersim import cli
 from gathersim.analysis import random_point_set
-from gathersim.geometry import EPS, Point
-from gathersim.model import Frame, ego_frame, observe, random_frame
-from gathersim.protocol import compute_action
+from gathersim.geometry import EPS, Point, on_circle, points_coincide, smallest_enclosing_circle
+from gathersim.model import Frame, ego_images, observe, random_frame
+from gathersim.protocol import (
+    BRANCH_ALL_TO_CENTER,
+    BRANCH_BOUNDARY_TO_CENTER,
+    BRANCH_INSIDE_TO_CENTER,
+    MOVE_DIRECT,
+    STAY,
+    Action,
+    compute_action,
+    pair_action,
+)
 from gathersim.simulator import RANDOM_SUBSET, Robot, SchedulerSpec, Snapshot, decide, run
 from test_maxima_decisions import _bits, _coordinate, _frames, _view_decision, count_calls
 from test_output_pins import MERGE_CONFIGS
 
 
 def _merges(snap, robot):
-    return len(observe(snap.config, ego_frame(robot.frame, robot.pos)).occupied) < len(snap.config.occupied)
+    return len(observe(snap.config, robot.frame, robot.pos).occupied) < len(snap.config.occupied)
+
+
+def _unmerged_decision(snap, robot):
+    """The SEC rule for robot on its images of the occupied points, each with
+    the configuration's count, unmerged, decided as compute_action decides,
+    and snapped as decide snaps."""
+    images, to_global = ego_images(robot.frame, robot.pos, snap.config.occupied)
+    points = [Point(*q) for q in images]
+    counts = list(snap.config.occupied.values())
+    sec = smallest_enclosing_circle(points)
+    interior = [p for p in points if not on_circle(p, sec)]
+    if not interior:
+        label, movers = BRANCH_ALL_TO_CENTER, points
+    elif all(points_coincide(p, sec.center) for p in interior):
+        top = max(counts)
+        label = BRANCH_BOUNDARY_TO_CENTER
+        movers = [p for p, count in zip(points, counts) if count == top and on_circle(p, sec)]
+    else:
+        label, movers = BRANCH_INSIDE_TO_CENTER, interior
+    own = Point(0.0, 0.0)
+    if any(points_coincide(own, p) for p in movers) and not points_coincide(own, sec.center):
+        target = to_global(sec.center)
+        return Action(MOVE_DIRECT, snap.config.key_near(target) or target, label)
+    return Action(STAY, branch=label)
 
 
 @st.composite
@@ -89,14 +126,18 @@ def _cases(draw):
 
 
 def _assert_decisions_equal_the_view_path(robots, deciders):
+    """Each robot's decision equals the view path's where its images are
+    pairwise distinct, and _unmerged_decision's on an SEC branch where not."""
     snap = Snapshot(robots)
     assert len(snap.config.maxima) > 2
     for i in deciders:
         robot = snap.robots[i]
-        event("merged" if _merges(snap, robot) else "distinct images")
+        merged = _merges(snap, robot)
+        event("merged" if merged else "distinct images")
         decision = decide(snap, robot)
         event(f"{decision.kind}, {decision.branch}")
-        assert _bits(decision) == _bits(_view_decision(snap, robot))
+        oracle = _unmerged_decision if merged else _view_decision
+        assert _bits(decision) == _bits(oracle(snap, robot))
 
 
 @settings(max_examples=600, deadline=None)
@@ -225,20 +266,26 @@ def test_hypot_is_never_below_the_larger_coordinate(x, y):
     assert math.hypot(x, y) >= max(abs(x), abs(y))
 
 
-def test_merged_views_are_decided_as_the_view_path_decides_bit_for_bit():
-    # Robot 0 of each merge configuration sees two occupied points as one
-    # holding both counts: among five maxima that point becomes the unique
-    # maximum of its view, and among three camps of two it is a fourth.
-    seen = []
+def test_merged_views_are_decided_on_the_configurations_counts(monkeypatch):
+    # Robot 0 of each merge configuration sees two occupied points as one in
+    # its view: among five maxima that point would become the view's unique
+    # maximum, and among three camps of two a fourth.  It decides on the
+    # configuration's counts instead, so it takes an SEC branch both times.
+    calls = count_calls(monkeypatch, pair_action)["pair_action"]
+    seen, views = [], []
     for data in MERGE_CONFIGS:
         config = cli.parse_config(data)
         snap = Snapshot(config.robots)
         robot = snap.robots[0]
         assert len(snap.config.maxima) >= 3 and _merges(snap, robot)
         decision = decide(snap, robot)
-        assert _bits(decision) == _bits(_view_decision(snap, robot))
+        images, counts = calls[-1]
+        assert len(set(images)) < len(images) and counts == list(snap.config.occupied.values())
+        assert _bits(decision) == _bits(_unmerged_decision(snap, robot))
         seen.append((len(snap.config.maxima), decision.kind, decision.branch))
-    assert seen == [(5, "move_careful", "unique_max"), (3, "stay", "inside_to_center")]
+        views.append(_view_decision(snap, robot).branch)
+    assert views == ["unique_max", "inside_to_center"]
+    assert seen == [(5, "stay", "inside_to_center"), (3, "stay", "inside_to_center")]
 
 
 def _recorded_decisions(monkeypatch):

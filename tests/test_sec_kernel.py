@@ -4,14 +4,17 @@ smallest_enclosing_circle once built a Point and a Circle for every
 candidate and called small helpers for distance, enclosure, orientation and
 circumcircle.  Those functions are kept here, verbatim, as the oracle: the
 kernel must return the same center and radius, bit for bit, for every input
-family below and every ordering of the input, and must refuse duplicates with
-the same message.  Its two-point step skips the circumcircles that cannot
+family below and every ordering of the input.  The oracle refuses repeated
+points; the kernel encloses the set of the points it is given, so with
+repeats it must return the oracle's circle on the distinct points, the first
+given of two that differ only in the sign of a zero.  Its two-point step skips the circumcircles that cannot
 win; families aimed at that prune check it against the oracle's step, and a
 count shows what it saves.  classify_branch inlines the on_circle test for
 its boundary split; the last tests hold it to on_circle itself.
 """
 
 import inspect
+import itertools
 import math
 import random
 import struct
@@ -269,7 +272,8 @@ def test_kernel_matches_oracle_bit_for_bit(family, data):
     pts = data.draw(FAMILIES[family])
     expected = _bits(smallest_enclosing_circle(pts))
     assert _bits(geometry.smallest_enclosing_circle(pts)) == expected
-    permuted = data.draw(st.permutations(pts))
+    repeats = data.draw(st.lists(st.sampled_from(pts), max_size=len(pts)))
+    permuted = data.draw(st.permutations(pts + repeats))
     assert _bits(geometry.smallest_enclosing_circle(permuted)) == expected
 
 
@@ -294,17 +298,21 @@ def test_single_point_and_pair_bits():
     [
         [Point(1.0, 1.0), Point(1.0, 1.0)],
         [Point(0.0, 0.0), Point(2.0, 0.0), Point(-0.0, 0.0)],
-        # Two different repeated points: the first repeat in input order is named.
         [Point(3.0, 3.0), Point(1.0, 1.0), Point(1.0, 1.0), Point(3.0, 3.0)],
         [Point(3.0, 3.0), Point(1.0, 1.0), Point(3.0, 3.0), Point(1.0, 1.0)],
+        [Point(0.0, 0.0), Point(4.0, 0.0), Point(2.0, 1.0), Point(4.0, 0.0), Point(0.0, 0.0)],
     ],
 )
-def test_duplicates_are_refused_with_the_oracle_message(pts):
-    with pytest.raises(ValueError) as expected:
-        smallest_enclosing_circle(pts)
-    with pytest.raises(ValueError) as got:
-        geometry.smallest_enclosing_circle(pts)
-    assert str(got.value) == str(expected.value)
+def test_repeats_give_the_oracle_circle_on_the_distinct_points(pts):
+    for ordering in itertools.permutations(pts):
+        expected = smallest_enclosing_circle(list(dict.fromkeys(ordering)))
+        assert _bits(geometry.smallest_enclosing_circle(ordering)) == _bits(expected)
+
+
+def test_of_two_points_equal_but_for_the_sign_of_a_zero_the_first_given_is_kept():
+    a, b = Point(-0.0, 0.0), Point(0.0, -0.0)
+    assert _bits(geometry.smallest_enclosing_circle([a, b])) == _bits(Circle(a, 0.0))
+    assert _bits(geometry.smallest_enclosing_circle([b, a])) == _bits(Circle(b, 0.0))
 
 
 @pytest.mark.parametrize(

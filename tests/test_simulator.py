@@ -15,6 +15,7 @@ import pytest
 
 import gathersim.model as model
 import gathersim.simulator as simulator
+from gathersim import cli
 from gathersim.analysis import attach_lemma_monitors, random_robots
 from gathersim.geometry import Point, dist
 from gathersim.model import Frame
@@ -408,11 +409,28 @@ ULP_STALL = (
 
 
 def test_careful_moves_near_2_45_land_on_their_maximum_and_gather():
+    # Under five maxima robot 2 sees its point and robot 1's as one image,
+    # but decides on the configuration's counts: every robot takes the SEC
+    # branch at t=0, and no careful move is made before one maximum forms.
     bots = [Robot(Point(*pos), 1e15, frame) for pos, frame in ULP_STALL]
     outcome, _ = run(bots, SchedulerSpec(SYNCHRONOUS), monitors=attach_lemma_monitors())
     assert (outcome.status, outcome.final_t) == (GATHERED, 3)
-    assert outcome.final_config.occupied == {Point(2199023255552.002, 2.0**45): 5}
+    assert outcome.final_config.occupied == {Point(-16492674416640.0, 2.0**44): 5}
     assert outcome.monitor_violations == []
+
+
+def test_careful_moves_near_2_45_land_exactly_on_a_maximum_of_two():
+    # A second robot on (2**41, 2**45) makes it the unique maximum.  Every
+    # careful move targets it exactly, the one from an ulp beside it included.
+    extra = (((2.0**41, 2.0**45), Frame(rotation=0.5)), ((2.0**45, 2.0**44), Frame(scale=0.5, reflected=True)))
+    bots = [Robot(Point(*pos), 1e15, frame) for pos, frame in ULP_STALL + extra]
+    outcome, trace = traced_run(bots, SchedulerSpec(SYNCHRONOUS), monitors=attach_lemma_monitors())
+    assert (outcome.status, outcome.final_t) == (GATHERED, 2)
+    assert outcome.final_config.occupied == {Point(2.0**41, 2.0**45): 7}
+    assert outcome.monitor_violations == []
+    moves = [r for r in _records(trace) if r["action"] == "move_careful"]
+    assert sorted(r["robot_id"] for r in moves) == [0, 2, 3, 4, 6]
+    assert all((r["target_x"], r["target_y"]) == (2.0**41, 2.0**45) for r in moves)
 
 
 @pytest.mark.parametrize(
@@ -500,20 +518,27 @@ def test_boundary_adversary_cannot_prevent_gathering():
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_frame_translation_changes_no_byte_of_the_trace(strategy):
-    # A robot observes through ego_frame, which replaces its frame's
-    # translation, so the config's tx and ty reach no decision.
+    # A frame is centred on its robot: the config's tx and ty are checked and
+    # dropped, so they reach no decision.
     robots = random_robots(random.Random("translation"), 9)
-    script = tuple((i,) for i in range(9)) if strategy == SCRIPTED else None
-    spec = SchedulerSpec(strategy, seed=5, script=script)
+    scheduler = {"strategy": strategy, "seed": 5}
+    if strategy == SCRIPTED:
+        scheduler["script"] = [[i] for i in range(9)]
     rng = random.Random("translation:offsets")
     traces = []
     for draw in range(4):
-        offsets = [(rng.uniform(-1e6, 1e6), rng.uniform(-1e6, 1e6)) if draw else (0.0, 0.0) for _ in robots]
-        shifted = [
-            dataclasses.replace(r, frame=dataclasses.replace(r.frame, translation=offset))
-            for r, offset in zip(robots, offsets)
-        ]
-        outcome, trace = traced_run(shifted, spec, monitors=attach_lemma_monitors())
+        config = cli.parse_config({
+            "robots": [
+                {"x": r.pos.x, "y": r.pos.y, "sigma": r.sigma, "frame": {
+                    "rotation": r.frame.rotation, "scale": r.frame.scale, "reflected": r.frame.reflected,
+                    "tx": rng.uniform(-1e6, 1e6) if draw else 0.0, "ty": rng.uniform(-1e6, 1e6) if draw else 0.0,
+                }}
+                for r in robots
+            ],
+            "scheduler": scheduler,
+        })
+        assert config.robots == robots
+        outcome, trace = traced_run(config.robots, config.scheduler, monitors=attach_lemma_monitors())
         assert outcome.status == GATHERED and not outcome.monitor_violations
         traces.append(trace)
     assert traces[0] and all(trace == traces[0] for trace in traces[1:])
