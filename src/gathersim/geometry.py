@@ -337,10 +337,19 @@ def smallest_enclosing_circle(points: Iterable[Pair]) -> Circle:
 
 
 def _shuffle(items: list, seed: int) -> None:
-    """random.Random(seed).shuffle(items) inlined: the same loop and getrandbits draws."""
+    """random.Random(seed).shuffle(items) inlined: the same loop and getrandbits draws.
+
+    The draw width k is (i + 1).bit_length(), computed once: it drops by one
+    only where i + 1 falls below low, the power of two with that width.
+    """
     getrandbits = random.Random(seed).getrandbits
+    k = len(items).bit_length()
+    low = (1 << k) >> 1
     for i in range(len(items) - 1, 0, -1):
-        j, k = i + 1, (i + 1).bit_length()
+        j = i + 1
+        if j < low:
+            k -= 1
+            low >>= 1
         while j > i:
             j = getrandbits(k)
         items[i], items[j] = items[j], items[i]

@@ -208,6 +208,11 @@ def test_step_requires_valid_active_set():
         step(snap, [])
     with pytest.raises(ValueError):
         step(snap, [5])
+    # The message names the least unknown index, and nothing is decided first.
+    for active, unknown in (([9, 1, 5], 5), ([1, 9, -3, -4], -4)):
+        with pytest.raises(ValueError, match=f"unknown robot index {unknown}$"):
+            step(snap, active)
+    assert snap.config.stays == {}
 
 
 def test_step_gathered_fixed_point():
