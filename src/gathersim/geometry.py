@@ -20,14 +20,13 @@ is given: neither input order nor repeats change a bit of the result, bar
 the sign of a zero (of two points equal but for it, the first given is
 kept).  It runs on plain floats for speed, and tests/test_sec_kernel.py pins
 its output bits against the object-based construction it replaced, kept
-there verbatim as the oracle.  Two shortcuts
-keep every bit: an enclosure test compares a squared distance before it calls
-hypot (proof in the comment above _SHRINK), and the two-point step skips the
-circumcircles that cannot win (proof in _sec_two_known's docstring).  Its shuffle
-inlines random.Random(seed).shuffle and makes the same permutation.  Its valid
-domain is coordinates of magnitude at most COORD_LIMIT = 2**300: the
-circumcenter solve multiplies a squared distance by a coordinate difference,
-so the cube of the point set's span must stay well inside the float range.
+there verbatim as the oracle.  One shortcut keeps every bit: the two-point
+step skips the circumcircles that cannot win (proof in _sec_two_known's
+docstring).  Its shuffle inlines random.Random(seed).shuffle and makes the
+same permutation.  Its valid domain is coordinates of magnitude at most
+COORD_LIMIT = 2**300: the circumcenter solve multiplies a squared distance
+by a coordinate difference, so the cube of the point set's span must stay
+well inside the float range.
 """
 
 from __future__ import annotations
@@ -291,19 +290,6 @@ def _require_distinct(points: Sequence[Point]) -> None:
 # Multiplicative slack on every enclosure test; it soaks up the rounding in
 # the circumcenter solve.
 _SLACK = 1.0 + 1e-14
-# Each enclosure test of the kernel reads
-#     dx * dx + dy * dy <= lim2 or hypot(dx, dy) <= lim
-# with lim2 = lim * lim * _SHRINK when _SQUARED_LOW <= lim <= _SQUARED_HIGH
-# and -1.0 otherwise, which no sum meets (nor an infinite or NaN one).  It
-# decides as the hypot test alone and mostly skips the call.  Proof, with
-# u = 2**-53: in that range lim2 <= lim**2 (1 + u)**2 (1 - 2**-49), and the
-# rounded sum is at least (dx**2 + dy**2)(1 - u)**2 less 2**-1073 of
-# underflow, so a sum within lim2 puts sqrt(dx**2 + dy**2) at most
-# lim (1 + 2**-52 - 2**-50) and a faithful hypot, under 2u above it, at
-# most lim.
-_SHRINK = 1.0 - 2.0**-49
-_SQUARED_LOW = 2.0**-450
-_SQUARED_HIGH = 2.0**500
 
 
 def smallest_enclosing_circle(points: Iterable[Pair]) -> Circle:
@@ -325,14 +311,11 @@ def smallest_enclosing_circle(points: Iterable[Pair]) -> Circle:
     hypot = math.hypot
     # A negative limit encloses nothing, so the first point starts the circle.
     cx = cy = r = 0.0
-    lim = lim2 = -1.0
+    lim = -1.0
     for i, (px, py) in enumerate(shuffled):
-        dx = px - cx
-        dy = py - cy
-        if not (dx * dx + dy * dy <= lim2 or hypot(dx, dy) <= lim):
+        if not hypot(px - cx, py - cy) <= lim:
             cx, cy, r = _sec_one_known(shuffled, i + 1, px, py)
             lim = r * _SLACK
-            lim2 = lim * lim * _SHRINK if _SQUARED_LOW <= lim <= _SQUARED_HIGH else -1.0
     return Circle(Point(cx, cy), r)
 
 
@@ -361,17 +344,14 @@ def _sec_one_known(
     """SEC of pts[:m] with p = pts[m - 1] on its boundary."""
     hypot = math.hypot
     cx, cy, r = px, py, 0.0
-    lim, lim2 = 0.0, -1.0
+    lim = 0.0
     for j, (qx, qy) in enumerate(pts[:m], 1):
-        dx = qx - cx
-        dy = qy - cy
-        if not (dx * dx + dy * dy <= lim2 or hypot(dx, dy) <= lim):
+        if not hypot(qx - cx, qy - cy) <= lim:
             if r == 0.0:
                 cx, cy, r = _diameter_circle(px, py, qx, qy)
             else:
                 cx, cy, r = _sec_two_known(pts, j, px, py, qx, qy)
             lim = r * _SLACK
-            lim2 = lim * lim * _SHRINK if _SQUARED_LOW <= lim <= _SQUARED_HIGH else -1.0
     return cx, cy, r
 
 
@@ -394,9 +374,7 @@ def _sec_two_known(
     candidate: its circumcircle with p and q is solved, and each side of
     line pq keeps the first candidate whose center has the largest cross
     product cc with U = (ux, uy), the rounded q - p (the smallest, right of
-    the line).  The radius is a function of the center and the three
-    points, so a best's waits until a later candidate on its side, or the
-    result, needs it.
+    the line).
 
     The prune.  Let a best circle have computed center X, radius R (the
     largest rounded distance from X to p, q and its point b) and side s_b
@@ -445,7 +423,6 @@ def _sec_two_known(
     hypot = math.hypot
     mx, my, mr = _diameter_circle(px, py, qx, qy)
     mlim = mr * _SLACK
-    mlim2 = mlim * mlim * _SHRINK if _SQUARED_LOW <= mlim <= _SQUARED_HIGH else -1.0
     ux = qx - px
     uy = qy - py
     # min and max fold left to right, as the builtins do over (p, q, r).
@@ -453,34 +430,23 @@ def _sec_two_known(
     pq_maxx = qx if qx > px else px
     pq_miny = qy if qy < py else py
     pq_maxy = qy if qy > py else py
-    # Per side: the best cc, center and point, whether its radius and prune
-    # limits are still to be computed (for a later candidate on that side, or
-    # the radius alone at the end), its radius, and the prune's bound on the
+    # Per side: the best cc, center and radius, and the prune's bound on the
     # squared distance to its center and side threshold; a negative bound
     # prunes nothing.
     left_cc = right_cc = None
-    lcx = lcy = lbx = lby = lside = lr = rcx = rcy = rbx = rby = rside = rr = 0.0
-    lfresh = rfresh = False
+    lcx = lcy = lr = rcx = rcy = rr = 0.0
     llim = rlim = -1.0
     lthr = rthr = 0.0
     for rx, ry in pts[:m]:
-        dx = rx - mx
-        dy = ry - my
-        if dx * dx + dy * dy <= mlim2 or hypot(dx, dy) <= mlim:
+        if hypot(rx - mx, ry - my) <= mlim:
             continue
         side = ux * (ry - py) - uy * (rx - px)
         if side > 0.0:
-            if lfresh:
-                lr, llim, lthr = _best_circle(lcx, lcy, px, py, qx, qy, lbx, lby, lside, ux, uy)
-                lfresh = False
             dx = rx - lcx
             dy = ry - lcy
             if dx * dx + dy * dy < llim and side >= lthr:
                 continue
         elif side < 0.0:
-            if rfresh:
-                rr, rlim, rthr = _best_circle(rcx, rcy, px, py, qx, qy, rbx, rby, -rside, ux, uy)
-                rfresh = False
             dx = rx - rcx
             dy = ry - rcy
             if dx * dx + dy * dy < rlim and -side >= rthr:
@@ -509,13 +475,11 @@ def _sec_two_known(
         cc = ux * (y - py) - uy * (x - px)
         if side > 0.0:
             if left_cc is None or cc > left_cc:
-                left_cc, lcx, lcy, lbx, lby, lside, lfresh = cc, x, y, rx, ry, side, True
+                left_cc, lcx, lcy = cc, x, y
+                lr, llim, lthr = _best_circle(x, y, px, py, qx, qy, rx, ry, side, ux, uy)
         elif right_cc is None or cc < right_cc:
-            right_cc, rcx, rcy, rbx, rby, rside, rfresh = cc, x, y, rx, ry, side, True
-    if lfresh:
-        lr = _circumradius(lcx, lcy, px, py, qx, qy, lbx, lby)
-    if rfresh:
-        rr = _circumradius(rcx, rcy, px, py, qx, qy, rbx, rby)
+            right_cc, rcx, rcy = cc, x, y
+            rr, rlim, rthr = _best_circle(x, y, px, py, qx, qy, rx, ry, -side, ux, uy)
     if left_cc is None and right_cc is None:
         return mx, my, mr
     if left_cc is None:
@@ -533,8 +497,16 @@ def _best_circle(
     and r, whose r has side magnitude height, then the prune's bound on a squared
     distance to (x, y) and its side threshold, or -1.0 and 0.0, which prune nothing,
     unless the circle passes G1 to G4 (G3 as R <= 2**12 max(|ux|, |uy|), which
-    implies it)."""
-    r = _circumradius(x, y, px, py, qx, qy, rx, ry)
+    implies it).  The radius is max() of the distances from (x, y) to p, q and r,
+    in that order."""
+    hypot = math.hypot
+    r = hypot(x - px, y - py)
+    d = hypot(x - qx, y - qy)
+    if d > r:
+        r = d
+    d = hypot(x - rx, y - ry)
+    if d > r:
+        r = d
     thr = _GUARD_THIN * r * r
     if (
         _GUARD_LOW <= r <= _GUARD_HIGH
@@ -554,21 +526,6 @@ def _diameter_circle(px: float, py: float, qx: float, qy: float) -> tuple[float,
     dp = math.hypot(cx - px, cy - py)
     dq = math.hypot(cx - qx, cy - qy)
     return cx, cy, (dq if dq > dp else dp)
-
-
-def _circumradius(
-    x: float, y: float, ax: float, ay: float, bx: float, by: float, cx: float, cy: float
-) -> float:
-    """max() of the distances from the center (x, y) to a, b and c, in that order."""
-    hypot = math.hypot
-    r = hypot(x - ax, y - ay)
-    d = hypot(x - bx, y - by)
-    if d > r:
-        r = d
-    d = hypot(x - cx, y - cy)
-    if d > r:
-        r = d
-    return r
 
 
 def convex_hull(points: Iterable[Point]) -> Hull:

@@ -39,6 +39,7 @@ from .geometry import (
     Pair,
     Point,
     dist,
+    on_circle,
     point_on_segment,
     points_coincide,
     smallest_enclosing_circle,
@@ -110,13 +111,10 @@ def classify_branch(occupied: dict[Point, int]) -> BranchInfo:
     if len(maxima) == 2:
         return BranchInfo(BRANCH_TWO_MAX, maxima)
     sec = smallest_enclosing_circle(occupied)
-    # The on_circle test, inlined: |dist(p, center) - radius| <= EPS.
-    (cx, cy), r = sec
     boundary: list[Point] = []
     interior: list[Point] = []
     for p in occupied:
-        x, y = p
-        if abs(math.hypot(x - cx, y - cy) - r) <= EPS:
+        if on_circle(p, sec):
             boundary.append(p)
         else:
             interior.append(p)

@@ -2,10 +2,10 @@
 
 The package has one fixed tolerance, and nothing in it sets another.  Some
 exactness claims hold for every eps >= 0 (the eps-neighbour index behind
-normalize and the separation monitor, the boundary split of classify_branch,
-the resampling of random_point_set), so their tests check them at zero, at a
-subnormal and at coarse values too.  ``at_eps`` rebinds EPS in every loaded
-gathersim module for the duration of a with-block.
+normalize and the separation monitor, the resampling of random_point_set),
+so their tests check them at zero, at a subnormal and at coarse values too.
+``at_eps`` rebinds EPS in every loaded gathersim module for the duration of
+a with-block.
 """
 
 import contextlib

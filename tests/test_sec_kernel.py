@@ -9,8 +9,7 @@ points; the kernel encloses the set of the points it is given, so with
 repeats it must return the oracle's circle on the distinct points, the first
 given of two that differ only in the sign of a zero.  Its two-point step skips the circumcircles that cannot
 win; families aimed at that prune check it against the oracle's step, and a
-count shows what it saves.  classify_branch inlines the on_circle test for
-its boundary split; the last tests hold it to on_circle itself.
+count shows what it saves.
 """
 
 import inspect
@@ -27,9 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gathersim import geometry
-from gathersim.geometry import Circle, Point, on_circle
-from gathersim.protocol import classify_branch
-from other_eps import at_eps
+from gathersim.geometry import Circle, Point
 
 # -- oracle: the object-based construction, verbatim ---------------------------
 
@@ -213,6 +210,16 @@ def huge_sets(draw):
     return _distinct(draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=12)))
 
 
+@st.composite
+def tiny_sets(draw):
+    """Uniform, cocircular and grid sets scaled by 2**e, e from -1074 to -300:
+    down into the subnormals, and across the radius 2**-300 below which the
+    prune's guard G1 turns the prune off."""
+    pts = draw(st.one_of(uniform_sets(), cocircular_sets(), grid_sets()))
+    e = draw(st.integers(-1074, -300) | st.sampled_from((-1074, -1022, -300)))
+    return _distinct((math.ldexp(p.x, e), math.ldexp(p.y, e)) for p in pts)
+
+
 MARGIN = geometry._MARGIN  # the prune's relative depth
 SCALES = st.integers(-40, 299).map(lambda e: 2.0**e)  # radii up to geometry.COORD_LIMIT
 
@@ -240,6 +247,7 @@ FAMILIES = {
     "grid": grid_sets(),
     "cluster": cluster_sets(),
     "huge": huge_sets(),
+    "tiny": tiny_sets(),
 }
 
 
@@ -259,6 +267,10 @@ def _seeded_family(rng, family, n):
     if family == "cluster":
         bx, by = rng.random(), rng.random()
         return [(bx + rng.uniform(-1e-12, 1e-12), by + rng.uniform(-1e-12, 1e-12)) for _ in range(n)]
+    if family == "tiny":
+        e = rng.randint(-1074, -300)
+        base = _seeded_family(rng, rng.choice(("uniform", "cocircular", "grid")), n)
+        return [(math.ldexp(x, e), math.ldexp(y, e)) for x, y in base]
     return [(rng.uniform(-1e300, 1e300), rng.uniform(-1e300, 1e300)) for _ in range(min(n, 12))]
 
 
@@ -279,8 +291,8 @@ def test_kernel_matches_oracle_bit_for_bit(family, data):
 
 def test_kernel_matches_oracle_on_a_seeded_sweep():
     rng = random.Random("sec-kernel")
-    families = ("uniform", "cocircular", "collinear", "grid", "cluster", "huge")
-    for index in range(360):
+    families = ("uniform", "cocircular", "collinear", "grid", "cluster", "huge", "tiny")
+    for index in range(420):
         family = families[index % len(families)]
         n = rng.choice((1, 2, 3, 4, 5, 8, 13, 50, 101, 201)) if index % 2 else rng.randint(1, 201)
         pts = _distinct(_seeded_family(rng, family, n))
@@ -446,48 +458,3 @@ def test_the_prune_skips_most_circumcenters_of_uniform_sets(monkeypatch):
         assert _bits(got) == _bits(expected)
         solved += count
     assert 0 < solved and 2 * solved <= unpruned
-
-
-def _neighbours(x, steps):
-    for _ in range(steps):
-        x = math.nextafter(x, math.inf)
-    for _ in range(-steps):
-        x = math.nextafter(x, -math.inf)
-    return x
-
-
-@settings(max_examples=800, deadline=None)
-@given(
-    dx=st.floats(allow_nan=False) | st.sampled_from([0.0, 5e-324, 2.0**-500, 1e-300, 2.0**500]),
-    dy=st.floats(allow_nan=False) | st.sampled_from([0.0, -5e-324, 2.0**-500, 1e300]),
-    steps=st.integers(-4, 4),
-    lim=st.none() | st.floats(min_value=0.0) | st.sampled_from([2.0**-450, 2.0**500, math.nan]),
-)
-# The rounded sum meets the plain square of a limit one ulp below hypot.
-@example(dx=0.222371974180602, dy=0.2952882471098236, steps=-1, lim=None)
-def test_a_squared_distance_within_its_limit_puts_hypot_within_the_limit(dx, dy, steps, lim):
-    """The kernel's squared test only ever skips a hypot call that would have passed."""
-    h = math.hypot(dx, dy)
-    lim = _neighbours(h, steps) if lim is None else lim
-    lim2 = lim * lim * geometry._SHRINK if geometry._SQUARED_LOW <= lim <= geometry._SQUARED_HIGH else -1.0
-    if dx * dx + dy * dy <= lim2:
-        assert h <= lim
-
-
-# -- classify_branch's inlined boundary test ------------------------------------------
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    pts=st.one_of(uniform_sets(), cocircular_sets(), grid_sets(), cluster_sets()),
-    eps=st.sampled_from((0.0, 5e-324, 1e-12, 1e-9, 1e-3, 0.5)),
-)
-def test_boundary_split_is_the_on_circle_split(pts, eps):
-    if len(pts) < 3:
-        pts = pts + [Point(1e4, 1e4), Point(-1e4, 1e4), Point(0.0, -1e4)][: 3 - len(pts)]
-    occupied = {p: 1 for p in pts}
-    with at_eps(eps):
-        info = classify_branch(occupied)
-        assert info.sec == geometry.smallest_enclosing_circle(pts)
-        assert info.boundary == tuple(p for p in pts if on_circle(p, info.sec))
-        assert info.interior == tuple(p for p in pts if not on_circle(p, info.sec))
