@@ -10,6 +10,10 @@ Four kinds of tools live here:
 
 Monitors record and continue.  A violation is evidence, and aborting the run
 would destroy the rest of the trace that explains it.
+
+A sweep's runs draw only from their own (seed, run index) streams, so a
+large sweep runs them in forked slices, one per usable CPU, through
+simulator.fork_map, with records, summary and warnings the serial path's.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from .simulator import (
     RunOutcome,
     SchedulerSpec,
     Snapshot,
+    fork_map,
     run,
 )
 
@@ -419,46 +424,60 @@ class SweepSummary:
         return self.gathered == self.runs and not any(self.violations.values())
 
 
+# The robot-runs (runs times robots) that repay one forked slice of a sweep.
+# Measured with CPython 3.11 on two Linux vCPUs: a run under the four sweep
+# strategies cost 60 to 110 us per robot at n = 3 to 31, and forking a
+# child, reading its records and reaping it cost 1.3 to 1.9 ms of wall time
+# with no work in it.  Two slices of a sweep of 66 robot-runs (n = 11, 6
+# runs) ran 0.86 times as fast as one process, of 84 (n = 21, 4 runs) 1.14
+# times, and of 96 to 110 1.15 to 1.20 times.  Slices of 48 keep a margin
+# above the break-even of about 75.
+_SWEEP_WORK = 48
+
+
 def run_sweep(n: int, runs: int, seed: int, strategy: str) -> tuple[SweepSummary, list[dict]]:
     """Randomized batch driver: fresh initial conditions per run, all
     monitors on, one record per run plus an aggregate summary.
 
     Every random draw descends from (seed, run index) through named
-    sub-streams, so a sweep is reproducible as a whole and per run.
+    sub-streams, so a sweep is reproducible as a whole and per run.  The
+    runs are therefore independent, and simulator.fork_map runs them in
+    contiguous slices of run indices, one per usable CPU, when the sweep
+    holds two slices of _SWEEP_WORK robot-runs: the first in this process,
+    each other in a forked child, which sends back its records alone.  The
+    records come back in run order and the summary is derived from them, so
+    neither depends on the CPU count; a warning a run raises is shown as on
+    the serial path.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     monitors = attach_lemma_monitors()
-    counts = {name: 0 for name in MONITOR_RULES}
-    records: list[dict] = []
-    gathered = 0
-    longest = 0
-    for index in range(runs):
-        init_rng = random.Random(f"{seed}:init:{index}")
-        robots = random_robots(init_rng, n)
-        sched_seed = random.Random(f"{seed}:sched:{index}").getrandbits(63)
-        outcome, _ = run(robots, SchedulerSpec(strategy, sched_seed), monitors=monitors)
-        per_run: dict[str, int] = {}
-        for report in outcome.monitor_violations:
-            per_run[report.monitor] = per_run.get(report.monitor, 0) + 1
-            counts[report.monitor] += 1
-        if outcome.status == GATHERED:
-            gathered += 1
-            longest = max(longest, outcome.final_t)
-        records.append(
-            {
-                "run": index,
-                "seed": seed,
-                "n": n,
-                "scheduler": strategy,
-                "status": outcome.status,
-                "steps": outcome.final_t,
-                "violations": per_run,
-            }
-        )
+    records = fork_map(lambda part: [_sweep_record(n, seed, strategy, monitors, index) for index in part],
+                       list(range(runs)), runs * n, _SWEEP_WORK)
+    gathered = [r["steps"] for r in records if r["status"] == GATHERED]
     step_limit = sum(r["status"] == STEP_LIMIT_REACHED for r in records)
-    summary = SweepSummary(runs, gathered, step_limit, longest, counts)
+    counts = {name: sum(r["violations"].get(name, 0) for r in records) for name in MONITOR_RULES}
+    summary = SweepSummary(runs, len(gathered), step_limit, max(gathered, default=0), counts)
     return summary, records
+
+
+def _sweep_record(n: int, seed: int, strategy: str, monitors: Mapping[str, Rule], index: int) -> dict:
+    """The record of run index of a sweep."""
+    robots = random_robots(random.Random(f"{seed}:init:{index}"), n)
+    sched_seed = random.Random(f"{seed}:sched:{index}").getrandbits(63)
+    outcome, _ = run(robots, SchedulerSpec(strategy, sched_seed), monitors=monitors)
+    per_run: dict[str, int] = {}
+    for report in outcome.monitor_violations:
+        per_run[report.monitor] = per_run.get(report.monitor, 0) + 1
+    return {
+        "run": index,
+        "seed": seed,
+        "n": n,
+        "scheduler": strategy,
+        "status": outcome.status,
+        "steps": outcome.final_t,
+        "violations": per_run,
+    }
 
 
 def even_livelock_demo(n_even: int) -> RunOutcome:

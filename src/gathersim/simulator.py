@@ -28,15 +28,19 @@ widened bounding box (protocol.path_is_clear).
 The trace streams to a text sink, one write per step, from a record per
 robot that changes only for the robots woken in that step or the one before.
 
-Robots woken in one step decide independently on one snapshot, so a large
-batch is decided in parallel: under three or more maxima, when the robots
-to decide times the occupied points repay a fork (_SLICE_WORK), os.fork
-gives each usable CPU after the first a contiguous slice of them, and the
-children pickle their actions back.  Every decision is the one the serial
-path makes, bit for bit, and the veto, the motion and the trace follow in
-index order as before, so no output byte depends on the CPU count.  A
-machine without os.fork or with one usable CPU, or a process with another
-thread alive, stays serial; ``taskset -c 0`` forces the serial path.
+Independent work runs in forked slices (fork_map): the items are cut into
+contiguous slices, one per usable CPU when each holds enough work to repay
+a fork, the first is worked here and each other one in a child from
+os.fork, and the children pickle their results back, with the warnings
+they raised.  Robots woken in one step decide independently on one
+snapshot, so under three or more maxima step decides a large batch so,
+when the robots to decide times the occupied points come to two slices of
+_SLICE_WORK; analysis.run_sweep runs a sweep's independent runs so too.
+Every result is the serial one, bit for bit, and comes back in order: the
+veto, the motion and the trace follow in index order as before, so no
+output byte depends on the CPU count.  A machine without os.fork or with
+one usable CPU, a process with another thread alive, and work inside a
+slice stay serial; ``taskset -c 0`` forces the serial path.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ import math
 import os
 import pickle
 import random
+import sys
 import threading
 import warnings
 from dataclasses import dataclass, field, replace
@@ -280,67 +285,77 @@ def decide(snap: Snapshot, robot: Robot) -> Action:
 
 
 # The robot-points (robots to decide times occupied points) that repay one
-# forked slice.  Measured with CPython 3.11 on two Linux vCPUs: forking a
-# child, piping its actions back and reaping it took 2.8 ms at 17 MB
-# resident and 5.8 ms at 62 MB; a decision cost 3.5 to 5 us per image
-# point, and about 30% more in a child running beside its parent.  Two
-# slices of 1005 robot-points decided no faster than one process, two of
-# 2010 1.27 times as fast.  A slice of 4096 holds 14 to 20 ms of decisions, which keeps
-# a margin where a larger heap slows the fork.
+# forked slice of a step's decisions.  Measured with CPython 3.11 on two
+# Linux vCPUs: forking a child, piping its actions back and reaping it took
+# 2.8 ms at 17 MB resident and 5.8 ms at 62 MB; a decision cost 3.5 to 5 us
+# per image point, and about 30% more in a child running beside its parent.
+# Two slices of 1005 robot-points decided no faster than one process, two of
+# 2010 1.27 times as fast.  A slice of 4096 holds 14 to 20 ms of decisions,
+# which keeps a margin where a larger heap slows the fork.
 _SLICE_WORK = 4096
 
+# True while fork_map is mapping, in its process and in every child it forks:
+# work nested in a slice stays serial, so no process forks beside a slice.
+_mapping = False
 
-def _slices(config: Configuration, fresh: list[int]) -> list[list[int]]:
-    """fresh cut into contiguous slices, in order, one per process deciding them.
 
-    One slice means no fork.  There are as many slices as usable CPUs, but
-    only as many as hold _SLICE_WORK robot-points each, and one unless
-    there are three or more maxima (fewer are decided without a circle),
-    os.fork exists, and no other thread is alive: a child would hold a copy
-    of every lock that thread held, and no thread to release it.
+def fork_map(fn: Callable[[list], list], items: list, work: int, slice_work: int) -> list:
+    """fn(items), with fn applied to contiguous slices of items in parallel.
+
+    fn must map a list to a list of one result per item, each a pure
+    function of its item.  There are as many slices as usable CPUs, but only
+    as many as hold slice_work of the caller's work each.  The first slice is
+    mapped here and each other one in a child from os.fork, which pickles
+    its results back, floats and signs of zero exact, with the warnings it
+    raised; the results are concatenated in order.  A warning raised in a
+    child is issued here after the slices before it, through this process's
+    filters and the registry of the module it names, so it is shown as often
+    as the serial path shows it.  Every child is reaped before this returns
+    or raises.  A slice whose child did not exit 0, or could not be forked,
+    is mapped here, so an error surfaces as on the serial path.
+
+    One slice means no fork: fn(items) is returned.  That is so without
+    os.fork, with one usable CPU, while another thread is alive (a child
+    would hold a copy of every lock that thread held, and no thread to
+    release it), and inside a slice, forked or not, so that nested work
+    never runs beside the slices.
     """
-    work = len(fresh) * len(config.occupied)
-    if work < 2 * _SLICE_WORK or len(config.maxima) < 3 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [fresh]
+    global _mapping
+    if work < 2 * slice_work or _mapping or not hasattr(os, "fork") or threading.active_count() > 1:
+        return fn(items)
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    k = min(usable, work // _SLICE_WORK)
-    return [fresh[len(fresh) * s // k:len(fresh) * (s + 1) // k] for s in range(k)]
-
-
-def _decide_ahead(snap: Snapshot, woken: list[int]) -> dict[int, Action]:
-    """The actions of the woken robots that reuse no stay, decided in forked slices,
-    or nothing when _slices keeps one slice: step then decides them one by one.
-
-    A decision is a pure function of the snapshot and the robot, so a child
-    decides its slice on its copy of the snapshot and pickles the actions
-    back, floats and signs of zero exact: each is the serial one, bit for
-    bit.  Every child is reaped before this returns or raises.  A slice whose
-    child did not exit 0, or could not be forked, is decided here, so an
-    error surfaces as on the serial path.
-    """
-    config, robots = snap.config, snap.robots
-    # Every woken robot deciding afresh bounds the work _slices weighs.
-    if len(woken) * len(config.occupied) < 2 * _SLICE_WORK:
-        return {}
-    fresh = [i for i in woken if i not in config.stays or config.stays[i][0] is not robots[i]]
-    first, *rest = _slices(config, fresh)
-    if not rest:
-        return {}
+    k = min(usable, work // slice_work)
+    if k < 2:
+        return fn(items)
+    first, *rest = [items[len(items) * s // k:len(items) * (s + 1) // k] for s in range(k)]
     children: list[tuple[Optional[int], BinaryIO]] = []
+    _mapping = True
     try:
         for part in rest:
-            children.append(_fork_decide(snap, part))
-        decided = [decide(snap, robots[i]) for i in first]
+            children.append(_fork(fn, part))
+        done = fn(first)
         sent = [reader.read() for _, reader in children]
     finally:
+        _mapping = False
         codes = [_reap(pid, reader) for pid, reader in children]
     for part, data, code in zip(rest, sent, codes):
-        decided += pickle.loads(data) if code == 0 else [decide(snap, robots[i]) for i in part]
-    return dict(zip(fresh, decided))
+        if code != 0:
+            done += fn(part)
+            continue
+        results, caught = pickle.loads(data)
+        for message, category, filename, lineno in caught:
+            module = next((m for m in list(sys.modules.values()) if getattr(m, "__file__", None) == filename), None)
+            if module is None:
+                warnings.warn_explicit(message, category, filename, lineno)
+            else:
+                registry = vars(module).setdefault("__warningregistry__", {})
+                warnings.warn_explicit(message, category, filename, lineno, module.__name__, registry)
+        done += results
+    return done
 
 
-def _fork_decide(snap: Snapshot, part: list[int]) -> tuple[Optional[int], BinaryIO]:
-    """A child deciding the robots of part, and the pipe its pickled actions come back on.
+def _fork(fn: Callable[[list], list], part: list) -> tuple[Optional[int], BinaryIO]:
+    """A child mapping fn over part, and the pipe its pickled results and warnings come back on.
 
     The pid is None if the fork failed; the pipe then reads empty.
     """
@@ -353,8 +368,12 @@ def _fork_decide(snap: Snapshot, part: list[int]) -> tuple[Optional[int], Binary
         code = 1
         try:
             os.close(r)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                results = fn(part)
+            warned = [(c.message, c.category, c.filename, c.lineno) for c in caught]
             with open(w, "wb") as sink:
-                pickle.dump([decide(snap, snap.robots[i]) for i in part], sink, pickle.HIGHEST_PROTOCOL)
+                pickle.dump((results, warned), sink, pickle.HIGHEST_PROTOCOL)
             code = 0
         finally:
             # Never return into the caller's code, and exit without flushing
@@ -369,6 +388,24 @@ def _reap(pid: Optional[int], reader: BinaryIO) -> Optional[int]:
     """Close a child's pipe, then wait for it; its exit code, or None if it never ran."""
     reader.close()
     return None if pid is None else os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _decide_ahead(snap: Snapshot, woken: list[int]) -> dict[int, Action]:
+    """The actions of the woken robots that reuse no stay, decided by fork_map,
+    or nothing under one or two maxima, which are decided without a circle:
+    step then decides them one by one.
+
+    A decision is a pure function of the snapshot and the robot, so a child
+    decides its slice on its copy of the snapshot: each action is the serial
+    one, bit for bit.
+    """
+    config, robots = snap.config, snap.robots
+    if len(config.maxima) < 3:
+        return {}
+    fresh = [i for i in woken if i not in config.stays or config.stays[i][0] is not robots[i]]
+    decided = fork_map(lambda part: [decide(snap, robots[i]) for i in part], fresh,
+                       len(fresh) * len(config.occupied), _SLICE_WORK)
+    return dict(zip(fresh, decided))
 
 
 def step(snap: Snapshot, active: Sequence[int]) -> tuple[Snapshot, dict[int, Action]]:
@@ -396,7 +433,8 @@ def step(snap: Snapshot, active: Sequence[int]) -> tuple[Snapshot, dict[int, Act
     if woken[0] < 0 or woken[-1] >= len(robots):
         unknown = next(i for i in woken if not 0 <= i < len(robots))
         raise ValueError(f"activation set names unknown robot index {unknown}")
-    ahead = _decide_ahead(snap, woken)
+    # A batch whose every robot, deciding afresh, could not repay a fork calls no fork code.
+    ahead = _decide_ahead(snap, woken) if len(woken) * len(config.occupied) >= 2 * _SLICE_WORK else {}
     actions: dict[int, Action] = {}
     origins: dict[int, Point] = {}
     for i in woken:

@@ -21,6 +21,9 @@ from gathersim.analysis import random_point_set, run_sweep
 from gathersim.model import random_frame
 from gathersim.simulator import RANDOM_SUBSET, ROUND_ROBIN, SYNCHRONOUS, Robot, SchedulerSpec, Snapshot, run, step
 
+# forks is a fixture: importing it makes it this module's.
+from forked import forks, no_children, usable  # noqa: F401
+
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="forked decisions need os.fork")
 
 
@@ -29,29 +32,6 @@ def _robots(seed, n=201, caps=(0.001, 0.005)):
     enough that no two meet for a dozen steps: every point is a maximum."""
     rng = random.Random(f"parallel:{n}:{seed}")
     return [Robot(p, rng.uniform(*caps), random_frame(rng)) for p in random_point_set(rng, n)]
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The number of os.fork calls so far, as a one-item list."""
-    count = [0]
-    real = os.fork
-
-    def counted():
-        count[0] += 1
-        return real()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return count
-
-
-def _usable(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-
-def _no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _bits(snap, actions):
@@ -74,7 +54,7 @@ def _recorded_run(monkeypatch, tmp_path, cpus, robots, spec, **kwargs):
     The sink's buffer holds the whole trace until it closes, so a child that
     flushed its copy of the buffer would write earlier steps twice.
     """
-    _usable(monkeypatch, cpus)
+    usable(monkeypatch, cpus)
     steps = []
     real_step = simulator.step
 
@@ -101,11 +81,11 @@ def test_forked_decisions_equal_the_serial_ones_bit_for_bit(monkeypatch, tmp_pat
     forked = _recorded_run(monkeypatch, tmp_path, 3, robots, spec, **kwargs)
     assert forks[0] == 2 * len(forked[1]) == 24
     assert forked == serial
-    _no_children()
+    no_children()
 
 
 def test_a_small_batch_or_few_maxima_never_forks(monkeypatch, forks):
-    _usable(monkeypatch, 2)
+    usable(monkeypatch, 2)
     run_sweep(11, 2, 0, SYNCHRONOUS)
     snap = Snapshot(_robots(1))
     for t in range(3):
@@ -117,14 +97,14 @@ def test_a_small_batch_or_few_maxima_never_forks(monkeypatch, forks):
 
 
 def test_a_big_batch_stays_serial_on_one_cpu(monkeypatch, forks):
-    _usable(monkeypatch, 1)
+    usable(monkeypatch, 1)
     snap = Snapshot(_robots(2))
     step(snap, range(len(snap.robots)))
     assert forks[0] == 0
 
 
 def test_a_big_batch_stays_serial_while_another_thread_lives(monkeypatch, forks):
-    _usable(monkeypatch, 2)
+    usable(monkeypatch, 2)
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(30,))
     other.start()
@@ -152,19 +132,19 @@ def test_a_decision_that_raises_in_any_slice_raises_as_on_the_serial_path(monkey
     monkeypatch.setattr(simulator, "decide", failing)
     raised = []
     for cpus in (1, 2):
-        _usable(monkeypatch, cpus)
+        usable(monkeypatch, cpus)
         with pytest.raises(ArithmeticError) as caught:
             step(Snapshot(robots), range(len(robots)))
         raised.append((type(caught.value), str(caught.value)))
     assert forks[0] == 1
     assert raised[0] == raised[1] == (ArithmeticError, f"cannot decide at {bad.pos}")
-    _no_children()
+    no_children()
 
 
 @pytest.mark.parametrize("failure", ["child dies", "child fails mid-write", "fork fails"])
 def test_a_slice_no_child_returns_is_decided_in_the_parent(monkeypatch, failure):
     robots = _robots(5)
-    _usable(monkeypatch, 1)
+    usable(monkeypatch, 1)
     serial = step(Snapshot(robots), range(len(robots)))
     parent = os.getpid()
     real_decide = simulator.decide
@@ -188,7 +168,7 @@ def test_a_slice_no_child_returns_is_decided_in_the_parent(monkeypatch, failure)
         monkeypatch.setattr(pickle, "dump", half_sent)
     else:
         monkeypatch.setattr(os, "fork", unforkable)
-    _usable(monkeypatch, 2)
+    usable(monkeypatch, 2)
     forked = step(Snapshot(robots), range(len(robots)))
     assert _bits(*forked) == _bits(*serial)
-    _no_children()
+    no_children()
