@@ -425,14 +425,15 @@ class SweepSummary:
 
 
 # The robot-runs (runs times robots) that repay one forked slice of a sweep.
-# Measured with CPython 3.11 on two Linux vCPUs: a run under the four sweep
-# strategies cost 60 to 110 us per robot at n = 3 to 31, and forking a
-# child, reading its records and reaping it cost 1.3 to 1.9 ms of wall time
-# with no work in it.  Two slices of a sweep of 66 robot-runs (n = 11, 6
-# runs) ran 0.86 times as fast as one process, of 84 (n = 21, 4 runs) 1.14
-# times, and of 96 to 110 1.15 to 1.20 times.  Slices of 48 keep a margin
-# above the break-even of about 75.
-_SWEEP_WORK = 48
+# A fork also slows its caller after it returns (and each page the caller
+# then writes faults once, about 360 a fork here), so this was measured over
+# a loop that ran a fixed computation between sweeps, not on run_sweep alone:
+# with CPython 3.11 on two Linux vCPUs, in a process holding five imports of
+# the package, two slices of sweeps at n = 11 ran the loop 0.93 to 0.95
+# times as fast as one process at 110 robot-runs (10 runs), 1.09 at 154,
+# 1.17 at 220 but below 1.0 in some phases, and 1.23 to 1.36 at 264 to 308,
+# never below 1.09.  Slices of 150 keep a margin above that.
+_SWEEP_WORK = 150
 
 
 def run_sweep(n: int, runs: int, seed: int, strategy: str) -> tuple[SweepSummary, list[dict]]:

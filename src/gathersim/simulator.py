@@ -304,27 +304,29 @@ def fork_map(fn: Callable[[list], list], items: list, work: int, slice_work: int
 
     fn must map a list to a list of one result per item, each a pure
     function of its item.  There are as many slices as usable CPUs, but only
-    as many as hold slice_work of the caller's work each.  The first slice is
-    mapped here and each other one in a child from os.fork, which pickles
-    its results back, floats and signs of zero exact, with the warnings it
-    raised; the results are concatenated in order.  A warning raised in a
-    child is issued here after the slices before it, through this process's
-    filters and the registry of the module it names, so it is shown as often
-    as the serial path shows it.  Every child is reaped before this returns
-    or raises.  A slice whose child did not exit 0, or could not be forked,
-    is mapped here, so an error surfaces as on the serial path.
+    as many as hold slice_work of the caller's work each, and no more than
+    there are items, so none is empty.  The first slice is mapped here and
+    each other one in a child from os.fork, which pickles its results back,
+    floats and signs of zero exact, with the warnings it raised; the results
+    are concatenated in order.  A warning raised in a child is issued here
+    after the slices before it, through this process's filters and the
+    registry of the module it names, so it is shown as often as the serial
+    path shows it.  Every child is reaped before this returns or raises.  A
+    slice whose child did not exit 0, or could not be forked, is mapped
+    here, so an error surfaces as on the serial path.
 
     One slice means no fork: fn(items) is returned.  That is so without
-    os.fork, with one usable CPU, while another thread is alive (a child
-    would hold a copy of every lock that thread held, and no thread to
-    release it), and inside a slice, forked or not, so that nested work
-    never runs beside the slices.
+    os.fork, with one usable CPU or one item, while another thread is alive
+    (a child would hold a copy of every lock that thread held, and no thread
+    to release it), and inside a slice, forked or not, so that nested work
+    never runs beside the slices.  Work nested in a lone slice may still
+    fork its own: a one-run sweep's decisions do.
     """
     global _mapping
     if work < 2 * slice_work or _mapping or not hasattr(os, "fork") or threading.active_count() > 1:
         return fn(items)
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    k = min(usable, work // slice_work)
+    k = min(usable, work // slice_work, len(items))
     if k < 2:
         return fn(items)
     first, *rest = [items[len(items) * s // k:len(items) * (s + 1) // k] for s in range(k)]

@@ -1,22 +1,8 @@
-"""What the tests of forked work share: a fork counter, patched CPU counts, and a check for children left behind."""
+"""What the tests of forked work share beside the forks fixture: patched CPU counts and a check for children left behind."""
 
 import os
 
 import pytest
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The number of os.fork calls so far, as a one-item list."""
-    count = [0]
-    real = os.fork
-
-    def counted():
-        count[0] += 1
-        return real()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return count
 
 
 def usable(monkeypatch, cpus):

@@ -21,8 +21,7 @@ from gathersim.analysis import random_point_set, run_sweep
 from gathersim.model import random_frame
 from gathersim.simulator import RANDOM_SUBSET, ROUND_ROBIN, SYNCHRONOUS, Robot, SchedulerSpec, Snapshot, run, step
 
-# forks is a fixture: importing it makes it this module's.
-from forked import forks, no_children, usable  # noqa: F401
+from forked import no_children, usable
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="forked decisions need os.fork")
 

@@ -19,12 +19,18 @@ import gathersim.simulator as simulator
 from gathersim.analysis import run_sweep
 from gathersim.simulator import SCRIPTED, STRATEGIES, SYNCHRONOUS
 
-# forks is a fixture: importing it makes it this module's.
-from forked import forks, no_children, usable  # noqa: F401
+from forked import no_children, usable
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="forked sweeps need os.fork")
 
 SWEPT = [s for s in STRATEGIES if s != SCRIPTED]
+SWEEP_WORK = analysis._SWEEP_WORK
+
+
+@pytest.fixture(autouse=True)
+def small_sweep_slices(monkeypatch):
+    """Slices of 48 robot-runs, so that sweeps of a dozen runs fork and the tests stay fast."""
+    monkeypatch.setattr(analysis, "_SWEEP_WORK", 48)
 
 
 def _even_sweep():
@@ -36,7 +42,7 @@ def _even_sweep():
 
 @pytest.mark.parametrize("strategy", SWEPT)
 def test_forked_sweeps_equal_the_serial_one(monkeypatch, forks, strategy):
-    # 11 robots times 14 runs hold three slices of analysis._SWEEP_WORK robot-runs.
+    # 11 robots times 14 runs hold three slices of 48 robot-runs.
     results = []
     for cpus in (1, 2, 3):
         usable(monkeypatch, cpus)
@@ -156,4 +162,36 @@ def test_work_inside_a_slice_forks_nothing(monkeypatch, tmp_path):
     monkeypatch.setattr(analysis, "_SWEEP_WORK", sweep_work)
     assert run_sweep(11, 9, 18, SYNCHRONOUS) == serial
     assert log.read_text(encoding="utf-8").split() == [str(os.getpid())]
+    no_children()
+
+
+def test_a_sweep_forks_from_two_slices_of_its_work(monkeypatch, forks):
+    monkeypatch.setattr(analysis, "_SWEEP_WORK", SWEEP_WORK)
+    usable(monkeypatch, 2)
+    runs = -(-2 * SWEEP_WORK // 11)
+    run_sweep(11, runs - 1, 3, SYNCHRONOUS)
+    assert forks[0] == 0
+    run_sweep(11, runs, 3, SYNCHRONOUS)
+    assert forks[0] == 1
+    no_children()
+
+
+@pytest.mark.parametrize("runs", [1, 2])
+def test_a_sweep_of_fewer_runs_than_cpus_forks_no_empty_slice(monkeypatch, forks, runs):
+    """Every slice holds a run: a one-run sweep maps in this process alone,
+    so its decisions fork as a run's do outside a sweep."""
+    monkeypatch.setattr(simulator, "_SLICE_WORK", 1)
+    monkeypatch.setattr(analysis, "_SWEEP_WORK", 1)
+    usable(monkeypatch, 1)
+    serial = run_sweep(11, runs, 18, SYNCHRONOUS)
+    usable(monkeypatch, 3)
+    parts = []
+    real = simulator._fork
+    monkeypatch.setattr(simulator, "_fork", lambda fn, part: parts.append(part) or real(fn, part))
+    assert run_sweep(11, runs, 18, SYNCHRONOUS) == serial
+    if runs == 1:
+        assert forks[0] == len(parts) > 0
+    else:
+        assert parts == [[1]] and forks[0] == 1
+    assert all(parts)
     no_children()
