@@ -10,10 +10,6 @@ Four kinds of tools live here:
 
 Monitors record and continue.  A violation is evidence, and aborting the run
 would destroy the rest of the trace that explains it.
-
-A sweep's runs draw only from their own (seed, run index) streams, so a
-large sweep runs them in forked slices, one per usable CPU, through
-simulator.fork_map, with records, summary and warnings the serial path's.
 """
 
 from __future__ import annotations
@@ -53,7 +49,6 @@ from .simulator import (
     RunOutcome,
     SchedulerSpec,
     Snapshot,
-    fork_map,
     run,
 )
 
@@ -424,37 +419,17 @@ class SweepSummary:
         return self.gathered == self.runs and not any(self.violations.values())
 
 
-# The robot-runs (runs times robots) that repay one forked slice of a sweep.
-# A fork also slows its caller after it returns (and each page the caller
-# then writes faults once, about 360 a fork here), so this was measured over
-# a loop that ran a fixed computation between sweeps, not on run_sweep alone:
-# with CPython 3.11 on two Linux vCPUs, in a process holding five imports of
-# the package, two slices of sweeps at n = 11 ran the loop 0.93 to 0.95
-# times as fast as one process at 110 robot-runs (10 runs), 1.09 at 154,
-# 1.17 at 220 but below 1.0 in some phases, and 1.23 to 1.36 at 264 to 308,
-# never below 1.09.  Slices of 150 keep a margin above that.
-_SWEEP_WORK = 150
-
-
 def run_sweep(n: int, runs: int, seed: int, strategy: str) -> tuple[SweepSummary, list[dict]]:
     """Randomized batch driver: fresh initial conditions per run, all
     monitors on, one record per run plus an aggregate summary.
 
     Every random draw descends from (seed, run index) through named
-    sub-streams, so a sweep is reproducible as a whole and per run.  The
-    runs are therefore independent, and simulator.fork_map runs them in
-    contiguous slices of run indices, one per usable CPU, when the sweep
-    holds two slices of _SWEEP_WORK robot-runs: the first in this process,
-    each other in a forked child, which sends back its records alone.  The
-    records come back in run order and the summary is derived from them, so
-    neither depends on the CPU count; a warning a run raises is shown as on
-    the serial path.
+    sub-streams, so a sweep is reproducible as a whole and per run.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     monitors = attach_lemma_monitors()
-    records = fork_map(lambda part: [_sweep_record(n, seed, strategy, monitors, index) for index in part],
-                       list(range(runs)), runs * n, _SWEEP_WORK)
+    records = [_sweep_record(n, seed, strategy, monitors, index) for index in range(runs)]
     gathered = [r["steps"] for r in records if r["status"] == GATHERED]
     step_limit = sum(r["status"] == STEP_LIMIT_REACHED for r in records)
     counts = {name: sum(r["violations"].get(name, 0) for r in records) for name in MONITOR_RULES}

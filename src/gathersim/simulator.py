@@ -28,19 +28,17 @@ widened bounding box (protocol.path_is_clear).
 The trace streams to a text sink, one write per step, from a record per
 robot that changes only for the robots woken in that step or the one before.
 
-Independent work runs in forked slices (fork_map): the items are cut into
-contiguous slices, one per usable CPU when each holds enough work to repay
-a fork, the first is worked here and each other one in a child from
-os.fork, and the children pickle their results back, with the warnings
-they raised.  Robots woken in one step decide independently on one
-snapshot, so under three or more maxima step decides a large batch so,
-when the robots to decide times the occupied points come to two slices of
-_SLICE_WORK; analysis.run_sweep runs a sweep's independent runs so too.
-Every result is the serial one, bit for bit, and comes back in order: the
-veto, the motion and the trace follow in index order as before, so no
-output byte depends on the CPU count.  A machine without os.fork or with
-one usable CPU, a process with another thread alive, and work inside a
-slice stay serial; ``taskset -c 0`` forces the serial path.
+Robots woken in one step decide independently on one snapshot, so under
+three or more maxima step decides a large batch in forked slices
+(fork_map), when the robots to decide times the occupied points come to
+two slices of _SLICE_WORK: the robots are cut into contiguous slices, one
+per usable CPU, the first is decided here and each other one in a child
+from os.fork, and the children pickle their actions back.  Every action is
+the serial one, bit for bit, and comes back in order: the veto, the motion
+and the trace follow in index order as before, so no output byte depends
+on the CPU count.  A machine without os.fork or with one usable CPU, and a
+process with another thread alive, stay serial; ``taskset -c 0`` forces
+the serial path.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ import math
 import os
 import pickle
 import random
-import sys
 import threading
 import warnings
 from dataclasses import dataclass, field, replace
@@ -294,70 +291,47 @@ def decide(snap: Snapshot, robot: Robot) -> Action:
 # which keeps a margin where a larger heap slows the fork.
 _SLICE_WORK = 4096
 
-# True while fork_map is mapping, in its process and in every child it forks:
-# work nested in a slice stays serial, so no process forks beside a slice.
-_mapping = False
 
-
-def fork_map(fn: Callable[[list], list], items: list, work: int, slice_work: int) -> list:
+def fork_map(fn: Callable[[list], list], items: list, work: int) -> list:
     """fn(items), with fn applied to contiguous slices of items in parallel.
 
     fn must map a list to a list of one result per item, each a pure
     function of its item.  There are as many slices as usable CPUs, but only
-    as many as hold slice_work of the caller's work each, and no more than
+    as many as hold _SLICE_WORK of the caller's work each, and no more than
     there are items, so none is empty.  The first slice is mapped here and
     each other one in a child from os.fork, which pickles its results back,
-    floats and signs of zero exact, with the warnings it raised; the results
-    are concatenated in order.  A warning raised in a child is issued here
-    after the slices before it, through this process's filters and the
-    registry of the module it names, so it is shown as often as the serial
-    path shows it.  Every child is reaped before this returns or raises.  A
-    slice whose child did not exit 0, or could not be forked, is mapped
-    here, so an error surfaces as on the serial path.
+    floats and signs of zero exact; the results are concatenated in order.
+    Every child is reaped before this returns or raises.  A slice whose
+    child did not exit 0, or could not be forked, is mapped here, so an
+    error surfaces as on the serial path.
 
     One slice means no fork: fn(items) is returned.  That is so without
-    os.fork, with one usable CPU or one item, while another thread is alive
-    (a child would hold a copy of every lock that thread held, and no thread
-    to release it), and inside a slice, forked or not, so that nested work
-    never runs beside the slices.  Work nested in a lone slice may still
-    fork its own: a one-run sweep's decisions do.
+    os.fork, with one usable CPU or one item, and while another thread is
+    alive (a child would hold a copy of every lock that thread held, and no
+    thread to release it).
     """
-    global _mapping
-    if work < 2 * slice_work or _mapping or not hasattr(os, "fork") or threading.active_count() > 1:
+    if work < 2 * _SLICE_WORK or not hasattr(os, "fork") or threading.active_count() > 1:
         return fn(items)
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    k = min(usable, work // slice_work, len(items))
+    k = min(usable, work // _SLICE_WORK, len(items))
     if k < 2:
         return fn(items)
     first, *rest = [items[len(items) * s // k:len(items) * (s + 1) // k] for s in range(k)]
     children: list[tuple[Optional[int], BinaryIO]] = []
-    _mapping = True
     try:
         for part in rest:
             children.append(_fork(fn, part))
         done = fn(first)
         sent = [reader.read() for _, reader in children]
     finally:
-        _mapping = False
         codes = [_reap(pid, reader) for pid, reader in children]
     for part, data, code in zip(rest, sent, codes):
-        if code != 0:
-            done += fn(part)
-            continue
-        results, caught = pickle.loads(data)
-        for message, category, filename, lineno in caught:
-            module = next((m for m in list(sys.modules.values()) if getattr(m, "__file__", None) == filename), None)
-            if module is None:
-                warnings.warn_explicit(message, category, filename, lineno)
-            else:
-                registry = vars(module).setdefault("__warningregistry__", {})
-                warnings.warn_explicit(message, category, filename, lineno, module.__name__, registry)
-        done += results
+        done += pickle.loads(data) if code == 0 else fn(part)
     return done
 
 
 def _fork(fn: Callable[[list], list], part: list) -> tuple[Optional[int], BinaryIO]:
-    """A child mapping fn over part, and the pipe its pickled results and warnings come back on.
+    """A child mapping fn over part, and the pipe its pickled results come back on.
 
     The pid is None if the fork failed; the pipe then reads empty.
     """
@@ -370,12 +344,9 @@ def _fork(fn: Callable[[list], list], part: list) -> tuple[Optional[int], Binary
         code = 1
         try:
             os.close(r)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                results = fn(part)
-            warned = [(c.message, c.category, c.filename, c.lineno) for c in caught]
+            results = fn(part)
             with open(w, "wb") as sink:
-                pickle.dump((results, warned), sink, pickle.HIGHEST_PROTOCOL)
+                pickle.dump(results, sink, pickle.HIGHEST_PROTOCOL)
             code = 0
         finally:
             # Never return into the caller's code, and exit without flushing
@@ -405,8 +376,7 @@ def _decide_ahead(snap: Snapshot, woken: list[int]) -> dict[int, Action]:
     if len(config.maxima) < 3:
         return {}
     fresh = [i for i in woken if i not in config.stays or config.stays[i][0] is not robots[i]]
-    decided = fork_map(lambda part: [decide(snap, robots[i]) for i in part], fresh,
-                       len(fresh) * len(config.occupied), _SLICE_WORK)
+    decided = fork_map(lambda part: [decide(snap, robots[i]) for i in part], fresh, len(fresh) * len(config.occupied))
     return dict(zip(fresh, decided))
 
 

@@ -21,9 +21,32 @@ from gathersim.analysis import random_point_set, run_sweep
 from gathersim.model import random_frame
 from gathersim.simulator import RANDOM_SUBSET, ROUND_ROBIN, SYNCHRONOUS, Robot, SchedulerSpec, Snapshot, run, step
 
-from forked import no_children, usable
-
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="forked decisions need os.fork")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The number of os.fork calls so far, as a one-item list."""
+    count = [0]
+    real = os.fork
+
+    def counted():
+        count[0] += 1
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return count
+
+
+def usable(monkeypatch, cpus):
+    """Patch the CPUs this process may use to cpus of them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def no_children():
+    """Fail if this process has a child left to reap."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _robots(seed, n=201, caps=(0.001, 0.005)):
@@ -85,7 +108,7 @@ def test_forked_decisions_equal_the_serial_ones_bit_for_bit(monkeypatch, tmp_pat
 
 def test_a_small_batch_or_few_maxima_never_forks(monkeypatch, forks):
     usable(monkeypatch, 2)
-    run_sweep(11, 2, 0, SYNCHRONOUS)
+    run_sweep(11, 30, 0, SYNCHRONOUS)
     snap = Snapshot(_robots(1))
     for t in range(3):
         snap, _ = step(snap, simulator.next_active(SchedulerSpec(ROUND_ROBIN), snap))
