@@ -250,6 +250,9 @@ def _two_max_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
 
 
 def _inside_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
+    # step keeps the configuration only when no robot moved: none left the interior.
+    if after.config is before.config:
+        return None
     if len(before.config.maxima) < 3 or len(after.config.maxima) < 3:
         return None
     for i, (before_bot, after_bot) in enumerate(zip(before.robots, after.robots)):
@@ -264,6 +267,9 @@ def _inside_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
 
 
 def _center_containment_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
+    # step keeps the configuration only when no robot moved: none left the rim.
+    if after.config is before.config:
+        return None
     if len(before.config.maxima) < 3:
         return None
     sec = before.config.sec
@@ -311,6 +317,9 @@ def _radius_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
 
 
 def _careful_separation_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
+    # step keeps the configuration only when no robot moved: no pair merged.
+    if after.config is before.config:
+        return None
     maxima = before.config.maxima
     if len(maxima) > 2:
         return None
@@ -324,11 +333,25 @@ def _careful_separation_rule(before: Snapshot, after: Snapshot) -> Optional[str]
     moved = [i for i, p in enumerate(after_pos) if p != bots_b[i].pos and p not in maxima_set]
     if not moved:
         return None
+    # A mover is alone when its point is a key it holds alone and no other
+    # live key lies in the 3x3 block around it, which holds its own.  The
+    # configuration is normalize of the positions, so a robot within EPS of
+    # it would have joined its key, or a key within EPS of that robot, which
+    # the block holds (PointGrid).  A pair needs a mover that is not alone,
+    # so the scan starts at the first one.
+    occupied, index = after.config.occupied, after.config.clustering.grid
+    for first, i in enumerate(moved):
+        p = after_pos[i]
+        near = index.block(p)
+        if occupied.get(p) != 1 or len(near) > 1 and any(k != p and k in occupied for k, _ in near):
+            break
+    else:
+        return None
     grid = PointGrid(after_pos + list(maxima), EPS)
     for j, p in enumerate(after_pos):
         grid.add(p, j)
     on_max = {j for m in maxima for j in grid.within(m)}
-    merged = {(min(i, j), max(i, j)) for i in moved for j in grid.within(after_pos[i]) if j != i}
+    merged = {(min(i, j), max(i, j)) for i in moved[first:] for j in grid.within(after_pos[i]) if j != i}
     # Lexicographically first (i, j): the pair a scan of all pairs reports.
     for i, j in sorted(merged):
         if i not in on_max and not points_coincide(bots_b[i].pos, bots_b[j].pos):

@@ -9,11 +9,15 @@ unit of length, so EPS is the simulator's own rounding slack, not a
 parameter of the model, and nothing sets it.
 
 PointGrid is the eps-neighbour index behind normalize and the separation
-monitor, which query it at EPS.  It is exact: for any eps >= 0 (zero and
-subnormal included) and any finite coordinates, ``within(q)`` returns
-precisely the indices of the stored points p with ``dist(q, p) <= eps``, the
-comparison points_coincide makes at EPS.
-The grid only prunes; every candidate is settled by that same comparison.
+monitor, which query it at EPS.  It is exact: for any eps in [0, 2**1023)
+(zero and subnormal included) and any finite coordinates, ``within(q)``
+returns precisely the indices of the stored points p with
+``dist(q, p) <= eps``, the comparison points_coincide makes at EPS.  The
+grid only prunes: a query reads the 2x2 cells that can hold such a p, and
+every candidate is settled by that same comparison.  ``block(q)`` reads
+the 3x3 cells around q's, which hold every point within 2*eps of q by two
+such comparisons; the separation monitor reads it to find movers that
+stand alone.
 
 smallest_enclosing_circle is bit-for-bit a function of the set of points it
 is given: neither input order nor repeats change a bit of the result, bar
@@ -120,13 +124,30 @@ def near_tie(own: Point, p: Point, q: Point) -> bool:
 class PointGrid:
     """Exact eps-neighbour index over points whose magnitudes ``extent`` bounds.
 
-    Points are bucketed into square cells of width w, a power of two above
-    both 2*eps and 2**-50 times the largest coordinate magnitude in
-    ``extent``.  Division by a power of two is exact short of underflow, and
-    two points within eps differ by less than w/2 per coordinate, so they
-    land in the same or adjacent cells; the second bound keeps x / w finite
-    for every coordinate up to the largest float.  A query scans the 3x3
-    cells around its own and keeps the points within eps of it.  Every point
+    Points are bucketed into square cells of width 2h, where the half-width
+    h is a power of two above both eps and 2**-51 times the largest
+    coordinate magnitude in ``extent``; an eps of 2**1023 or more raises
+    OverflowError.  Every cell index comes from one half-cell index per
+    axis, F(x) = floor(x / h), and the cell is F(x) >> 1.  Proof that
+    ``within`` is exact, with rounding to nearest:
+    1. A computed dist(q, p) <= eps puts p less than h from q on each axis,
+       exactly.  dist is a faithful hypot of the rounded differences, so it
+       is at least each rounded difference; a difference that rounds to at
+       most eps is at most eps + ulp(eps)/2 < 2**e <= h, e the frexp
+       exponent of eps.  (At eps = 0 only p == q is left, for a nonzero
+       difference of floats never rounds to zero.)
+    2. x / h is exact unless it underflows, which needs h > 1 and
+       |x| < 2**-1022 h; rounding is monotone, and an underflowed quotient
+       floors to -1 or 0, as x / h does.  No float lies strictly between
+       k h and k h (1 + 2**-1022) for k = 1, 2, so two coordinates less
+       than k h apart exactly have F within k of each other.  |x / h| stays
+       below 2**104, far from overflow.
+    3. So p is in q's cell or the next one on the side of the half-cell q
+       falls in.  ``within`` reads those 2x2 cells and keeps the points
+       within eps of q, by the comparison points_coincide makes at EPS.
+    ``block`` reads the 3x3 cells around q's.  By 2 with k = 2 they hold
+    every point less than 2h from q on each axis, so by 1 every point p with
+    some r such that dist(q, r) <= eps and dist(r, p) <= eps.  Every point
     added or queried must be finite and no larger in magnitude than the
     largest coordinate of ``extent``.
     """
@@ -137,29 +158,35 @@ class PointGrid:
         if not largest <= sys.float_info.max:
             raise ValueError("PointGrid needs finite coordinates")
         _, exponent = math.frexp(max(eps, largest * 2.0**-51))
-        # Multiplying rather than ldexp-ing the doubled width lets an eps near
-        # the largest float give w = inf: one cell, still exact.
-        self._width = math.ldexp(1.0, exponent) * 2.0
+        self._half = math.ldexp(1.0, exponent)
         self._eps = eps
         self._cells: dict[tuple[int, int], list[tuple[Point, int]]] = {}
 
-    def _cell(self, p: Point) -> tuple[int, int]:
-        return math.floor(p.x / self._width), math.floor(p.y / self._width)
-
     def add(self, p: Point, index: int) -> None:
-        self._cells.setdefault(self._cell(p), []).append((p, index))
+        key = math.floor(p.x / self._half) >> 1, math.floor(p.y / self._half) >> 1
+        self._cells.setdefault(key, []).append((p, index))
 
     def within(self, q: Point) -> list[int]:
         """Indices of the stored points p with dist(q, p) <= eps, in no set order."""
-        cx, cy = self._cell(q)
-        cells, eps = self._cells, self._eps
+        qx, qy = q
+        half, get, eps, hypot = self._half, self._cells.get, self._eps, math.hypot
+        # The lower of the two cells on each axis: q's own in its upper half.
+        x0, y0 = (math.floor(qx / half) - 1) >> 1, (math.floor(qy / half) - 1) >> 1
         found = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for p, index in cells.get((cx + dx, cy + dy), ()):
-                    if dist(q, p) <= eps:
-                        found.append(index)
+        for key in ((x0, y0), (x0 + 1, y0), (x0, y0 + 1), (x0 + 1, y0 + 1)):
+            for (px, py), index in get(key, ()):
+                if hypot(qx - px, qy - py) <= eps:  # dist(q, p), inlined
+                    found.append(index)
         return found
+
+    def block(self, q: Point) -> list[tuple[Point, int]]:
+        """Every stored point, with its index, in the 3x3 cells around q's, in no set order."""
+        half, get = self._half, self._cells.get
+        cx, cy = math.floor(q.x / half) >> 1, math.floor(q.y / half) >> 1
+        lx, hx, ly, hy = cx - 1, cx + 1, cy - 1, cy + 1
+        return [*get((lx, ly), ()), *get((lx, cy), ()), *get((lx, hy), ()),
+                *get((cx, ly), ()), *get((cx, cy), ()), *get((cx, hy), ()),
+                *get((hx, ly), ()), *get((hx, cy), ()), *get((hx, hy), ())]
 
 
 def _cross(o: Point, a: Point, b: Point) -> float:

@@ -421,7 +421,7 @@ def step(snap: Snapshot, active: Sequence[int]) -> tuple[Snapshot, dict[int, Act
             action = Action(STAY, branch=action.branch)
         elif action.target is not None:
             origins[i] = robot.pos
-            robots[i] = replace(robot, pos=apply_motion(robot, action.target))
+            robots[i] = Robot(apply_motion(robot, action.target), robot.sigma, robot.frame)
         if i not in origins:
             stays[i] = (robot, action)
         actions[i] = action

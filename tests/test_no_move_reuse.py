@@ -13,9 +13,10 @@ import random
 
 import pytest
 
+import gathersim.analysis as analysis
 import gathersim.model as model
 import gathersim.simulator as simulator
-from gathersim.analysis import attach_lemma_monitors, random_point_set
+from gathersim.analysis import MONITOR_RULES, attach_lemma_monitors, random_point_set
 from gathersim.geometry import Point, smallest_enclosing_circle
 from gathersim.model import max_points, random_frame
 from gathersim.protocol import BRANCH_UNIQUE_MAX, MOVE_CAREFUL, STAY
@@ -119,6 +120,35 @@ def test_boundary_adversary_at_n11_equals_recomputation(seed):
     still, shared_maxima, shared_sec, reused = _chain(
         _distinct_robots(11, seed), SchedulerSpec(BOUNDARY_ONLY, seed=seed), 500)
     assert still > 0 and shared_maxima > 0 and shared_sec > 0 and reused > 0
+
+
+# The rules that return at once on a kept configuration.
+KEPT_RULES = ("inside_stays_inside", "center_containment", "careful_separation")
+
+
+@pytest.mark.parametrize("strategy", [s for s in STRATEGIES if s != SCRIPTED])
+def test_kept_configurations_get_the_verdicts_of_a_fresh_one(strategy, monkeypatch):
+    """On a step that keeps its configuration, each rule that skips such a
+    step gives the verdict it gives against a fresh snapshot of the same
+    robots, which normalizes their positions into an equal configuration."""
+    kept = []
+
+    def oracle(before, after):
+        if after.config is before.config:
+            fresh = Snapshot(after.robots, after.t, after.last_active)
+            assert fresh.config == after.config and fresh.config is not before.config
+            for name in KEPT_RULES:
+                assert MONITOR_RULES[name](before, after) == MONITOR_RULES[name](before, fresh)
+            kept.append(before.t)
+        return None
+
+    battery = dict(attach_lemma_monitors(), kept=oracle)
+    monkeypatch.setattr(analysis, "attach_lemma_monitors", lambda: battery)
+    for n in (5, 7, 11):
+        for seed in range(3):
+            analysis.run_sweep(n, 4, seed, strategy)
+    # Every strategy but the synchronous one has steps that move no robot.
+    assert len(kept) > 0 or strategy == SYNCHRONOUS
 
 
 def test_robot_woken_again_on_a_frozen_configuration_reuses_its_stay():
