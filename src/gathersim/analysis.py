@@ -274,7 +274,8 @@ def _center_containment_rule(before: Snapshot, after: Snapshot) -> Optional[str]
         return None
     sec = before.config.sec
     center = sec.center
-    interior = {p for p in before.config.occupied if not on_circle(p, sec)}
+    rim = before.config.rim
+    interior = {p for p in before.config.occupied if not rim[p]}
     # The boundary-to-center branch: every occupied point off the rim is the center.
     if not interior or not all(points_coincide(p, center) for p in interior):
         return None
@@ -310,7 +311,8 @@ def _radius_rule(before: Snapshot, after: Snapshot) -> Optional[str]:
         return f"enclosing radius grew from {before_r} to {after_r}"
     # When every robot has left the old circle's rim, the new circle must be
     # strictly smaller; everything now sits measurably deeper than the rim.
-    vacated = all(not on_circle(bot.pos, before.config.sec) for bot in after.robots)
+    rim = before.config.rim
+    vacated = not any(rim[bot.pos] for bot in after.robots)
     if vacated and not (after_r < before_r):
         return f"rim fully vacated but radius held at {after_r}"
     return None

@@ -41,7 +41,7 @@ import random
 import struct
 import sys
 import zlib
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Any, Iterable, NamedTuple, Optional, Sequence, Union
 
 
 class Point(NamedTuple):
@@ -148,8 +148,9 @@ class PointGrid:
     ``block`` reads the 3x3 cells around q's.  By 2 with k = 2 they hold
     every point less than 2h from q on each axis, so by 1 every point p with
     some r such that dist(q, r) <= eps and dist(r, p) <= eps.  Every point
-    added or queried must be finite and no larger in magnitude than the
-    largest coordinate of ``extent``.
+    added or queried must be finite and no larger in magnitude than
+    ``largest``, the largest coordinate magnitude of ``extent``.  ``len``
+    counts the points added.
     """
 
     def __init__(self, extent: Iterable[Point], eps: float) -> None:
@@ -158,15 +159,21 @@ class PointGrid:
         if not largest <= sys.float_info.max:
             raise ValueError("PointGrid needs finite coordinates")
         _, exponent = math.frexp(max(eps, largest * 2.0**-51))
+        self.largest = largest
         self._half = math.ldexp(1.0, exponent)
         self._eps = eps
-        self._cells: dict[tuple[int, int], list[tuple[Point, int]]] = {}
+        self._cells: dict[tuple[int, int], list[tuple[Point, Any]]] = {}
+        self._size = 0
 
-    def add(self, p: Point, index: int) -> None:
+    def __len__(self) -> int:
+        return self._size
+
+    def add(self, p: Point, index: Any) -> None:
         key = math.floor(p.x / self._half) >> 1, math.floor(p.y / self._half) >> 1
         self._cells.setdefault(key, []).append((p, index))
+        self._size += 1
 
-    def within(self, q: Point) -> list[int]:
+    def within(self, q: Point) -> list[Any]:
         """Indices of the stored points p with dist(q, p) <= eps, in no set order."""
         qx, qy = q
         half, get, eps, hypot = self._half, self._cells.get, self._eps, math.hypot
@@ -179,7 +186,7 @@ class PointGrid:
                     found.append(index)
         return found
 
-    def block(self, q: Point) -> list[tuple[Point, int]]:
+    def block(self, q: Point) -> list[tuple[Point, Any]]:
         """Every stored point, with its index, in the 3x3 cells around q's, in no set order."""
         half, get = self._half, self._cells.get
         cx, cy = math.floor(q.x / half) >> 1, math.floor(q.y / half) >> 1

@@ -13,27 +13,45 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .geometry import EPS, Circle, Pair, Point, PointGrid, smallest_enclosing_circle
+from .geometry import EPS, Circle, Pair, Point, PointGrid, on_circle, smallest_enclosing_circle
 
 if TYPE_CHECKING:
     from .protocol import Action
     from .simulator import Robot
 
 
+class Rim(dict):
+    """Whether a point lies on ``circle``, tested on its first lookup.
+
+    on_circle is blind to the sign of a zero, as ``Point`` equality is.
+    ``circle`` is set after construction: a dict subclass without its own
+    ``__init__`` is built at C speed, and one is built per configuration.
+    """
+
+    __slots__ = ("circle",)
+    circle: Circle
+
+    def __missing__(self, p: Point) -> bool:
+        on = self[p] = on_circle(p, self.circle)
+        return on
+
+
 class Clustering(NamedTuple):
     """How normalize grouped robot positions, kept to derive the next configuration.
 
-    ``grid`` indexes every key normalize created by its creation rank, and
-    ``keys`` maps a rank back to its key.  A key that a later ``successor``
-    drops stays in both, so a lookup keeps only the keys still occupied.
-    ``creators`` maps each occupied key to the index of the robot that
-    created it: the lowest-index robot standing exactly on that point.
+    ``grid`` indexes every key normalize or successor created, each as its
+    own index; ``creators`` maps each occupied key to the index of the robot
+    that created it, the lowest-index robot standing exactly on that point.
+    A key is live while it is in ``creators``, and keys rank by creator,
+    which is dict order.  A key that a later ``successor`` drops stays in
+    the grid, which configurations derived from one another share, so a
+    lookup keeps only the live keys.  No two entries are equal but for the
+    sign of a zero, so a live entry has its key's bits.
     """
 
     grid: PointGrid
-    keys: list[Point]
     creators: dict[Point, int]
 
 
@@ -46,10 +64,13 @@ class Configuration:
     across runs with identical input.  A configuration that normalize or
     successor built from robot positions also carries their ``clustering``.
 
-    It keeps what is computed from it: the ``maxima`` and the enclosing
-    circle ``sec``, each on first use, and ``stays``, which maps a robot
-    index to the ``Robot`` that stayed on it and its stay, a vetoed careful
-    move included; a decision reads only the configuration and that robot.
+    It keeps what is computed from it: the ``maxima``, the enclosing circle
+    ``sec`` and its ``rim``, each on first use, and ``decided``, the actions
+    decided on it, a vetoed careful move kept as the stay it became.  Under
+    one or two maxima ``decided`` maps a robot's point to its action, moves
+    included, unless the action read the robot's frame; under three or more
+    it maps a robot index to the ``Robot`` that stayed and its stay
+    (simulator.step).
     None of these takes part in ``==`` or ``repr``.
     """
 
@@ -57,7 +78,7 @@ class Configuration:
     clustering: Optional[Clustering] = field(default=None, compare=False, repr=False)
     # Built with the configuration: before Python 3.12 a cached_property's
     # first read takes a lock, which costs more than the dict, every step.
-    stays: dict[int, tuple[Robot, Action]] = field(default_factory=dict, init=False, compare=False, repr=False)
+    decided: dict[Union[Point, int], Union[Action, tuple[Robot, Action]]] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.occupied:
@@ -74,6 +95,12 @@ class Configuration:
     def sec(self) -> Circle:
         return smallest_enclosing_circle(self.occupied)
 
+    @cached_property
+    def rim(self) -> Rim:
+        rim = Rim()
+        rim.circle = self.sec
+        return rim
+
     def is_gathered(self) -> bool:
         return len(self.occupied) == 1
 
@@ -84,10 +111,10 @@ class Configuration:
         query goes through its neighbour index.
         """
         assert self.clustering is not None, "key_near needs a normalized configuration"
-        keys, occupied = self.clustering.keys, self.occupied
-        # Creation rank is dict order, and a dropped key is no longer occupied.
-        live = [rank for rank in self.clustering.grid.within(p) if keys[rank] in occupied]
-        return keys[min(live)] if live else None
+        grid, creators = self.clustering
+        # Dict order is creator order, and a dropped key is no longer in creators.
+        live = [key for key in grid.within(p) if key in creators]
+        return min(live, key=creators.__getitem__) if live else None
 
 
 @dataclass(frozen=True)
@@ -184,7 +211,6 @@ def normalize(raw_positions: Iterable[Point]) -> Configuration:
     points = [raw if type(raw) is Point else Point(raw[0], raw[1]) for raw in raw_positions]
     grid = PointGrid(points, EPS)
     occupied: dict[Point, int] = {}
-    reps: list[Point] = []
     creators: dict[Point, int] = {}
     for i, p in enumerate(points):
         # Representatives are pairwise more than eps apart, so one equal to p
@@ -194,13 +220,12 @@ def normalize(raw_positions: Iterable[Point]) -> Configuration:
             continue
         near = grid.within(p)
         if near:
-            occupied[reps[min(near)]] += 1
+            occupied[min(near, key=creators.__getitem__)] += 1
         else:
-            grid.add(p, len(reps))
-            reps.append(p)
+            grid.add(p, p)
             occupied[p] = 1
             creators[p] = i
-    return Configuration(occupied, Clustering(grid, reps, creators))
+    return Configuration(occupied, Clustering(grid, creators))
 
 
 def successor(config: Configuration, positions: Sequence[Point], moved: Mapping[int, Point]) -> Configuration:
@@ -209,40 +234,72 @@ def successor(config: Configuration, positions: Sequence[Point], moved: Mapping[
     ``config`` is normalize of the positions before, or derived from it by
     earlier calls.  ``moved`` maps, in ascending index order, every robot
     whose position changed in any bit to where it stood; it may hold robots
-    that did not move.  Bits matter because a key is its creator's point: a
-    creator that went from -0.0 to 0.0 still equals its old point, but
-    normalize would key on the new one.
+    that did not move.  Bits matter because a key is its creator's point.
 
-    Beyond copying the counts, the work is in the number of movers whenever
-    the move keeps every key and its creation order: a key loses only
-    robots, or all of them with its creator, and each mover lands exactly on
-    a key whose creator stayed and has a lower index than the mover.
-    normalize, walking the positions in index order, then makes the same
-    keys in the same order.  Any other move calls normalize.
+    normalize walks the positions in index order, and each joins the live
+    key within eps with the lowest creator, else creates one.  In a result
+    of normalize each robot's key is that key among all live ones, for a
+    key created later is created by a higher index.  Removing the movers
+    first keeps every other robot's key, for a key whose creator stays is
+    still the first within eps of it, unless a mover created a key that
+    others stay on: that falls back to normalize.  The movers then land in
+    index order, each on normalize of the robots placed so far:
+    * On a key q with a lower creator, mover i joins it: q is the only key
+      within eps of it, and normalize gives it q with nothing else changed.
+    * Anywhere else it creates its point q with creator i, a new key or a
+      key whose creator has a higher index, once no other live key lies in
+      the 3x3 ``block`` around q.  Every robot r within eps of q then has
+      its key within 2 eps of q, and the block holds every such key
+      (PointGrid), so q is r's own key: i's key changes no other robot's,
+      and robots of a re-ranked q, its creator included, stay on it.  The
+      key and its entry have q's bits, as in normalize, only if no entry
+      equal to q differs from it in the sign of a zero (the key re-ranked,
+      or a dropped key a lookup would return); equal entries share a cell,
+      which the block reads, and q is not indexed twice.  q must also lie
+      within the grid's extent, and a new entry is added only while the
+      grid holds fewer than 2n, so dropped keys cannot pile up in a cell.
+    Any other move calls normalize.  Keys are then reordered by creator.
     """
     clustering = config.clustering
     assert clustering is not None, "successor needs a normalized configuration"
-    grid, keys, creators = clustering
+    grid = clustering.grid
     occupied = dict(config.occupied)
+    creators = dict(clustering.creators)
     vacated = []
     for i, old in moved.items():
-        # A robot standing exactly on a key belongs to it.  Any other has not
-        # moved since normalize built the grid, for movers here land on keys,
-        # so the earliest key within eps of it is still the one it joined.
-        key = old if old in occupied else keys[min(grid.within(old))]
+        key = old if old in occupied else config.key_near(old)
         occupied[key] -= 1
         if creators[key] == i:
             vacated.append(key)
+    for key in vacated:
+        if occupied[key]:
+            return normalize(positions)
+        del occupied[key], creators[key]
+    ranked = True
     for i in moved:
         new = positions[i]
-        if new in occupied and creators[new] < i:
+        if creators.get(new, i) < i:  # a key of a lower creator
             occupied[new] += 1
-        else:
+            continue
+        if not (abs(new.x) <= grid.largest and abs(new.y) <= grid.largest):
             return normalize(positions)
-    if vacated:
-        creators = dict(creators)
-        for key in vacated:
-            if occupied[key]:
+        indexed = False
+        for p, _ in grid.block(new):
+            if p != new:
+                if p in creators:
+                    return normalize(positions)
+            elif (new.x == 0.0 or new.y == 0.0) and repr(p) != repr(new):  # the sign of a zero
                 return normalize(positions)
-            del occupied[key], creators[key]
-    return Configuration(occupied, Clustering(grid, keys, creators))
+            else:
+                indexed = True
+        if not indexed:
+            if len(grid) >= 2 * len(positions):
+                return normalize(positions)
+            grid.add(new, new)
+        occupied[new] = occupied.get(new, 0) + 1
+        creators[new] = i
+        ranked = False
+    if not ranked:
+        creators = dict(sorted(creators.items(), key=lambda item: item[1]))
+        occupied = {key: occupied[key] for key in creators}
+    return Configuration(occupied, Clustering(grid, creators))

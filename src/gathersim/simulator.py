@@ -12,16 +12,17 @@ overshoots and never veers.
 
 The configuration and the views need not be rebuilt from all n robots.
 Each snapshot after the first is derived from the one before and the
-robots that moved (model.successor, which falls back to normalize when a
-key must be created or reordered).  A woken robot builds no view (decide).
-Under one or two maxima it decides on the configuration, for the rule reads
-nothing a frame changes there, bar a tie of the two global distances up to
-rounding.  Under three or more it maps every occupied point into its frame
-as plain float pairs and decides on them with the configuration's counts.
-The configuration carries what is computed from it: its maxima, its
-enclosing circle and the stays decided on it.  A step in which no robot
-moves keeps the configuration object, and with it all three: a decision is a
-pure function of the configuration and the robot's position and frame, so a
+robots that moved (model.successor, which falls back to normalize in the
+few cases its docstring names).  A woken robot builds no view (decide).
+Under one or two maxima it decides on the configuration, for the rule
+reads nothing a frame changes there, bar a tie of the two global distances
+up to rounding; so robots on one point take one action, decided once.
+Under three or more it maps every occupied point into its frame as plain
+float pairs and decides on them with the configuration's counts.  The configuration carries what is computed from
+it: its maxima, its enclosing circle, which points lie on that circle and
+the actions decided on it.  A step in which no robot moves keeps the
+configuration object, and with it all of these: a decision is a pure
+function of the configuration and the robot's position and frame, so a
 robot woken again on an unchanged configuration reuses its action.
 The careful-move veto settles only the occupied points in the segment's
 widened bounding box (protocol.path_is_clear).
@@ -53,7 +54,7 @@ from dataclasses import dataclass, field, replace
 from typing import BinaryIO, Callable, Mapping, Optional, Sequence, TextIO
 
 # Not called here: bench/tests/test_bench.py checks that the span tracer wraps this binding.
-from .geometry import Point, dist, near_tie, on_circle, smallest_enclosing_circle  # noqa: F401
+from .geometry import Point, dist, near_tie, smallest_enclosing_circle  # noqa: F401
 from .model import Configuration, Frame, ego_images, normalize, random_frame, successor
 from .protocol import BRANCH_TWO_MAX, BRANCH_UNIQUE_MAX, MOVE_CAREFUL, STAY, Action
 from .protocol import maxima_target, pair_action, path_is_clear
@@ -125,9 +126,10 @@ class Snapshot:
     ``t`` is the next step, ``robots`` a copy of the robots given,
     ``last_active[i]`` the last step robot i woke in, -1 until it wakes, and
     ``config`` normalize of their positions, which carries its maxima,
-    enclosing circle and stays.  ``step`` returns the snapshot after it, and
-    ``run`` keeps that as the one before the next step, so the scheduler,
-    ``step`` and every monitor share one configuration.  Only the first
+    enclosing circle, rim tests and decisions.  ``step`` returns the
+    snapshot after it, and ``run`` keeps that as the one before the next
+    step, so the scheduler, ``step`` and every monitor share one
+    configuration.  Only the first
     snapshot of a run normalizes every position: ``step`` derives each later
     configuration from the robots that moved, equal to normalize of its
     positions item for item, or keeps the configuration object when no robot
@@ -171,7 +173,8 @@ def next_active(spec: SchedulerSpec, snap: Snapshot) -> list[int]:
     elif spec.strategy == BOUNDARY_ONLY:
         # Adversary that starves the interior: only robots currently on the
         # enclosing circle wake up (fairness forcing aside).
-        chosen = {i for i, r in enumerate(snap.robots) if on_circle(r.pos, snap.config.sec)}
+        rim = snap.config.rim
+        chosen = {i for i, r in enumerate(snap.robots) if rim[r.pos]}
     else:
         assert spec.script is not None
         step_ids = spec.script[t % len(spec.script)]
@@ -365,8 +368,8 @@ def _reap(pid: Optional[int], reader: BinaryIO) -> Optional[int]:
 
 def _decide_ahead(snap: Snapshot, woken: list[int]) -> dict[int, Action]:
     """The actions of the woken robots that reuse no stay, decided by fork_map,
-    or nothing under one or two maxima, which are decided without a circle:
-    step then decides them one by one.
+    or nothing under one or two maxima, which are decided once per point
+    without a circle: step then decides them one by one.
 
     A decision is a pure function of the snapshot and the robot, so a child
     decides its slice on its copy of the snapshot: each action is the serial
@@ -375,7 +378,7 @@ def _decide_ahead(snap: Snapshot, woken: list[int]) -> dict[int, Action]:
     config, robots = snap.config, snap.robots
     if len(config.maxima) < 3:
         return {}
-    fresh = [i for i in woken if i not in config.stays or config.stays[i][0] is not robots[i]]
+    fresh = [i for i in woken if i not in config.decided or config.decided[i][0] is not robots[i]]
     decided = fork_map(lambda part: [decide(snap, robots[i]) for i in part], fresh, len(fresh) * len(config.occupied))
     return dict(zip(fresh, decided))
 
@@ -387,16 +390,27 @@ def step(snap: Snapshot, active: Sequence[int]) -> tuple[Snapshot, dict[int, Act
     in global coordinates; a robot that did not move is the same object in
     both snapshots, and the next configuration is derived from this one and
     the robots that moved (model.successor), or is this configuration when
-    no robot moved: nothing is copied to hand on what was computed on it.  A
-    robot that already stayed on this configuration reuses that action
-    (``Configuration.stays``); the others are decided on the entry snapshot
-    (``decide``), in forked slices when the batch is large, and positions
-    update only at the end.  The careful-move
-    veto also reads the snapshot: the rule asked in local coordinates, but
-    blocking is a fact about the shared world.
+    no robot moved: nothing is copied to hand on what was computed on it.
+    Actions are decided on the entry snapshot (``decide``), in forked slices
+    when the batch is large, and positions update only at the end.  The
+    careful-move veto also reads the snapshot: the rule asked in local
+    coordinates, but blocking is a fact about the shared world.
+
+    A robot reuses an action already decided on this configuration
+    (``Configuration.decided``).  Under one or two maxima that is the action,
+    after the veto, of any robot on its point, unless it read a frame: a
+    target under two maxima at a near tie.  Otherwise decide's action is the
+    maximum that maxima_target picks from the point, and the veto reads the
+    point, that maximum and the configuration; points_coincide, dist,
+    near_tie and the veto box are blind to the sign of a zero, so points
+    equal as ``Point``s, which (0.0, y) and (-0.0, y) are, take one action
+    bit for bit.  A reused move still runs apply_motion for its own robot,
+    whose cap is its own.  Under three or more maxima the frame always
+    counts, and a robot reuses only a stay it decided itself, as the same
+    ``Robot`` object.
     """
     config = snap.config
-    stays = config.stays
+    decided = config.decided
     if not active:
         raise ValueError("activation set must be non-empty")
     robots = list(snap.robots)
@@ -405,6 +419,8 @@ def step(snap: Snapshot, active: Sequence[int]) -> tuple[Snapshot, dict[int, Act
     if woken[0] < 0 or woken[-1] >= len(robots):
         unknown = next(i for i in woken if not 0 <= i < len(robots))
         raise ValueError(f"activation set names unknown robot index {unknown}")
+    maxima = config.maxima
+    per_point = len(maxima) <= 2
     # A batch whose every robot, deciding afresh, could not repay a fork calls no fork code.
     ahead = _decide_ahead(snap, woken) if len(woken) * len(config.occupied) >= 2 * _SLICE_WORK else {}
     actions: dict[int, Action] = {}
@@ -412,18 +428,24 @@ def step(snap: Snapshot, active: Sequence[int]) -> tuple[Snapshot, dict[int, Act
     for i in woken:
         robot = robots[i]
         last_active[i] = snap.t
-        kept = stays.get(i)
-        if kept is not None and kept[0] is robot:
-            actions[i] = kept[1]
-            continue
-        action = ahead.get(i) or decide(snap, robot)
-        if action.kind == MOVE_CAREFUL and not path_is_clear(config.occupied, robot.pos, action.target):
-            action = Action(STAY, branch=action.branch)
-        elif action.target is not None:
+        if per_point:
+            action = decided.get(robot.pos)
+        else:
+            kept = decided.get(i)
+            action = kept[1] if kept is not None and kept[0] is robot else None
+        if action is None:
+            action = ahead.get(i) or decide(snap, robot)
+            # Under two maxima a target at a near tie read the robot's frame.
+            shared = per_point and (action.target is None or len(maxima) == 1 or not near_tie(robot.pos, *maxima))
+            if action.kind == MOVE_CAREFUL and not path_is_clear(config.occupied, robot.pos, action.target):
+                action = Action(STAY, branch=action.branch)
+            if shared:
+                decided[robot.pos] = action
+            elif action.target is None and not per_point:
+                decided[i] = (robot, action)
+        if action.target is not None:
             origins[i] = robot.pos
             robots[i] = Robot(apply_motion(robot, action.target), robot.sigma, robot.frame)
-        if i not in origins:
-            stays[i] = (robot, action)
         actions[i] = action
     after = Snapshot._over(robots, snap.t + 1, last_active,
                            successor(config, [r.pos for r in robots], origins) if origins else config)

@@ -212,7 +212,7 @@ def test_step_requires_valid_active_set():
     for active, unknown in (([9, 1, 5], 5), ([1, 9, -3, -4], -4)):
         with pytest.raises(ValueError, match=f"unknown robot index {unknown}$"):
             step(snap, active)
-    assert snap.config.stays == {}
+    assert snap.config.decided == {}
 
 
 def test_step_gathered_fixed_point():
@@ -283,7 +283,9 @@ def test_round_robin_step_touches_only_the_woken_robot(monkeypatch):
     # model.successor calls normalize when a configuration cannot be derived.
     monkeypatch.setattr(model, "normalize", counting_normalize)
     # Float coordinates, so that the configurations compare bit for bit.
-    snap = Snapshot(_line([(0.0, 0.0), (2.0, 0.0), (4.0, 0.0), (1.0, 3.0), (5.0, 2.0)], sigma=2.0))
+    # Three double points: robot 0 leaves robot 1 behind on the point it
+    # created, which model.successor cannot derive.
+    snap = Snapshot(_line([(0.0, 0.0), (0.0, 0.0), (4.0, 0.0), (4.0, 0.0), (1.0, 3.0), (1.0, 3.0)], sigma=2.0))
     spec = SchedulerSpec(ROUND_ROBIN)
     kinds = set()
     derived_moves = 0
