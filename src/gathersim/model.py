@@ -68,10 +68,10 @@ class Configuration:
     ``sec`` and its ``rim``, each on first use, and ``decided``, the actions
     decided on it, a vetoed careful move kept as the stay it became.  Under
     one or two maxima ``decided`` maps a robot's point to its action, moves
-    included, unless the action read the robot's frame; under three or more
-    it maps a robot index to the ``Robot`` that stayed and its stay
-    (simulator.step).
-    None of these takes part in ``==`` or ``repr``.
+    included, unless the action read the robot's frame (simulator.step);
+    under three or more it maps a robot index to the ``Robot`` that stayed
+    and its stay (simulator._sec_actions).  So one configuration never holds
+    both kinds of key.  None of these takes part in ``==`` or ``repr``.
     """
 
     occupied: dict[Point, int]

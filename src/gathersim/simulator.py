@@ -29,17 +29,9 @@ widened bounding box (protocol.path_is_clear).
 The trace streams to a text sink, one write per step, from a record per
 robot that changes only for the robots woken in that step or the one before.
 
-Robots woken in one step decide independently on one snapshot, so under
-three or more maxima step decides a large batch in forked slices
-(fork_map), when the robots to decide times the occupied points come to
-two slices of _SLICE_WORK: the robots are cut into contiguous slices, one
-per usable CPU, the first is decided here and each other one in a child
-from os.fork, and the children pickle their actions back.  Every action is
-the serial one, bit for bit, and comes back in order: the veto, the motion
-and the trace follow in index order as before, so no output byte depends
-on the CPU count.  A machine without os.fork or with one usable CPU, and a
-process with another thread alive, stay serial; ``taskset -c 0`` forces
-the serial path.
+Robots woken in one step decide independently on one snapshot, so a large
+batch under three or more maxima is decided in forked slices, bit for bit
+as serially (_sec_actions).
 """
 
 from __future__ import annotations
@@ -124,16 +116,16 @@ class Snapshot:
     """The world between two steps.
 
     ``t`` is the next step, ``robots`` a copy of the robots given,
-    ``last_active[i]`` the last step robot i woke in, -1 until it wakes, and
-    ``config`` normalize of their positions, which carries its maxima,
-    enclosing circle, rim tests and decisions.  ``step`` returns the
-    snapshot after it, and ``run`` keeps that as the one before the next
-    step, so the scheduler, ``step`` and every monitor share one
-    configuration.  Only the first
-    snapshot of a run normalizes every position: ``step`` derives each later
-    configuration from the robots that moved, equal to normalize of its
-    positions item for item, or keeps the configuration object when no robot
-    moved, and hands it on through ``_over``.
+    ``last_active`` a copy of the step each robot last woke in, -1 until it
+    wakes, one entry per robot, and ``config`` normalize of their positions,
+    which carries its maxima, enclosing circle, rim tests and decisions.
+    ``step`` returns the snapshot after it, and ``run`` keeps that as the
+    one before the next step, so the scheduler, ``step`` and every monitor
+    share one configuration.  Only the first snapshot of a run normalizes
+    every position: ``step`` derives each later configuration from the
+    robots that moved, equal to normalize of its positions item for item,
+    or keeps the configuration object when no robot moved, and hands it on
+    through ``_over``.
     """
 
     def __init__(self, robots: Sequence[Robot], t: int = 0, last_active: Optional[list[int]] = None) -> None:
@@ -141,7 +133,11 @@ class Snapshot:
         if not self.robots:
             raise ValueError("need at least one robot")
         self.t = t
-        self.last_active = [-1] * len(self.robots) if last_active is None else last_active
+        if last_active is None:
+            last_active = [-1] * len(self.robots)
+        elif len(last_active) != len(self.robots):
+            raise ValueError(f"last_active has {len(last_active)} entries for {len(self.robots)} robots")
+        self.last_active = list(last_active)
         self.config = normalize([r.pos for r in self.robots])
 
     @classmethod
@@ -295,46 +291,67 @@ def decide(snap: Snapshot, robot: Robot) -> Action:
 _SLICE_WORK = 4096
 
 
-def fork_map(fn: Callable[[list], list], items: list, work: int) -> list:
-    """fn(items), with fn applied to contiguous slices of items in parallel.
+def _sec_actions(snap: Snapshot, woken: list[int]) -> dict[int, Action]:
+    """The action of every woken robot on a configuration with three or more maxima.
 
-    fn must map a list to a list of one result per item, each a pure
-    function of its item.  There are as many slices as usable CPUs, but only
-    as many as hold _SLICE_WORK of the caller's work each, and no more than
-    there are items, so none is empty.  The first slice is mapped here and
-    each other one in a child from os.fork, which pickles its results back,
-    floats and signs of zero exact; the results are concatenated in order.
-    Every child is reaped before this returns or raises.  A slice whose
-    child did not exit 0, or could not be forked, is mapped here, so an
-    error surfaces as on the serial path.
+    The rule reads the robot's frame there, so a robot reuses only a stay
+    that the same ``Robot`` object decided on this configuration, kept in
+    ``Configuration.decided`` under its index.  The others decide afresh, in
+    index order, and their stays are kept.  ``pair_action`` never returns a
+    careful move, so none of these actions meets the veto.
 
-    One slice means no fork: fn(items) is returned.  That is so without
-    os.fork, with one usable CPU or one item, and while another thread is
-    alive (a child would hold a copy of every lock that thread held, and no
-    thread to release it).
+    When the robots deciding afresh times the occupied points come to two
+    slices of _SLICE_WORK, they are cut into contiguous slices, one per
+    usable CPU but no more than hold _SLICE_WORK each nor than there are
+    robots.  The first is decided here and each other one in a child
+    (``_fork``).  Every child is reaped before this returns or raises, and a
+    slice whose child did not exit 0, or could not be forked, is decided
+    here, so an error surfaces as on the serial path.  A decision is a pure
+    function of the snapshot and the robot, so every action is the serial
+    one, bit for bit.  Any smaller batch is decided in a plain loop, as is
+    every batch without os.fork, with one usable CPU, or while another
+    thread lives (a child would hold a copy of every lock that thread held,
+    and no thread to release it).
     """
-    if work < 2 * _SLICE_WORK or not hasattr(os, "fork") or threading.active_count() > 1:
-        return fn(items)
-    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    k = min(usable, work // _SLICE_WORK, len(items))
+    config, robots = snap.config, snap.robots
+    decided = config.decided
+    actions: dict[int, Action] = {}
+    fresh = []
+    for i in woken:
+        kept = decided.get(i)
+        if kept is not None and kept[0] is robots[i]:
+            actions[i] = kept[1]
+        else:
+            fresh.append(i)
+    work = len(fresh) * len(config.occupied)
+    k = 1
+    if work >= 2 * _SLICE_WORK and hasattr(os, "fork") and threading.active_count() == 1:
+        usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        k = min(usable, work // _SLICE_WORK, len(fresh))
     if k < 2:
-        return fn(items)
-    first, *rest = [items[len(items) * s // k:len(items) * (s + 1) // k] for s in range(k)]
-    children: list[tuple[Optional[int], BinaryIO]] = []
-    try:
-        for part in rest:
-            children.append(_fork(fn, part))
-        done = fn(first)
-        sent = [reader.read() for _, reader in children]
-    finally:
-        codes = [_reap(pid, reader) for pid, reader in children]
-    for part, data, code in zip(rest, sent, codes):
-        done += pickle.loads(data) if code == 0 else fn(part)
-    return done
+        done = [decide(snap, robots[i]) for i in fresh]
+    else:
+        first, *rest = [fresh[len(fresh) * s // k:len(fresh) * (s + 1) // k] for s in range(k)]
+        children: list[tuple[Optional[int], BinaryIO]] = []
+        try:
+            for part in rest:
+                children.append(_fork(snap, part))
+            done = [decide(snap, robots[i]) for i in first]
+            sent = [reader.read() for _, reader in children]
+        finally:
+            codes = [_reap(pid, reader) for pid, reader in children]
+        for part, data, code in zip(rest, sent, codes):
+            done += pickle.loads(data) if code == 0 else [decide(snap, robots[i]) for i in part]
+    for i, action in zip(fresh, done):
+        actions[i] = action
+        if action.target is None:
+            decided[i] = (robots[i], action)
+    return actions
 
 
-def _fork(fn: Callable[[list], list], part: list) -> tuple[Optional[int], BinaryIO]:
-    """A child mapping fn over part, and the pipe its pickled results come back on.
+def _fork(snap: Snapshot, part: list[int]) -> tuple[Optional[int], BinaryIO]:
+    """A child deciding the robots of snap indexed by part, and the pipe its
+    pickled actions come back on, floats and signs of zero exact.
 
     The pid is None if the fork failed; the pipe then reads empty.
     """
@@ -347,9 +364,9 @@ def _fork(fn: Callable[[list], list], part: list) -> tuple[Optional[int], Binary
         code = 1
         try:
             os.close(r)
-            results = fn(part)
+            actions = [decide(snap, snap.robots[i]) for i in part]
             with open(w, "wb") as sink:
-                pickle.dump(results, sink, pickle.HIGHEST_PROTOCOL)
+                pickle.dump(actions, sink, pickle.HIGHEST_PROTOCOL)
             code = 0
         finally:
             # Never return into the caller's code, and exit without flushing
@@ -366,23 +383,6 @@ def _reap(pid: Optional[int], reader: BinaryIO) -> Optional[int]:
     return None if pid is None else os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
-def _decide_ahead(snap: Snapshot, woken: list[int]) -> dict[int, Action]:
-    """The actions of the woken robots that reuse no stay, decided by fork_map,
-    or nothing under one or two maxima, which are decided once per point
-    without a circle: step then decides them one by one.
-
-    A decision is a pure function of the snapshot and the robot, so a child
-    decides its slice on its copy of the snapshot: each action is the serial
-    one, bit for bit.
-    """
-    config, robots = snap.config, snap.robots
-    if len(config.maxima) < 3:
-        return {}
-    fresh = [i for i in woken if i not in config.decided or config.decided[i][0] is not robots[i]]
-    decided = fork_map(lambda part: [decide(snap, robots[i]) for i in part], fresh, len(fresh) * len(config.occupied))
-    return dict(zip(fresh, decided))
-
-
 def step(snap: Snapshot, active: Sequence[int]) -> tuple[Snapshot, dict[int, Action]]:
     """Execute one semi-synchronous step for the given activation set.
 
@@ -391,15 +391,16 @@ def step(snap: Snapshot, active: Sequence[int]) -> tuple[Snapshot, dict[int, Act
     both snapshots, and the next configuration is derived from this one and
     the robots that moved (model.successor), or is this configuration when
     no robot moved: nothing is copied to hand on what was computed on it.
-    Actions are decided on the entry snapshot (``decide``), in forked slices
-    when the batch is large, and positions update only at the end.  The
-    careful-move veto also reads the snapshot: the rule asked in local
+    Actions are decided on the entry snapshot (``decide``), under three or
+    more maxima by ``_sec_actions``, and positions update only at the end.
+    The careful-move veto also reads the snapshot: the rule asked in local
     coordinates, but blocking is a fact about the shared world.
 
     A robot reuses an action already decided on this configuration
     (``Configuration.decided``).  Under one or two maxima that is the action,
-    after the veto, of any robot on its point, unless it read a frame: a
-    target under two maxima at a near tie.  Otherwise decide's action is the
+    after the veto, of any robot on its point, unless decide's action read a
+    frame: a target under two maxima at a near tie, kept out also when the
+    veto makes a stay of it.  Otherwise decide's action is the
     maximum that maxima_target picks from the point, and the veto reads the
     point, that maximum and the configuration; points_coincide, dist,
     near_tie and the veto box are blind to the sign of a zero, so points
@@ -407,7 +408,7 @@ def step(snap: Snapshot, active: Sequence[int]) -> tuple[Snapshot, dict[int, Act
     bit for bit.  A reused move still runs apply_motion for its own robot,
     whose cap is its own.  Under three or more maxima the frame always
     counts, and a robot reuses only a stay it decided itself, as the same
-    ``Robot`` object.
+    ``Robot`` object (``_sec_actions``).
     """
     config = snap.config
     decided = config.decided
@@ -420,29 +421,22 @@ def step(snap: Snapshot, active: Sequence[int]) -> tuple[Snapshot, dict[int, Act
         unknown = next(i for i in woken if not 0 <= i < len(robots))
         raise ValueError(f"activation set names unknown robot index {unknown}")
     maxima = config.maxima
-    per_point = len(maxima) <= 2
-    # A batch whose every robot, deciding afresh, could not repay a fork calls no fork code.
-    ahead = _decide_ahead(snap, woken) if len(woken) * len(config.occupied) >= 2 * _SLICE_WORK else {}
+    sec_actions = _sec_actions(snap, woken) if len(maxima) > 2 else {}
     actions: dict[int, Action] = {}
     origins: dict[int, Point] = {}
     for i in woken:
         robot = robots[i]
         last_active[i] = snap.t
-        if per_point:
-            action = decided.get(robot.pos)
-        else:
-            kept = decided.get(i)
-            action = kept[1] if kept is not None and kept[0] is robot else None
+        action = sec_actions[i] if sec_actions else decided.get(robot.pos)
         if action is None:
-            action = ahead.get(i) or decide(snap, robot)
-            # Under two maxima a target at a near tie read the robot's frame.
-            shared = per_point and (action.target is None or len(maxima) == 1 or not near_tie(robot.pos, *maxima))
+            action = decide(snap, robot)
+            # Under two maxima a target at a near tie read the robot's frame,
+            # and so does the stay a veto makes of it.
+            shared = action.target is None or len(maxima) == 1 or not near_tie(robot.pos, *maxima)
             if action.kind == MOVE_CAREFUL and not path_is_clear(config.occupied, robot.pos, action.target):
                 action = Action(STAY, branch=action.branch)
             if shared:
                 decided[robot.pos] = action
-            elif action.target is None and not per_point:
-                decided[i] = (robot, action)
         if action.target is not None:
             origins[i] = robot.pos
             robots[i] = Robot(apply_motion(robot, action.target), robot.sigma, robot.frame)

@@ -114,6 +114,9 @@ def _chain(robots, spec, max_steps):
         assert fresh.config == before.config
         with mock.patch.object(simulator, "decide", wraps=simulator.decide) as deciding:
             snap, actions = step(before, active)
+        # One configuration never holds both kinds of key.
+        key = Point if len(before.config.maxima) <= 2 else int
+        assert all(type(k) is key for k in decided)
         reused += len(actions) - deciding.call_count
         assert _bits(actions, snap.robots) == _bits(*_decided_alone(fresh, active))
         assert snap.config == Snapshot(snap.robots).config
@@ -298,6 +301,17 @@ def test_robots_on_one_point_break_a_near_tie_each_in_its_own_frame():
     assert actions[1] == Action(MOVE_CAREFUL, Point(2.0, 0.0), BRANCH_TWO_MAX)
     assert [r.pos for r in after.robots[:2]] == [Point(0.0, 0.0), Point(2.0, 0.0)]
     assert not snap.config.decided
+    # A robot at (0.5, 0.5) blocks the path to (0, 0): robot 0's veto makes
+    # a stay of a move its frame chose, which robot 1 must not reuse, in this
+    # step or on the kept configuration.
+    blocked = Snapshot(robots + [Robot(Point(0.5, 0.5), 1.0)])
+    assert blocked.config.maxima == [Point(0.0, 0.0), Point(2.0, 0.0)]
+    after, actions = step(blocked, [0, 1])
+    assert _bits(actions, after.robots) == _bits(*_decided_alone(blocked, [0, 1]))
+    assert actions[0].kind == STAY and actions[1].target == Point(2.0, 0.0)
+    assert not blocked.config.decided
+    step(blocked, [0])
+    assert step(blocked, [1])[1][1] == actions[1]
 
 
 def test_robots_on_a_signed_zero_decide_as_they_would_alone():

@@ -1,14 +1,17 @@
 """A step's fresh decisions, forked across CPUs, against the serial path.
 
-``step`` decides a large batch of woken robots in forked children, one
-contiguous slice of robots per usable CPU, when the configuration has three or
-more maxima.  The serial path is the oracle: under any activation, the
-forked path must give the same actions, snapshots and trace bytes, raise
-what the serial path raises, and leave no child behind.  The usable CPUs
-are patched here, to two or three for the forked path, so it runs on any
-machine with ``os.fork``, and to one for the serial path.
+Under three or more maxima ``simulator._sec_actions`` decides the woken
+robots that reuse no stay in one slice per usable CPU, every slice but the
+first in a forked child, when they times the occupied points come to two
+slices of ``_SLICE_WORK``; robots that reuse a stay count toward no fork.  The serial path is the
+oracle: under any activation, the forked path must give the same actions,
+snapshots and trace bytes, raise what the serial path raises, and leave no
+child behind.  The usable CPUs are patched here, to two or three for the
+forked path, so it runs on any machine with ``os.fork``, and to one for the
+serial path.
 """
 
+import math
 import os
 import pickle
 import random
@@ -18,6 +21,7 @@ import pytest
 
 import gathersim.simulator as simulator
 from gathersim.analysis import random_point_set, run_sweep
+from gathersim.geometry import Point
 from gathersim.model import random_frame
 from gathersim.simulator import RANDOM_SUBSET, ROUND_ROBIN, SYNCHRONOUS, Robot, SchedulerSpec, Snapshot, run, step
 
@@ -116,6 +120,31 @@ def test_a_small_batch_or_few_maxima_never_forks(monkeypatch, forks):
     snap = Snapshot(_robots(1))
     step(snap, range(len(snap.robots)))
     assert forks[0] == 1
+
+
+def test_only_robots_that_decide_afresh_count_toward_a_fork(monkeypatch, forks):
+    # 181 robots on the unit circle stay while 20 strays inside it move
+    # (inside_to_center), so a serial step keeps 181 stays on the configuration.
+    rng = random.Random("kept stays")
+    rim = [Point(math.cos(2 * math.pi * k / 181), math.sin(2 * math.pi * k / 181)) for k in range(181)]
+    strays = [Point(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) for _ in range(20)]
+    snap = Snapshot([Robot(p, 0.01, random_frame(rng)) for p in rim + strays])
+    everyone = range(len(snap.robots))
+    usable(monkeypatch, 1)
+    serial = step(snap, everyone)
+    assert sorted(snap.config.decided) == list(range(181))
+    # Woken robots times points come to two slices and more, the 20 that
+    # decide afresh to fewer.
+    points = len(snap.config.occupied)
+    assert 20 * points < 2 * simulator._SLICE_WORK <= len(snap.robots) * points
+    usable(monkeypatch, 2)
+    kept = step(snap, everyone)
+    assert forks[0] == 0
+    snap.config.decided.clear()
+    forked = step(snap, everyone)
+    assert forks[0] == 1
+    assert _bits(*kept) == _bits(*forked) == _bits(*serial)
+    no_children()
 
 
 def test_a_big_batch_stays_serial_on_one_cpu(monkeypatch, forks):

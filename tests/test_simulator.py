@@ -84,6 +84,21 @@ def test_snapshot_copies_robots():
     assert (snap.t, snap.last_active) == (0, [-1])
 
 
+@pytest.mark.parametrize("last_active", [[0], [0] * 5], ids=["short", "long"])
+def test_snapshot_rejects_last_active_of_another_length(last_active):
+    with pytest.raises(ValueError, match="last_active"):
+        Snapshot(_line([(0, 0), (1, 0), (3, 0)]), last_active=last_active)
+
+
+def test_snapshot_copies_last_active():
+    given = [4, -1, 2]
+    snap = Snapshot(_line([(0, 0), (1, 0), (3, 0)]), t=5, last_active=given)
+    after, _ = step(snap, [1])
+    given[0] = 9
+    assert snap.last_active == [4, -1, 2]
+    assert after.last_active == [4, 5, 2]
+
+
 def test_robots_are_frozen():
     robot = Robot(Point(0, 0), 1)
     with pytest.raises(dataclasses.FrozenInstanceError):
